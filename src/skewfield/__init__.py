@@ -14,12 +14,12 @@ from .qalg import (AlgebraAutomorphism, AnisotropyVerdict, NormForm,
                    QuatElement, QuaternionAlgebra, StructureAlgebra,
                    ZeroNormError, anisotropy, center_of_algebra,
                    inner_automorphism, inner_order, matrix_embedding_norm,
-                   norm_form, quat_arith, reduced_norm, scalar_extension)
+                   norm_form, reduced_norm, scalar_extension)
 from .ore import (HypothesisFailed, InsufficientPrecision,
                   RecurrenceCertificate, SkewFraction, SkewLaurent,
-                  SkewPoly, center_bounded, detect_recurrence, frac_arith,
-                  is_central, ore_right_lcm, right_divide, series_expand,
-                  skew_arith, tensor_decomposition_check)
+                  SkewPoly, center_bounded, detect_recurrence, is_central,
+                  ore_right_lcm, right_divide, series_expand,
+                  tensor_decomposition_check)
 from .galois import (CommExtension, GaloisExtension, NotAnisotropic,
                      NotGalois, ProductConditionFailed, RestrictionWitness,
                      TwistedExtension, WitnessInvalid, build_comm_extension,

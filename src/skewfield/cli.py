@@ -8,7 +8,8 @@ and certificates and never contain floating point.
 
 Exit codes: 0 when every check passes (unknown verdicts do not fail a
 run on their own), 1 when any check fails or hits an unexpected failed
-hypothesis, 2 on usage or parse errors.
+hypothesis, 2 on usage or parse errors and on a field, map or algebra
+declaration that cannot be built.
 """
 
 import argparse
@@ -17,10 +18,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from .fep import (EmbeddingProblem, SolutionMap, cyclic_group,
+from .fep import (EmbeddingProblem, GalData, SolutionMap, cyclic_group,
                   direct_product, dihedral_group, fiber_reduction,
-                  geometric_problem, hypothesis_report, is_split,
-                  q8_scenario, quaternion_group, sol_down, sol_up,
+                  geometric_problem, hypothesis_report, images_by_powers,
+                  is_split, q8_scenario, quaternion_group, sol_down, sol_up,
                   solutions_agree, transport_down, transport_up,
                   problems_agree, verify_solution)
 from .galois import (NotAnisotropic, NotGalois, ProductConditionFailed,
@@ -189,8 +190,11 @@ class Workspace:
                 raise UnresolvedReference("map %s: %s" % (name, exc))
         for name, (base, a, b) in scenario.algebras.items():
             fld = self._field(base)
-            self.algebras[name] = QuaternionAlgebra(
-                fld, fld.element(a), fld.element(b), label=name)
+            try:
+                self.algebras[name] = QuaternionAlgebra(
+                    fld, fld.element(a), fld.element(b), label=name)
+            except ValueError as exc:
+                raise UnresolvedReference("algebra %s: %s" % (name, exc))
         for name, params in scenario.twists.items():
             self.twists[name] = self._build_twist(name, params)
         for name, params in scenario.problems.items():
@@ -255,7 +259,6 @@ class Workspace:
         emb = self.embedding_into(alg, fld, params.get('emb'))
         ext = build_galois_extension(alg, fld, emb,
                                      self.flags['height_bound'])
-        from .fep import GalData
         gal = GalData(ext)
         assignments = {}
         if 'alpha' in params:
@@ -791,8 +794,6 @@ def regression_roundtrip(ws, params):
     H = QuaternionAlgebra(q, -1, -1, label='(-1,-1/Q)')
     emb = FieldMorphism(q, q2, q2.zero())
     ext = build_galois_extension(H, q2, emb, ws.flags['height_bound'])
-    from .fep import GalData, _center_action
-    conj_idx = 1
     cases = [
         (cyclic_group(2), [0, 1]),
         (cyclic_group(4), [0, 1, 0, 1]),
@@ -813,15 +814,7 @@ def regression_roundtrip(ws, params):
     ext_big = build_galois_extension(H, quartic, FieldMorphism(
         q, quartic, quartic.zero()), ws.flags['height_bound'])
     gal_big = GalData(ext_big)
-    gen = next(e for e in gal_big.elements if _center_action(e).order() == 4)
-    beta = [None] * 4
-    cur, power = gen, 1
-    while True:
-        beta[gal_big.index_of(cur)] = power % 4
-        if cur.is_identity():
-            break
-        cur = gen.compose(cur)
-        power += 1
+    beta = images_by_powers(gal_big, lambda power: power % 4)
     center_emb = FieldMorphism(q2, quartic, quartic.element([-2, 0, 1]))
     sol = SolutionMap(ext_big, center_emb, beta, 'full', problem.G, gal_big)
     ok = ok and verify_solution(problem, sol).passed()
@@ -848,17 +841,8 @@ def regression_fiber(ws, params):
     ext_big = build_galois_extension(
         H, quartic, FieldMorphism(q, quartic, quartic.zero()),
         ws.flags['height_bound'])
-    from .fep import GalData, _center_action
     gal_big = GalData(ext_big)
-    gen = next(e for e in gal_big.elements if _center_action(e).order() == 4)
-    beta = [None] * 4
-    cur, power = gen, 1
-    while True:
-        beta[gal_big.index_of(cur)] = power % 4
-        if cur.is_identity():
-            break
-        cur = gen.compose(cur)
-        power += 1
+    beta = images_by_powers(gal_big, lambda power: power % 4)
     center_emb = FieldMorphism(q2, quartic, quartic.element([-2, 0, 1]))
     weak = SolutionMap(ext_big, center_emb, beta, 'weak', problem.G, gal_big)
     red = fiber_reduction(problem, weak)

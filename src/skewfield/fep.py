@@ -18,9 +18,9 @@ field of the projection kernel; everything is re-verified on full tables.
 from .galois import (CommExtension, build_comm_extension,
                      build_galois_extension, build_twisted_extension,
                      eq_produit, restriction_between)
-from .numfield import (FieldMorphism, NumberField, automorphism_group,
-                       field_level, fixed_field, restrict_morphism,
-                       subfield_preimage)
+from .numfield import (FieldMorphism, Immutable, NumberField,
+                       automorphism_group, field_level, fixed_field,
+                       restrict_morphism, subfield_preimage)
 from .qalg import AlgebraAutomorphism, QuaternionAlgebra
 
 MAX_GROUP_ORDER = 64
@@ -34,7 +34,7 @@ class NotWeakSolution(Exception):
 # finite groups as multiplication tables
 # ---------------------------------------------------------------------------
 
-class FiniteGroup:
+class FiniteGroup(Immutable):
     """Multiplication table with identity at index 0, order at most 64."""
 
     __slots__ = ('table', 'labels', 'order', '_inverse', '_subgroups')
@@ -67,12 +67,6 @@ class FiniteGroup:
         object.__setattr__(self, 'order', order)
         object.__setattr__(self, '_inverse', tuple(inverse))
         object.__setattr__(self, '_subgroups', None)
-
-    def __setattr__(self, name, value):
-        if name == '_subgroups':
-            object.__setattr__(self, name, value)
-            return
-        raise AttributeError("FiniteGroup is immutable")
 
     def __repr__(self):
         return 'FiniteGroup(order %d)' % self.order
@@ -124,7 +118,8 @@ class FiniteGroup:
                             known.add(bigger)
                             nxt.append(bigger)
                 frontier = nxt
-            self._subgroups = sorted(known, key=lambda s: (len(s), sorted(s)))
+            object.__setattr__(self, '_subgroups',
+                               sorted(known, key=lambda s: (len(s), sorted(s))))
         return list(self._subgroups)
 
     def is_cyclic(self):
@@ -196,7 +191,7 @@ def direct_product(a, b):
     return FiniteGroup(table, labels)
 
 
-class GroupHom:
+class GroupHom(Immutable):
     """Homomorphism between table groups, verified on the full table."""
 
     __slots__ = ('source', 'target', 'images')
@@ -213,9 +208,6 @@ class GroupHom:
         object.__setattr__(self, 'source', source)
         object.__setattr__(self, 'target', target)
         object.__setattr__(self, 'images', tuple(images))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupHom is immutable")
 
     def __call__(self, a):
         return self.images[a]
@@ -251,7 +243,7 @@ class GroupHom:
 # Galois groups as table groups
 # ---------------------------------------------------------------------------
 
-class GalData:
+class GalData(Immutable):
     """The automorphism list of an extension, indexed as a table group."""
 
     __slots__ = ('ext', 'elements', 'group')
@@ -270,9 +262,6 @@ class GalData:
                            FiniteGroup(table, ['s%d' % n
                                                for n in range(len(elements))]))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GalData is immutable")
-
     def index_of(self, elem):
         for n, e in enumerate(self.elements):
             if e == elem:
@@ -284,11 +273,30 @@ def _center_action(g):
     return g.center_action if isinstance(g, AlgebraAutomorphism) else g
 
 
+def images_by_powers(gal, image_of_power):
+    """Images of a cyclic Galois group, listed by index.
+
+    The generator is the first element whose central action has the full
+    order; its k-th power is sent to image_of_power(k), for k = 1 .. order.
+    """
+    order = gal.group.order
+    gen = next((n for n, e in enumerate(gal.elements)
+                if _center_action(e).order() == order), None)
+    if gen is None:
+        raise ValueError("the Galois group is not cyclic")
+    images = [None] * order
+    cur = gen
+    for power in range(1, order + 1):
+        images[cur] = image_of_power(power)
+        cur = gal.group.op(gen, cur)
+    return images
+
+
 # ---------------------------------------------------------------------------
 # problems and solutions
 # ---------------------------------------------------------------------------
 
-class EmbeddingProblem:
+class EmbeddingProblem(Immutable):
     """Surjection alpha from a finite group onto a Galois group.
 
     The extension may be a division-ring one or a commutative one; the
@@ -307,9 +315,6 @@ class EmbeddingProblem:
         object.__setattr__(self, 'gal', gal)
         object.__setattr__(self, 'alpha', alpha)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("EmbeddingProblem is immutable")
-
     def is_commutative(self):
         return isinstance(self.ext, CommExtension)
 
@@ -318,7 +323,7 @@ class EmbeddingProblem:
             self.G.order, self.gal.group.order)
 
 
-class SolutionMap:
+class SolutionMap(Immutable):
     """A (weak) solution: the group of a bigger extension embedded in G."""
 
     __slots__ = ('ext_big', 'gal_big', 'center_emb', 'beta', 'kind')
@@ -335,15 +340,12 @@ class SolutionMap:
         object.__setattr__(self, 'beta', beta)
         object.__setattr__(self, 'kind', kind)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SolutionMap is immutable")
-
     def __repr__(self):
         return 'SolutionMap(%s, order %d into |G|=%d)' % (
             self.kind, self.gal_big.group.order, self.beta.target.order)
 
 
-class SolutionReport:
+class SolutionReport(Immutable):
 
     __slots__ = ('injective_ok', 'kind_ok', 'compatible_ok', 'details')
 
@@ -352,9 +354,6 @@ class SolutionReport:
         object.__setattr__(self, 'kind_ok', kind_ok)
         object.__setattr__(self, 'compatible_ok', compatible_ok)
         object.__setattr__(self, 'details', details)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SolutionReport is immutable")
 
     def passed(self):
         return self.injective_ok and self.kind_ok and self.compatible_ok
@@ -504,7 +503,7 @@ def solutions_agree(s1, s2):
 # geometric problems over the twisted function field
 # ---------------------------------------------------------------------------
 
-class GeometricReport:
+class GeometricReport(Immutable):
     """The function-field problem next to its fixed-center shadow.
 
     link_identity records that composing the shadow with the inverse of
@@ -522,9 +521,6 @@ class GeometricReport:
         object.__setattr__(self, 'fixed_field_ext', fixed_field_ext)
         object.__setattr__(self, 'alpha_bar', tuple(alpha_bar))
         object.__setattr__(self, 'link_identity', link_identity)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GeometricReport is immutable")
 
 
 def geometric_problem(problem, X, degree_bound=4):
@@ -574,7 +570,7 @@ def geometric_problem(problem, X, degree_bound=4):
 # weak -> split fiber reduction
 # ---------------------------------------------------------------------------
 
-class FiberReduction:
+class FiberReduction(Immutable):
     """The split problem built from a weak solution, with its transport."""
 
     __slots__ = ('problem', 'original', 'weak', 'section', 'pairs',
@@ -589,9 +585,6 @@ class FiberReduction:
         object.__setattr__(self, 'pairs', tuple(pairs))
         object.__setattr__(self, 'kernel_iso', tuple(kernel_iso))
         object.__setattr__(self, 'res_table', tuple(res_table))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiberReduction is immutable")
 
     def transport(self, big_solution, height_bound=8):
         """Turn a full solution of the reduced problem into one of the
@@ -731,7 +724,7 @@ def hypothesis_report(problem, X=None, ample_assertion=None):
 # the quaternion-group scenario
 # ---------------------------------------------------------------------------
 
-class Q8Report:
+class Q8Report(Immutable):
 
     __slots__ = ('problem', 'split', 'weak', 'weak_report', 'reduction',
                  'quartic_group_cyclic', 'quartic_contains_conjugation',
@@ -741,9 +734,6 @@ class Q8Report:
     def __init__(self, **kw):
         for name in self.__slots__:
             object.__setattr__(self, name, kw[name])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Q8Report is immutable")
 
     def passed(self):
         return (not self.split and self.weak_report.passed()
@@ -795,19 +785,8 @@ def q8_scenario(height_bound=8):
     ext_big = build_galois_extension(H, quartic, embq4, height_bound)
     gal_big = GalData(ext_big)
     center_emb = FieldMorphism(q_sqrt2, quartic, sqrt2_up)
-    big_gen = next(e for e in gal_big.elements
-                   if _center_action(e).order() == 4)
-    # order the cyclic group by powers of the generator and send it to i
-    beta = [None] * 4
-    cur = big_gen
-    power = 1
-    while True:
-        idx = gal_big.index_of(cur)
-        beta[idx] = _q8_power_of_i(power)
-        if cur.is_identity():
-            break
-        cur = big_gen.compose(cur)
-        power += 1
+    # send the generator of the cyclic quartic group to i
+    beta = images_by_powers(gal_big, _q8_power_of_i)
     weak = SolutionMap(ext_big, center_emb, beta, 'weak', q8, gal_big)
     weak_report = verify_solution(problem, weak)
     reduction = fiber_reduction(problem, weak)

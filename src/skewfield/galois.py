@@ -19,9 +19,10 @@ bound.
 from fractions import Fraction
 
 from .linalg import kernel_basis, same_span
-from .numfield import (FieldMorphism, automorphism_group, fixed_field,
-                       is_galois, restrict_morphism, subfield_preimage)
-from .ore import HypothesisFailed, SkewPoly
+from .numfield import (FieldMorphism, Immutable, automorphism_group,
+                       fixed_field, is_galois, restrict_morphism,
+                       subfield_preimage)
+from .ore import HypothesisFailed, SkewPoly, _algebra_generators
 from .qalg import (AlgebraAutomorphism, QuaternionAlgebra, anisotropy,
                    extend_quaternion, inner_order, norm_form)
 
@@ -59,7 +60,7 @@ class ProductConditionFailed(Exception):
 # commutative and quaternionic extensions under one interface
 # ---------------------------------------------------------------------------
 
-class CommExtension:
+class CommExtension(Immutable):
     """Finite Galois extension of number fields with its full group."""
 
     __slots__ = ('ell', 'k_emb', 'group')
@@ -68,9 +69,6 @@ class CommExtension:
         object.__setattr__(self, 'ell', ell)
         object.__setattr__(self, 'k_emb', k_emb)
         object.__setattr__(self, 'group', tuple(group))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CommExtension is immutable")
 
     @property
     def center_field(self):
@@ -104,7 +102,7 @@ def build_comm_extension(ell, k_emb):
     return CommExtension(ell, k_emb, group)
 
 
-class GaloisExtension:
+class GaloisExtension(Immutable):
     """L = H tensored with ell over the center h, with its Galois group.
 
     Group elements act as the identity on the quaternion units and as the
@@ -127,9 +125,6 @@ class GaloisExtension:
         object.__setattr__(self, 'outer_verified', is_outer(self))
         if not self.artin_verified:
             raise AssertionError("fixed set of the group is not the base ring")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaloisExtension is immutable")
 
     def __repr__(self):
         return 'GaloisExtension(%s / %s, order %d)' % (
@@ -246,17 +241,10 @@ def is_outer(ext):
     """Centralizer of the base inside L compared with the center of L."""
     L = ext.L
     basis = L.q_basis()
-    gens = [ext.embed_base(g) for g in _algebra_generators_of(ext.H)]
+    gens = [ext.embed_base(g) for g in _algebra_generators(ext.H)]
     cent = _commutant_basis(basis, gens, lambda x: x.q_vector())
     center_vecs = [L.scalar(b).q_vector() for b in L.base.basis()]
     return same_span(cent, center_vecs, _Q0)
-
-
-def _algebra_generators_of(H):
-    gens = [H.i(), H.j()]
-    if H.base.degree > 1:
-        gens.append(H.scalar(H.base.gen()))
-    return gens
 
 
 def commutative_centralizer_check(ell, k_emb):
@@ -272,7 +260,7 @@ def commutative_centralizer_check(ell, k_emb):
 # general restriction maps through an auxiliary tower
 # ---------------------------------------------------------------------------
 
-class RestrictionWitness:
+class RestrictionWitness(Immutable):
     """Auxiliary tower l0/k0 with the embeddings tying two extensions.
 
     Conditions checked by validate(): the embedding squares commute, the
@@ -291,9 +279,6 @@ class RestrictionWitness:
         object.__setattr__(self, 'emb_l0_small', emb_l0_small)
         object.__setattr__(self, 'emb_k0_big', emb_k0_big)
         object.__setattr__(self, 'emb_k0_small', emb_k0_small)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RestrictionWitness is immutable")
 
     def validate(self, big, small):
         k0 = self.k0_emb.source
@@ -322,7 +307,7 @@ class RestrictionWitness:
             raise WitnessInvalid('2c', "fixing subgroups overlap")
 
 
-class RestrictionHom:
+class RestrictionHom(Immutable):
     """Verified group homomorphism from big.group to small.group."""
 
     __slots__ = ('big', 'small', 'table')
@@ -331,9 +316,6 @@ class RestrictionHom:
         object.__setattr__(self, 'big', big)
         object.__setattr__(self, 'small', small)
         object.__setattr__(self, 'table', dict(table))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RestrictionHom is immutable")
 
     def __call__(self, g):
         return self.table[g]
@@ -409,7 +391,7 @@ def restriction_between(big_ext, small_ext, center_emb):
 # twisted extensions and product conditions
 # ---------------------------------------------------------------------------
 
-class TwistedExtension:
+class TwistedExtension(Immutable):
     """A Galois extension L/H with compatible twists on both levels."""
 
     __slots__ = ('ext', 'sigma', 'tau')
@@ -425,9 +407,6 @@ class TwistedExtension:
         object.__setattr__(self, 'ext', ext)
         object.__setattr__(self, 'sigma', sigma)
         object.__setattr__(self, 'tau', tau)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwistedExtension is immutable")
 
     @property
     def sigma_tilde(self):
@@ -461,7 +440,7 @@ def eq_produit(X):
     return commutes and len(overlap) == 1
 
 
-class ProductReport:
+class ProductReport(Immutable):
 
     __slots__ = ('triv1_i', 'triv1_ii', 'triv1_iii', 'triv2_i', 'triv2_ii',
                  'eq_produit', 'sigma_order', 'tau_order',
@@ -471,9 +450,6 @@ class ProductReport:
     def __init__(self, **kw):
         for name in self.__slots__:
             object.__setattr__(self, name, kw[name])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProductReport is immutable")
 
     def triv1_consistent(self):
         return self.triv1_i == self.triv1_ii == self.triv1_iii
@@ -545,7 +521,7 @@ def check_product_conditions(X):
 # coefficientwise lifts to the twisted polynomial level
 # ---------------------------------------------------------------------------
 
-class PolyLift:
+class PolyLift(Immutable):
     """Coefficientwise action of a group element on twisted polynomials."""
 
     __slots__ = ('rho', 'twist')
@@ -553,9 +529,6 @@ class PolyLift:
     def __init__(self, rho, twist):
         object.__setattr__(self, 'rho', rho)
         object.__setattr__(self, 'twist', twist)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyLift is immutable")
 
     def __call__(self, p):
         if p.twist != self.twist:
@@ -573,7 +546,7 @@ class PolyLift:
         return PolyLift(self.rho.compose(other.rho), self.twist)
 
 
-class TwistedFunctionExtension:
+class TwistedFunctionExtension(Immutable):
     """Verified group of lifts on L[t,tau] fixing H[t,sigma] pointwise."""
 
     __slots__ = ('twisted', 'lifts', 'degree_bound')
@@ -582,9 +555,6 @@ class TwistedFunctionExtension:
         object.__setattr__(self, 'twisted', twisted)
         object.__setattr__(self, 'lifts', tuple(lifts))
         object.__setattr__(self, 'degree_bound', degree_bound)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwistedFunctionExtension is immutable")
 
     def restriction(self, lift):
         return lift.rho
@@ -651,7 +621,7 @@ def build_twisted_extension(X, degree_bound=4):
 # converse check
 # ---------------------------------------------------------------------------
 
-class ConverseReport:
+class ConverseReport(Immutable):
 
     __slots__ = ('eq_produit', 'lift_group_order', 'consistent')
 
@@ -659,9 +629,6 @@ class ConverseReport:
         object.__setattr__(self, 'eq_produit', eq_produit_)
         object.__setattr__(self, 'lift_group_order', lift_group_order)
         object.__setattr__(self, 'consistent', consistent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConverseReport is immutable")
 
 
 def converse_check(X, degree_bound=4):
@@ -690,45 +657,8 @@ def converse_check(X, degree_bound=4):
 
 
 # ---------------------------------------------------------------------------
-# subgroup utilities on morphism lists and the direct-factor builder
+# the direct-factor builder
 # ---------------------------------------------------------------------------
-
-def _closure_of(gens, identity):
-    out = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in gens:
-                h = g.compose(f)
-                if h not in out:
-                    out.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return out
-
-
-def _subgroups_of(group):
-    identity = next(g for g in group if g.is_identity())
-    known = {frozenset([identity])}
-    frontier = [frozenset([identity])]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for g in group:
-                if g in sub:
-                    continue
-                bigger = frozenset(_closure_of(list(sub) + [g], identity))
-                if bigger not in known:
-                    known.add(bigger)
-                    nxt.append(bigger)
-        frontier = nxt
-
-    def key(sub):
-        return (len(sub), sorted(tuple(m.gen_image.coords) for m in sub))
-
-    return sorted(known, key=key)
-
 
 def build_special_case_3(K, ell, k_emb, n, height_bound=8,
                          cyclic_generator=None):
@@ -740,6 +670,8 @@ def build_special_case_3(K, ell, k_emb, n, height_bound=8,
     intermediate fixed field of the complement becomes the new base.  A
     particular cyclic generator may be forced through cyclic_generator.
     """
+    from .fep import GalData
+
     if n < 2:
         raise ValueError("cyclic factor must have order at least 2")
     if k_emb.source != K.base or k_emb.target != ell:
@@ -748,28 +680,34 @@ def build_special_case_3(K, ell, k_emb, n, height_bound=8,
     if len(gamma) * K.base.degree != ell.degree:
         raise NotGalois("%s over the center of %s is not Galois"
                         % (ell.label, K.label))
-    identity = next(g for g in gamma if g.is_identity())
-    candidates = [cyclic_generator] if cyclic_generator is not None else gamma
+    gal = GalData(CommExtension(ell, k_emb, gamma))
+    G = gal.group
+    # by size, then by generator images: this order fixes which
+    # decomposition is found first, and so the new base field
+    subgroups = sorted(G.subgroups(), key=lambda sub: (
+        len(sub), sorted(tuple(gamma[s].gen_image.coords) for s in sub)))
+    candidates = [gal.index_of(cyclic_generator)] \
+        if cyclic_generator is not None else range(G.order)
     decomposition = None
     for a in candidates:
-        if a.order() != n:
+        if G.element_order(a) != n:
             continue
-        a_powers = _closure_of([a], identity)
-        for sub in _subgroups_of(gamma):
-            if len(sub) * n != len(gamma) or len(sub) == 1:
+        a_powers = G.closure([a])
+        for sub in subgroups:
+            if len(sub) * n != G.order or len(sub) == 1:
                 continue
-            if a_powers & sub != {identity}:
+            if a_powers & sub != {0}:
                 continue
-            if not all(a.compose(b) == b.compose(a) for b in sub):
+            if not all(G.op(a, b) == G.op(b, a) for b in sub):
                 continue
-            decomposition = (a, sub)
+            decomposition = (gamma[a], [gamma[b] for b in sub])
             break
         if decomposition:
             break
     if decomposition is None:
         raise ValueError("no direct decomposition of the required shape")
     a_gen, complement = decomposition
-    e_field, e_emb = fixed_field(ell, list(complement))
+    e_field, e_emb = fixed_field(ell, complement)
     # base field of K inside the fixed field
     k_img = k_emb(K.base.gen())
     pre = subfield_preimage(e_emb, k_img)

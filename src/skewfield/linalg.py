@@ -92,16 +92,6 @@ def invert(rows, zero, one):
     return [row[n:] for row in work]
 
 
-def matvec(rows, vec):
-    out = []
-    for row in rows:
-        acc = row[0] * vec[0]
-        for a, x in zip(row[1:], vec[1:]):
-            acc = acc + a * x
-        out.append(acc)
-    return out
-
-
 def in_span(vectors, target, zero):
     """Whether ``target`` lies in the span of ``vectors`` (all same length)."""
     if not vectors:

@@ -272,7 +272,20 @@ def is_irreducible_over_q(int_coeffs):
 # fields, elements, morphisms
 # ---------------------------------------------------------------------------
 
-class NumberField:
+class Immutable:
+    """Base of the value classes: attributes are set once, in __init__.
+
+    Constructors and lazy caches write through object.__setattr__; any
+    other assignment raises.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class NumberField(Immutable):
     """Q[x]/(min_poly) with min_poly monic, integer, irreducible, deg <= 8."""
 
     __slots__ = ('min_poly', 'degree', 'label', '_autos', '_places',
@@ -313,11 +326,6 @@ class NumberField:
                            FieldElement(self, (_Q0,) * (len(coeffs) - 1)))
         object.__setattr__(self, '_one',
                            FieldElement(self, (_Q1,) + (_Q0,) * (len(coeffs) - 2)))
-
-    def __setattr__(self, name, value):
-        if name in ('min_poly', 'degree', 'label', '_red_rows'):
-            raise AttributeError("NumberField is immutable")
-        object.__setattr__(self, name, value)
 
     def mul_coords(self, a, b):
         """Product of two coordinate tuples, reduced mod min_poly."""
@@ -385,19 +393,20 @@ class NumberField:
             roots = roots_in_field(self.min_poly, self)
             autos = [FieldMorphism(self, self, r) for r in roots]
             autos.sort(key=lambda m: (m.gen_image != self.gen(), m.gen_image.coords))
-            self._autos = tuple(autos)
+            object.__setattr__(self, '_autos', tuple(autos))
         return list(self._autos)
 
     def real_places(self):
         """Real embeddings as isolating intervals for roots of min_poly."""
         if self._places is None:
             ivs = isolate_real_roots(list(self.min_poly))
-            self._places = tuple(RealPlace(self, i, lo, hi)
-                                 for i, (lo, hi) in enumerate(ivs))
+            object.__setattr__(self, '_places',
+                               tuple(RealPlace(self, i, lo, hi)
+                                     for i, (lo, hi) in enumerate(ivs)))
         return list(self._places)
 
 
-class FieldElement:
+class FieldElement(Immutable):
     """Element of a NumberField as a rational vector in the power basis."""
 
     __slots__ = ('field', 'coords')
@@ -405,9 +414,6 @@ class FieldElement:
     def __init__(self, field, coords):
         object.__setattr__(self, 'field', field)
         object.__setattr__(self, 'coords', tuple(coords))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -511,7 +517,7 @@ class FieldElement:
                                           self.field.label)
 
 
-class FieldMorphism:
+class FieldMorphism(Immutable):
     """Ring morphism between number fields, pinned by the generator image.
 
     Construction verifies the morphism certificate: the source minimal
@@ -531,9 +537,6 @@ class FieldMorphism:
         object.__setattr__(self, 'gen_image', gen_image)
         object.__setattr__(self, '_trivial',
                            source == target and gen_image == source.gen())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldMorphism is immutable")
 
     def __call__(self, elem):
         if elem.field != self.source:
@@ -613,7 +616,7 @@ def _eval_poly_at_element(coeffs, elem):
     return acc
 
 
-class RealPlace:
+class RealPlace(Immutable):
     """A real embedding, certified by an isolating interval of min_poly."""
 
     __slots__ = ('field', 'index', 'lo', 'hi')
@@ -623,9 +626,6 @@ class RealPlace:
         object.__setattr__(self, 'index', index)
         object.__setattr__(self, 'lo', lo)
         object.__setattr__(self, 'hi', hi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RealPlace is immutable")
 
     def __repr__(self):
         return 'RealPlace(#%d of %s in (%s, %s])' % (
@@ -836,7 +836,7 @@ def is_galois(ell, h_embedding=None):
 # field level
 # ---------------------------------------------------------------------------
 
-class LevelVerdict:
+class LevelVerdict(Immutable):
     """Level of a field: Finite(s) with witness, InfiniteCertified, or Unknown.
 
     Finite verdicts carry nonzero elements x_1..x_s with -1 = sum x_i^2,
@@ -866,9 +866,6 @@ class LevelVerdict:
         object.__setattr__(self, 'witness', tuple(witness) if witness else None)
         object.__setattr__(self, 'place', place)
         object.__setattr__(self, 'bound', bound)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LevelVerdict is immutable")
 
     def __repr__(self):
         if self.kind == 'finite':

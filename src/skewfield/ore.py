@@ -17,7 +17,7 @@ constraints vectorize over Q.
 from fractions import Fraction
 
 from .linalg import kernel_basis, rank, same_span, solve
-from .numfield import fixed_field
+from .numfield import Immutable, fixed_field
 from .qalg import (QuatElement, extend_quaternion, inner_order,
                    quat_from_q_vector)
 
@@ -37,7 +37,7 @@ class HypothesisFailed(Exception):
 # skew polynomials
 # ---------------------------------------------------------------------------
 
-class SkewPoly:
+class SkewPoly(Immutable):
     """Polynomial over a quaternion algebra with twisted multiplication."""
 
     __slots__ = ('twist', 'coeffs')
@@ -56,9 +56,6 @@ class SkewPoly:
             norm.pop()
         object.__setattr__(self, 'twist', twist)
         object.__setattr__(self, 'coeffs', tuple(norm))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewPoly is immutable")
 
     @property
     def alg(self):
@@ -179,14 +176,6 @@ def constant_poly(twist, c):
     return SkewPoly(twist, [c])
 
 
-def skew_arith(p, q, op):
-    if op == 'add':
-        return p + q
-    if op == 'mul':
-        return p * q
-    raise ValueError("unknown operation %r" % op)
-
-
 def right_divide(a, b):
     """Quotient and remainder with a = q*b + r and deg r < deg b."""
     if b.is_zero():
@@ -255,7 +244,7 @@ def ore_right_lcm(a, b):
 # Ore fractions num * den^{-1}
 # ---------------------------------------------------------------------------
 
-class SkewFraction:
+class SkewFraction(Immutable):
     """Right fraction num * den^{-1}; equality is the Ore cross relation.
 
     No reduction to lowest terms is attempted: representatives are kept as
@@ -271,9 +260,6 @@ class SkewFraction:
             raise ValueError("numerator and denominator twists differ")
         object.__setattr__(self, 'num', num)
         object.__setattr__(self, 'den', den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewFraction is immutable")
 
     @property
     def twist(self):
@@ -375,23 +361,11 @@ class SkewFraction:
             self.num.degree(), self.den.degree(), self.twist.owner.label)
 
 
-def frac_arith(f, g, op):
-    if op == 'add':
-        return f + g
-    if op == 'mul':
-        return f * g
-    if op == 'inv':
-        return f.inverse()
-    if op == 'eq':
-        return f == g
-    raise ValueError("unknown operation %r" % op)
-
-
 # ---------------------------------------------------------------------------
 # truncated twisted Laurent series
 # ---------------------------------------------------------------------------
 
-class SkewLaurent:
+class SkewLaurent(Immutable):
     """Series sum a_n t^n known for ord <= n < limit, zero below ord."""
 
     __slots__ = ('twist', 'ord', 'coeffs', 'limit')
@@ -416,9 +390,6 @@ class SkewLaurent:
         object.__setattr__(self, 'ord', ord_)
         object.__setattr__(self, 'coeffs', tuple(norm))
         object.__setattr__(self, 'limit', limit)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewLaurent is immutable")
 
     @property
     def alg(self):
@@ -546,7 +517,7 @@ def series_expand(fraction, precision):
 # rationality certificates
 # ---------------------------------------------------------------------------
 
-class RecurrenceCertificate:
+class RecurrenceCertificate(Immutable):
     """Twisted linear recurrence a_n = sum a_{n-i} sigma^{n-i}(y_i).
 
     Verified at construction against every stored coefficient with index at
@@ -564,9 +535,6 @@ class RecurrenceCertificate:
         object.__setattr__(self, 'start', start)
         if series is not None and not self.verify(series):
             raise ValueError("certificate fails on the stored coefficients")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RecurrenceCertificate is immutable")
 
     def predicted(self, series, n):
         acc = self.twist.owner.zero()
@@ -700,7 +668,7 @@ def is_central(x):
     raise TypeError("is_central expects a skew polynomial or fraction")
 
 
-class CenterReport:
+class CenterReport(Immutable):
     """Bounded-degree central elements, with the closed-form comparison.
 
     raw_basis spans the degree-bounded center of the twisted polynomial
@@ -719,9 +687,6 @@ class CenterReport:
         object.__setattr__(self, 'closed_form_matches', closed_form_matches)
         object.__setattr__(self, 'twist_order', twist_order)
         object.__setattr__(self, 'inner_order', inner_order_)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CenterReport is immutable")
 
 
 def center_bounded(algebra, twist, degree_bound):
@@ -789,7 +754,7 @@ def center_bounded(algebra, twist, degree_bound):
 # bounded tensor-decomposition verification
 # ---------------------------------------------------------------------------
 
-class TensorReport:
+class TensorReport(Immutable):
 
     __slots__ = ('injective', 'surjective', 'multiplicative', 'rank',
                  'spanning_count', 'ambient_dim', 'twist_order',
@@ -805,9 +770,6 @@ class TensorReport:
         object.__setattr__(self, 'ambient_dim', ambient_dim)
         object.__setattr__(self, 'twist_order', twist_order)
         object.__setattr__(self, 'fixed_degree_ratio', fixed_degree_ratio)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorReport is immutable")
 
     def passed(self):
         return self.injective and self.surjective and self.multiplicative

@@ -15,10 +15,9 @@ central action is trivial.
 """
 
 from fractions import Fraction
-from itertools import product as _iproduct
 
 from .linalg import kernel_basis
-from .numfield import FieldElement
+from .numfield import FieldElement, Immutable, _integer_elements
 
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
@@ -28,7 +27,7 @@ class ZeroNormError(ArithmeticError):
     """Raised when inverting an element of reduced norm zero."""
 
 
-class QuaternionAlgebra:
+class QuaternionAlgebra(Immutable):
     """(a,b/h): i^2 = a, j^2 = b, ij = k = -ji over the number field h."""
 
     __slots__ = ('base', 'a', 'b', 'label', 'division_certified',
@@ -50,9 +49,6 @@ class QuaternionAlgebra:
         object.__setattr__(self, 'extension_of', extension_of)
         object.__setattr__(self, '_table', self._build_table())
         self._check_structure_constants()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuaternionAlgebra is immutable")
 
     def _build_table(self):
         one, zero = self.base.one(), self.base.zero()
@@ -172,16 +168,13 @@ class QuaternionAlgebra:
                                  for p in range(4)])
 
 
-class QuatElement:
+class QuatElement(Immutable):
 
     __slots__ = ('alg', 'coords')
 
     def __init__(self, alg, coords):
         object.__setattr__(self, 'alg', alg)
         object.__setattr__(self, 'coords', tuple(coords))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuatElement is immutable")
 
     def _coerce(self, other):
         if isinstance(other, QuatElement):
@@ -300,19 +293,6 @@ def extend_quaternion(x, big, emb):
     return big.element([emb(c) for c in x.coords])
 
 
-def quat_arith(x, y, op):
-    """Dispatcher for the basic arithmetic: add, mul, conj, inv."""
-    if op == 'add':
-        return x + y
-    if op == 'mul':
-        return x * y
-    if op == 'conj':
-        return x.conj()
-    if op == 'inv':
-        return x.inverse()
-    raise ValueError("unknown operation %r" % op)
-
-
 def reduced_norm(x):
     return x.reduced_norm()
 
@@ -348,7 +328,7 @@ def matrix_embedding_norm(x):
 # norm form and anisotropy
 # ---------------------------------------------------------------------------
 
-class NormForm:
+class NormForm(Immutable):
     """Diagonal form <1, -a, -b, ab> of an algebra, over a target field."""
 
     __slots__ = ('algebra', 'target', 'embedding', 'coefficients')
@@ -363,9 +343,6 @@ class NormForm:
         object.__setattr__(self, 'target', target)
         object.__setattr__(self, 'embedding', embedding)
         object.__setattr__(self, 'coefficients', coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NormForm is immutable")
 
     def __repr__(self):
         return 'NormForm(<%s> over %s)' % (
@@ -389,7 +366,7 @@ def norm_form(algebra, target, embedding=None):
     return NormForm(algebra, target, embedding)
 
 
-class AnisotropyVerdict:
+class AnisotropyVerdict(Immutable):
     """Certified three-valued answer for a diagonal quadratic form.
 
     anisotropic: some real place makes every coefficient strictly one sign,
@@ -418,16 +395,8 @@ class AnisotropyVerdict:
         object.__setattr__(self, 'witness', tuple(witness) if witness else None)
         object.__setattr__(self, 'bound', bound)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AnisotropyVerdict is immutable")
-
     def __repr__(self):
         return 'AnisotropyVerdict(%s)' % self.kind
-
-
-def _integer_vectors(field, height):
-    for combo in _iproduct(range(-height, height + 1), repeat=field.degree):
-        yield field.element([Fraction(c) for c in combo])
 
 
 def anisotropy(form, height_bound, pair_cap=2_000_000):
@@ -452,7 +421,7 @@ def anisotropy(form, height_bound, pair_cap=2_000_000):
         if count * count > pair_cap:
             break
         searched = h
-        scaled = [[(x, ci * x * x) for x in _integer_vectors(target, h)]
+        scaled = [[(x, ci * x * x) for x in _integer_elements(target, h)]
                   for ci in c]
         halves = {}
         for x1, v1 in scaled[0]:
@@ -493,7 +462,7 @@ def scalar_extension(algebra, ell, embedding, height_bound=8):
 # automorphisms
 # ---------------------------------------------------------------------------
 
-class AlgebraAutomorphism:
+class AlgebraAutomorphism(Immutable):
     """Automorphism of a quaternion algebra: images of i, j plus the center map.
 
     The defining relations are re-verified at construction; multiplicativity
@@ -525,9 +494,6 @@ class AlgebraAutomorphism:
         object.__setattr__(self, '_trivial',
                            image_i == owner.i() and image_j == owner.j()
                            and center_action.is_identity())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraAutomorphism is immutable")
 
     def __call__(self, x):
         if x.alg != self.owner:
@@ -622,7 +588,7 @@ def inner_order(auto):
 # generic structure-constant algebras: centers and centralizers
 # ---------------------------------------------------------------------------
 
-class StructureAlgebra:
+class StructureAlgebra(Immutable):
     """Finite-dimensional algebra over an exact field via structure constants.
 
     table[p][q] is the coordinate vector of e_p * e_q.
@@ -648,9 +614,6 @@ class StructureAlgebra:
         object.__setattr__(self, 'labels', tuple(labels))
         object.__setattr__(self, 'table', tuple(norm))
         object.__setattr__(self, 'dim', dim)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StructureAlgebra is immutable")
 
     def mul(self, x, y):
         zero = self.field.zero()

@@ -8,6 +8,7 @@ from skewfield.cli import (ScenarioParseError, builtin_examples, exit_code,
 FLAGS = {'parallel': 1, 'height_bound': 8, 'degree_bound': 4, 'precision': 20}
 
 SCN_DIR = os.path.join(os.path.dirname(__file__), '..', 'scenarios')
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), 'golden')
 
 
 def run_text(text, flags=None):
@@ -142,6 +143,14 @@ def test_main_missing_file(capsys):
     assert main(['run', '/nonexistent/path.scn']) == 2
 
 
+def test_main_rejects_bad_algebra(tmp_path, capsys):
+    path = tmp_path / 'bad_algebra.scn'
+    path.write_text("[fields]\nq 0 1\n[algebras]\nH q a=0 b=-1\n"
+                    "[checks]\nfield_level field=q\n")
+    assert main(['run', str(path)]) == 2
+    assert 'algebra H: parameters must be nonzero' in capsys.readouterr().err
+
+
 def test_main_runs_builtin_bruno(capsys):
     code = main(['run', 'builtin:bruno_counterexample',
                  '--height-bound', '8'])
@@ -167,9 +176,23 @@ def test_shipped_scenario_parses():
     assert len(scenario.checks) == 4
 
 
+def _golden_sources():
+    for name in sorted(os.listdir(SCN_DIR)):
+        if name.endswith('.scn'):
+            with open(os.path.join(SCN_DIR, name)) as handle:
+                yield name, name[:-len('.scn')], handle.read()
+    yield 'builtin:all', 'builtin_all', builtin_examples()['all']
+
+
 def test_shipped_scenarios_all_pass():
-    for name in ('bruno_counterexample.scn', 'ore_center.scn'):
-        with open(os.path.join(SCN_DIR, name)) as handle:
-            scenario = parse_scenario(handle.read())
-        results = run_scenario(scenario, dict(FLAGS))
-        assert exit_code(results) == 0, name
+    # every report must match its golden text, time_ms lines aside
+    sources = list(_golden_sources())
+    assert len(sources) == 5
+    for source, golden, text in sources:
+        results = run_scenario(parse_scenario(text), dict(FLAGS))
+        assert exit_code(results) == 0, source
+        report = format_report(source, FLAGS, results)
+        lines = [line for line in report.splitlines()
+                 if not line.startswith('  time_ms')]
+        with open(os.path.join(GOLDEN_DIR, golden + '.txt')) as handle:
+            assert lines == handle.read().splitlines(), source

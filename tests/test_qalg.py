@@ -7,7 +7,7 @@ from skewfield.numfield import FieldMorphism, NumberField, automorphism_group
 from skewfield.qalg import (
     AlgebraAutomorphism, QuaternionAlgebra, StructureAlgebra, ZeroNormError,
     anisotropy, center_of_algebra, centralizer_in_algebra, inner_automorphism,
-    inner_order, matrix_embedding_norm, norm_form, quat_arith, quat_from_q_vector,
+    inner_order, matrix_embedding_norm, norm_form, quat_from_q_vector,
     reduced_norm, scalar_extension)
 
 Q = NumberField([0, 1], label='Q')
@@ -42,12 +42,12 @@ def test_defining_relations():
     assert i * i == HAM_Q.scalar(-1)
     assert j * j == HAM_Q.scalar(-1)
     assert k * k == HAM_Q.scalar(-1)
-    assert quat_arith(i, j, 'mul') == k
+    assert i * j == k
 
 
 def test_inverse_of_one_plus_i():
     x = HAM_Q.one() + HAM_Q.i()
-    inv = quat_arith(x, None, 'inv')
+    inv = x.inverse()
     assert inv == HAM_Q.element([Fraction(1, 2), Fraction(-1, 2)])
     assert x * inv == HAM_Q.one()
 
