@@ -29,7 +29,8 @@ from .galois import (CommExtension, GaloisExtension, NotAnisotropic,
 from .fep import (EmbeddingProblem, FiniteGroup, GroupHom, NotWeakSolution,
                   SolutionMap, cyclic_group, dihedral_group,
                   fiber_reduction, geometric_problem, hypothesis_report,
-                  is_split, q8_scenario, quaternion_group, sol_down,
-                  sol_up, transport_down, transport_up, verify_solution)
+                  is_split, quaternion_group, sol_down, sol_up,
+                  transport_down, transport_up, verify_solution)
+from .regressions import q8_scenario
 
 __version__ = '0.1.0'

@@ -8,8 +8,9 @@ and certificates and never contain floating point.
 
 Exit codes: 0 when every check passes (unknown verdicts do not fail a
 run on their own), 1 when any check fails or hits an unexpected failed
-hypothesis, 2 on usage or parse errors and on a field, map or algebra
-declaration that cannot be built.
+hypothesis, 2 on usage or parse errors, on a declaration that cannot be
+built, and on a check parameter that is missing, malformed or names
+nothing declared (reported with the check's line).
 """
 
 import argparse
@@ -18,27 +19,28 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from .fep import (EmbeddingProblem, GalData, SolutionMap, cyclic_group,
-                  direct_product, dihedral_group, fiber_reduction,
-                  geometric_problem, hypothesis_report, images_by_powers,
-                  is_split, q8_scenario, quaternion_group, sol_down, sol_up,
-                  solutions_agree, transport_down, transport_up,
-                  problems_agree, verify_solution)
+from .fep import (EmbeddingProblem, GalData, cyclic_group, direct_product,
+                  dihedral_group, fiber_reduction, geometric_problem,
+                  hypothesis_report, is_split, problems_agree,
+                  quaternion_group, sol_down, sol_up, solutions_agree,
+                  transport_down, transport_up, verify_solution)
 from .galois import (NotAnisotropic, NotGalois, ProductConditionFailed,
-                     RestrictionWitness, TwistedExtension,
-                     build_comm_extension, build_galois_extension,
-                     build_special_case_3, build_twisted_extension,
-                     converse_check, eq_produit, restriction_between,
-                     restriction_map)
+                     TwistedExtension, build_comm_extension,
+                     build_galois_extension, build_special_case_3,
+                     build_twisted_extension, converse_check, eq_produit,
+                     restriction_between)
 from .galois import check_product_conditions as product_conditions_report
-from .numfield import (FieldMorphism, NumberField, automorphism_group,
-                       field_level)
+from .numfield import FieldMorphism, NumberField, field_level
 from .ore import (HypothesisFailed, InsufficientPrecision, SkewFraction,
                   SkewLaurent, SkewPoly, center_bounded, constant_poly,
                   detect_recurrence, is_central, series_expand, t_poly,
                   tensor_decomposition_check)
-from .qalg import (AlgebraAutomorphism, QuaternionAlgebra, anisotropy,
-                   inner_automorphism, norm_form)
+from .qalg import (AlgebraAutomorphism, QuaternionAlgebra, ZeroNormError,
+                   anisotropy, inner_automorphism, norm_form)
+from .regressions import (DL2_MATRIX, biquadratic, conjugation_twist,
+                          counterexample, cyclic_quartic, hamilton,
+                          hamilton_over, matching_tower, q8_scenario,
+                          q_embedding, quartic_solution, sqrt2_field)
 
 
 class ScenarioParseError(Exception):
@@ -75,13 +77,6 @@ def _parse_rational(tok, lineno):
 
 def _parse_felem(tok, lineno):
     return [_parse_rational(t, lineno) for t in tok.split(',')]
-
-
-def _parse_quat(tok, lineno):
-    parts = tok.split(';')
-    if len(parts) > 4:
-        raise ScenarioParseError(lineno, "quaternion needs at most 4 coordinates")
-    return [_parse_felem(p, lineno) for p in parts]
 
 
 def _parse_kv(tokens, lineno):
@@ -164,116 +159,142 @@ GROUP_CATALOG = {
     'q8': (quaternion_group, {'i': 2, 'j': 4}),
 }
 
+_REQUIRED = object()
+
+
+def _param(params, key, default=_REQUIRED, convert=str):
+    """The check parameter key= read through convert; required unless a
+    default is given."""
+    if key not in params:
+        if default is _REQUIRED:
+            raise UnresolvedReference("missing parameter %s=" % key)
+        return default
+    try:
+        return convert(params[key])
+    except ValueError as exc:
+        raise UnresolvedReference("parameter %s=%s: %s"
+                                  % (key, params[key], exc))
+
+
+def _quaternion(alg, tok):
+    """The element of alg written as up to four ';'-joined field elements."""
+    parts = tok.split(';')
+    try:
+        if len(parts) > 4:
+            raise ValueError("at most 4 coordinates")
+        return alg.element([alg.base.element([Fraction(c)
+                                              for c in part.split(',')])
+                            for part in parts])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UnresolvedReference("quaternion %s: %s" % (tok, exc))
+
 
 class Workspace:
     """Resolved scenario objects plus the run flags."""
 
     def __init__(self, scenario, flags):
         self.flags = flags
-        self.fields = {}
-        self.maps = {}
-        self.algebras = {}
-        self.twists = {}
-        self.problems = {}
-        for name, coeffs in scenario.fields.items():
-            try:
-                self.fields[name] = NumberField(coeffs, label=name)
-            except ValueError as exc:
-                raise UnresolvedReference("field %s: %s" % (name, exc))
-        for name, (src, tgt, coords) in scenario.maps.items():
-            source = self._field(src)
-            target = self._field(tgt)
-            try:
-                self.maps[name] = FieldMorphism(source, target,
-                                                target.element(coords))
-            except ValueError as exc:
-                raise UnresolvedReference("map %s: %s" % (name, exc))
-        for name, (base, a, b) in scenario.algebras.items():
-            fld = self._field(base)
-            try:
-                self.algebras[name] = QuaternionAlgebra(
-                    fld, fld.element(a), fld.element(b), label=name)
-            except ValueError as exc:
-                raise UnresolvedReference("algebra %s: %s" % (name, exc))
-        for name, params in scenario.twists.items():
-            self.twists[name] = self._build_twist(name, params)
-        for name, params in scenario.problems.items():
-            self.problems[name] = self._build_problem(name, params)
+        self.named = {}
+        for kind, build in (
+                ('field', lambda name, poly: NumberField(poly, label=name)),
+                ('map', self._build_map),
+                ('algebra', self._build_algebra),
+                ('twist', lambda name, params: self.twist(
+                    self.lookup('algebra', params['algebra']), params)),
+                ('problem', self._build_problem)):
+            table = self.named[kind] = {}
+            for name, decl in getattr(scenario, kind + 's').items():
+                try:
+                    table[name] = build(name, decl)
+                except (UnresolvedReference, ValueError, NotAnisotropic,
+                        NotGalois) as exc:
+                    raise UnresolvedReference("%s %s: %s" % (kind, name, exc))
 
-    def _field(self, name):
-        if name not in self.fields:
-            raise UnresolvedReference("unknown field %r" % name)
-        return self.fields[name]
+    def lookup(self, kind, name):
+        table = self.named[kind]
+        if name not in table:
+            raise UnresolvedReference("unknown %s %r" % (kind, name))
+        return table[name]
 
-    def _map(self, name):
-        if name not in self.maps:
-            raise UnresolvedReference("unknown map %r" % name)
-        return self.maps[name]
+    def ref(self, params, kind):
+        """The declared object that the required parameter kind= names."""
+        return self.lookup(kind, _param(params, kind))
 
-    def _algebra(self, name):
-        if name not in self.algebras:
-            raise UnresolvedReference("unknown algebra %r" % name)
-        return self.algebras[name]
-
-    def _twist(self, name):
-        if name not in self.twists:
-            raise UnresolvedReference("unknown twist %r" % name)
-        return self.twists[name]
-
-    def _problem(self, name):
-        if name not in self.problems:
-            raise UnresolvedReference("unknown problem %r" % name)
-        return self.problems[name]
-
-    def embedding_into(self, algebra, field, emb_name=None):
-        if emb_name:
-            return self._map(emb_name)
-        if algebra.base.degree == 1:
-            return FieldMorphism(algebra.base, field, field.zero())
+    def tower(self, params):
+        """The algebra, the field and the center embedding: emb= or, over a
+        rational center, the zero embedding."""
+        alg, fld = self.ref(params, 'algebra'), self.ref(params, 'field')
+        if params.get('emb'):
+            return alg, fld, self.lookup('map', params['emb'])
+        if alg.base.degree == 1:
+            return alg, fld, q_embedding(alg, fld)
         raise UnresolvedReference(
             "an emb= map is required when the center is not the rationals")
 
-    def _build_twist(self, name, params):
-        alg = self._algebra(params['algebra'])
+    def twist(self, alg, params, prefix=''):
+        """The twist of alg by the declared map prefix+center= on its center
+        (absent or id: the identity), then conjugation by the quaternion
+        prefix+inner=."""
         auto = alg.identity_automorphism()
-        if 'center' in params and params['center'] != 'id':
-            fm = self._map(params['center'])
-            if fm.source != alg.base or fm.target != alg.base:
-                raise UnresolvedReference(
-                    "twist %s: center map must be an automorphism of the base"
-                    % name)
-            auto = AlgebraAutomorphism(alg, alg.i(), alg.j(), fm)
-        if 'inner' in params:
-            coords = _parse_quat(params['inner'], 0)
-            y = alg.element([alg.base.element(c) for c in coords])
-            auto = inner_automorphism(y).compose(auto)
+        key = prefix + 'center'
+        try:
+            if params.get(key, 'id') != 'id':
+                auto = AlgebraAutomorphism(alg, alg.i(), alg.j(),
+                                           self.lookup('map', params[key]))
+            key = prefix + 'inner'
+            if key in params:
+                auto = inner_automorphism(
+                    _quaternion(alg, params[key])).compose(auto)
+        except (ValueError, ZeroNormError) as exc:
+            raise UnresolvedReference("%s=%s: %s" % (key, params[key], exc))
         return auto
+
+    def twisted(self, ext, params):
+        """ext with the twists sigma_*= on its base and tau_*= above."""
+        sigma = self.twist(ext.H, params, 'sigma_')
+        tau = self.twist(ext.L, params, 'tau_')
+        try:
+            return TwistedExtension(ext, sigma, tau)
+        except ValueError as exc:
+            raise UnresolvedReference(str(exc))
+
+    def _build_map(self, name, decl):
+        source, target, coords = decl
+        target = self.lookup('field', target)
+        return FieldMorphism(self.lookup('field', source), target,
+                             target.element(coords))
+
+    def _build_algebra(self, name, decl):
+        base, a, b = decl
+        fld = self.lookup('field', base)
+        return QuaternionAlgebra(fld, fld.element(a), fld.element(b),
+                                 label=name)
 
     def _build_problem(self, name, params):
         if params['group'] not in GROUP_CATALOG:
             raise UnresolvedReference("unknown group %r" % params['group'])
         make, gens = GROUP_CATALOG[params['group']]
         G = make()
-        alg = self._algebra(params['algebra'])
-        fld = self._field(params['field'])
-        emb = self.embedding_into(alg, fld, params.get('emb'))
+        alg, fld, emb = self.tower(params)
         ext = build_galois_extension(alg, fld, emb,
                                      self.flags['height_bound'])
         gal = GalData(ext)
         assignments = {}
         if 'alpha' in params:
             for piece in params['alpha'].split(','):
-                gen_label, map_name = piece.split(':', 1)
+                gen_label, colon, map_name = piece.partition(':')
+                if not colon:
+                    raise UnresolvedReference(
+                        "alpha piece %r is not generator:map" % piece)
                 if gen_label not in gens:
                     raise UnresolvedReference(
-                        "problem %s: group has no generator %r"
-                        % (name, gen_label))
-                if map_name == 'id':
-                    target = next(e for e in gal.elements if e.is_identity())
+                        "group has no generator %r" % gen_label)
+                if map_name == 'id':  # the identity leads the Galois group
+                    assignments[gens[gen_label]] = 0
                 else:
-                    fm = self._map(map_name)
-                    target = ext.from_center(fm)
-                assignments[gens[gen_label]] = gal.index_of(target)
+                    fm = self.lookup('map', map_name)
+                    assignments[gens[gen_label]] = \
+                        gal.index_of(ext.from_center(fm))
         images = _extend_hom(G, assignments, gal.group)
         return EmbeddingProblem(G, ext, images, gal)
 
@@ -321,15 +342,27 @@ class CheckResult:
         return cls(status, claim, details)
 
 
-def _verdict_details(verdict):
-    out = {'verdict': verdict.kind}
-    if verdict.kind == 'isotropic':
+def _refused(exc, params, claim, unexpected_claim=None):
+    """A refused input: NotAnisotropic is compared with expect_error=; a
+    failed hypothesis passes when expect= names it."""
+    if isinstance(exc, NotAnisotropic):
+        return CheckResult.from_expectation(
+            claim, params.get('expect_error'), 'not_anisotropic',
+            {'verdict': exc.verdict.kind})
+    details = {'reason': str(exc)}
+    if params.get('expect') == 'hypothesis_failed':
+        return CheckResult('pass', claim, details)
+    return CheckResult('hypothesis-failed', unexpected_claim, details)
+
+
+def _certificate(verdict):
+    """The witness or real place of a level or anisotropy verdict."""
+    out = {}
+    if verdict.witness:
         out['witness'] = ' | '.join(
             ','.join(str(q) for q in w.coords) for w in verdict.witness)
-    if verdict.kind == 'anisotropic':
+    if verdict.place is not None:
         out['real_place'] = '(%s, %s]' % (verdict.place.lo, verdict.place.hi)
-    if verdict.kind == 'unknown':
-        out['height_searched'] = str(verdict.bound)
     return out
 
 
@@ -337,21 +370,14 @@ def _verdict_details(verdict):
 # primitive checks
 # ---------------------------------------------------------------------------
 
-def _height(ws, params):
-    return int(params.get('height_bound', ws.flags['height_bound']))
-
-
 def check_field_level(ws, params):
-    fld = ws._field(params['field'])
-    verdict = field_level(fld, _height(ws, params))
+    fld = ws.ref(params, 'field')
+    verdict = field_level(
+        fld, _param(params, 'height_bound', ws.flags['height_bound'], int))
     details = {'kind': verdict.kind}
     if verdict.kind == 'finite':
         details['s'] = str(verdict.s)
-        details['witness'] = ' | '.join(
-            ','.join(str(q) for q in w.coords) for w in verdict.witness)
-    if verdict.kind == 'infinite':
-        details['real_place'] = '(%s, %s]' % (verdict.place.lo,
-                                              verdict.place.hi)
+    details.update(_certificate(verdict))
     actual = verdict.kind if verdict.kind != 'finite' \
         else 'finite:%d' % verdict.s
     return CheckResult.from_expectation(
@@ -360,27 +386,27 @@ def check_field_level(ws, params):
 
 
 def check_anisotropy(ws, params):
-    alg = ws._algebra(params['algebra'])
-    fld = ws._field(params['field'])
-    emb = ws.embedding_into(alg, fld, params.get('emb'))
-    verdict = anisotropy(norm_form(alg, fld, emb), _height(ws, params))
+    alg, fld, emb = ws.tower(params)
+    verdict = anisotropy(
+        norm_form(alg, fld, emb),
+        _param(params, 'height_bound', ws.flags['height_bound'], int))
+    details = dict(verdict=verdict.kind, **_certificate(verdict))
+    if verdict.kind == 'unknown':
+        details['height_searched'] = str(verdict.bound)
     return CheckResult.from_expectation(
         "norm form of the algebra over the extension field: "
         "definite place, isotropy witness, or unknown",
-        params.get('expect'), verdict.kind, _verdict_details(verdict))
+        params.get('expect'), verdict.kind, details)
 
 
 def check_build_extension(ws, params):
-    alg = ws._algebra(params['algebra'])
-    fld = ws._field(params['field'])
-    emb = ws.embedding_into(alg, fld, params.get('emb'))
+    alg, fld, emb = ws.tower(params)
+    height = _param(params, 'height_bound', ws.flags['height_bound'], int)
     try:
-        ext = build_galois_extension(alg, fld, emb, _height(ws, params))
+        ext = build_galois_extension(alg, fld, emb, height)
     except NotAnisotropic as exc:
-        return CheckResult.from_expectation(
-            "tensor extension refused without an anisotropy certificate",
-            params.get('expect_error'), 'not_anisotropic',
-            {'verdict': exc.verdict.kind})
+        return _refused(exc, params, "tensor extension refused without an "
+                                     "anisotropy certificate")
     except NotGalois:
         return CheckResult.from_expectation(
             "tensor extension refused for a non-Galois center extension",
@@ -390,20 +416,20 @@ def check_build_extension(ws, params):
         'artin_fixed_set': 'verified' if ext.artin_verified else 'failed',
         'outer': 'verified' if ext.outer_verified else 'failed',
     }
-    status_actual = str(len(ext.group))
     claim = ("division-ring extension constructed; automorphisms fix the "
              "base exactly and no inner automorphism survives")
-    if params.get('expect_error'):
-        return CheckResult('fail', claim, details)
-    if not (ext.artin_verified and ext.outer_verified):
+    if params.get('expect_error') or not (ext.artin_verified
+                                          and ext.outer_verified):
         return CheckResult('fail', claim, details)
     return CheckResult.from_expectation(claim, params.get('expect_order'),
-                                        status_actual, details)
+                                        details['group_order'], details)
 
 
 def check_center_bounded(ws, params):
-    twist = ws._twist(params['twist'])
-    bound = int(params.get('degree_bound', ws.flags['degree_bound']))
+    twist = ws.ref(params, 'twist')
+    bound = _param(params, 'degree_bound', ws.flags['degree_bound'], int)
+    expect_dim = _param(params, 'expect_dim', None, int)
+    expect_closed = params.get('expect_closed_form')
     report = center_bounded(twist.owner, twist, bound)
     details = {
         'dimension': str(len(report.raw_basis)),
@@ -418,29 +444,18 @@ def check_center_bounded(ws, params):
     claim = ("center of the twisted polynomial ring at bounded degree, "
              "compared against fixed-center coefficients on twist-order "
              "powers")
-    ok = True
-    if 'expect_dim' in params:
-        ok = ok and len(report.raw_basis) == int(params['expect_dim'])
-    if 'expect_closed_form' in params:
-        want = params['expect_closed_form'] == 'true'
-        ok = ok and report.closed_form_matches is want
-    if report.hypothesis_holds and report.closed_form_matches is False:
-        ok = False
+    ok = ((expect_dim is None or len(report.raw_basis) == expect_dim)
+          and (expect_closed is None
+               or report.closed_form_matches is (expect_closed == 'true'))
+          and not (report.hypothesis_holds
+                   and report.closed_form_matches is False))
     return CheckResult('pass' if ok else 'fail', claim, details)
 
 
-def _parse_poly_param(tok, twist, lineno=0):
-    alg = twist.owner
-    coeffs = []
-    for coeff_tok in tok.split('|'):
-        quat = _parse_quat(coeff_tok, lineno)
-        coeffs.append(alg.element([alg.base.element(v) for v in quat]))
-    return SkewPoly(twist, coeffs)
-
-
 def check_is_central(ws, params):
-    twist = ws._twist(params['twist'])
-    poly = _parse_poly_param(params['element'], twist)
+    twist = ws.ref(params, 'twist')
+    poly = SkewPoly(twist, [_quaternion(twist.owner, tok)
+                            for tok in _param(params, 'element').split('|')])
     central = is_central(poly)
     return CheckResult.from_expectation(
         "commutation of the element with the variable and with the "
@@ -450,14 +465,14 @@ def check_is_central(ws, params):
 
 
 def check_recurrence_geometric(ws, params):
-    twist = ws._twist(params['twist'])
-    alg = twist.owner
-    coords = _parse_quat(params.get('coefficient', '0;1'), 0)
-    c = alg.element([alg.base.element(v) for v in coords])
+    twist = ws.ref(params, 'twist')
+    c = _quaternion(twist.owner, params.get('coefficient', '0;1'))
+    max_order = _param(params, 'max_order', 3, int)
+    expect_order = _param(params, 'expect_order', 1, int)
     one = constant_poly(twist, 1)
     frac = SkewFraction(one, one - constant_poly(twist, c) * t_poly(twist))
     series = series_expand(frac, ws.flags['precision'])
-    cert = detect_recurrence(series, int(params.get('max_order', 3)))
+    cert = detect_recurrence(series, max_order)
     details = {'precision': str(ws.flags['precision'])}
     if cert is None:
         return CheckResult('fail',
@@ -465,9 +480,9 @@ def check_recurrence_geometric(ws, params):
                            "recurrence", details)
     details['order'] = str(cert.order)
     details['start'] = str(cert.start)
-    details['verified'] = 'yes' if cert.verify(series) else 'no'
-    ok = cert.order == int(params.get('expect_order', 1)) \
-        and cert.verify(series)
+    verified = cert.verify(series)
+    details['verified'] = 'yes' if verified else 'no'
+    ok = cert.order == expect_order and verified
     return CheckResult('pass' if ok else 'fail',
                        "twisted geometric series satisfies an order-1 "
                        "recurrence reproducing every stored coefficient",
@@ -475,22 +490,22 @@ def check_recurrence_geometric(ws, params):
 
 
 def check_recurrence_squares(ws, params):
-    twist = ws._twist(params['twist'])
+    twist = ws.ref(params, 'twist')
+    n = _param(params, 'precision', 20, int)
+    max_order = _param(params, 'max_order', 3, int)
     alg = twist.owner
-    n = int(params.get('precision', 20))
     coeffs = [alg.one() if k in (0, 1, 4, 9, 16) else alg.zero()
               for k in range(n)]
     series = SkewLaurent(twist, 0, coeffs)
-    cert = detect_recurrence(series, int(params.get('max_order', 3)))
+    cert = detect_recurrence(series, max_order)
     status = 'pass' if cert is None else 'fail'
     return CheckResult(status,
                        "the square-indicator truncation admits no bounded "
-                       "recurrence", {'max_order':
-                                      params.get('max_order', '3')})
+                       "recurrence", {'max_order': str(max_order)})
 
 
 def check_is_split(ws, params):
-    problem = ws._problem(params['problem'])
+    problem = ws.ref(params, 'problem')
     split, _ = is_split(problem)
     return CheckResult.from_expectation(
         "splitness of the embedding problem by subgroup search",
@@ -500,14 +515,9 @@ def check_is_split(ws, params):
 
 
 def check_product_conditions(ws, params):
-    alg = ws._algebra(params['algebra'])
-    fld = ws._field(params['field'])
-    emb = ws.embedding_into(alg, fld, params.get('emb'))
+    alg, fld, emb = ws.tower(params)
     ext = build_galois_extension(alg, fld, emb, ws.flags['height_bound'])
-    sigma = _twist_on(ws, alg, params, 'sigma')
-    tau = _twist_on(ws, ext.L, params, 'tau')
-    X = TwistedExtension(ext, sigma, tau)
-    report = product_conditions_report(X)
+    report = product_conditions_report(ws.twisted(ext, params))
     details = {
         'sigma_order': str(report.sigma_order),
         'tau_order': str(report.tau_order),
@@ -523,39 +533,21 @@ def check_product_conditions(ws, params):
     ok = report.triv1_consistent() and report.triv2_consistent()
     for key, attr in (('expect_star', report.star_holds()),
                       ('expect_eq_produit', report.eq_produit)):
-        if key in params:
-            ok = ok and (params[key] == ('true' if attr else 'false'))
+        actual = 'true' if attr else 'false'
+        ok = ok and params.get(key, actual) == actual
     claim = ("twist orders, central restrictions and the direct-product "
              "condition, with the paired equivalences cross-checked")
     return CheckResult('pass' if ok else 'fail', claim, details)
 
 
-def _twist_on(ws, alg, params, prefix):
-    auto = alg.identity_automorphism()
-    center_key = params.get(prefix + '_center')
-    if center_key and center_key != 'id':
-        fm = ws._map(center_key)
-        auto = AlgebraAutomorphism(alg, alg.i(), alg.j(), fm)
-    inner_key = params.get(prefix + '_inner')
-    if inner_key:
-        coords = _parse_quat(inner_key, 0)
-        y = alg.element([alg.base.element(v) for v in coords])
-        auto = inner_automorphism(y).compose(auto)
-    return auto
-
-
 def check_special_case_3(ws, params):
-    alg = ws._algebra(params['algebra'])
-    fld = ws._field(params['field'])
-    emb = ws.embedding_into(alg, fld, params.get('emb'))
-    n = int(params.get('n', 2))
+    alg, fld, emb = ws.tower(params)
+    n = _param(params, 'n', 2, int)
     try:
         X = build_special_case_3(alg, fld, emb, n, ws.flags['height_bound'])
     except NotAnisotropic as exc:
-        return CheckResult.from_expectation(
-            "direct-factor construction refused without certificates",
-            params.get('expect_error'), 'not_anisotropic',
-            {'verdict': exc.verdict.kind})
+        return _refused(exc, params, "direct-factor construction refused "
+                                     "without certificates")
     ok = eq_produit(X)
     fn_ext = build_twisted_extension(X, ws.flags['degree_bound'])
     details = {
@@ -570,22 +562,14 @@ def check_special_case_3(ws, params):
 
 
 def check_converse(ws, params):
-    alg = ws._algebra(params['algebra'])
-    fld = ws._field(params['field'])
-    emb = ws.embedding_into(alg, fld, params.get('emb'))
+    alg, fld, emb = ws.tower(params)
     ext = build_galois_extension(alg, fld, emb, ws.flags['height_bound'])
-    sigma = _twist_on(ws, alg, params, 'sigma')
-    tau = _twist_on(ws, ext.L, params, 'tau')
-    X = TwistedExtension(ext, sigma, tau)
+    X = ws.twisted(ext, params)
     try:
         report = converse_check(X, ws.flags['degree_bound'])
     except HypothesisFailed as exc:
-        if params.get('expect') == 'hypothesis_failed':
-            return CheckResult('pass',
-                               "inner-order hypothesis correctly rejected",
-                               {'reason': str(exc)})
-        return CheckResult('hypothesis-failed', "inner-order hypothesis",
-                           {'reason': str(exc)})
+        return _refused(exc, params, "inner-order hypothesis correctly "
+                                     "rejected", "inner-order hypothesis")
     details = {
         'direct_product': 'holds' if report.eq_produit else 'fails',
         'lift_group_order': str(report.lift_group_order),
@@ -598,15 +582,11 @@ def check_converse(ws, params):
 
 
 def check_hypothesis_report(ws, params):
-    problem = ws._problem(params['problem'])
-    ext = problem.ext
-    sigma = _twist_on(ws, ext.H, params, 'sigma')
-    tau = _twist_on(ws, ext.L, params, 'tau')
-    X = TwistedExtension(ext, sigma, tau)
-    ample = None
-    if 'ample' in params:
-        ample = params['ample'] == 'true'
-    rep = hypothesis_report(problem, X, ample)
+    problem = ws.ref(params, 'problem')
+    X = ws.twisted(problem.ext, params)
+    ample = params.get('ample')
+    rep = hypothesis_report(problem, X,
+                            None if ample is None else ample == 'true')
     details = {
         'condition_split': str(rep['condition_split']).lower(),
         'condition_product': str(rep['condition_product']).lower(),
@@ -616,11 +596,9 @@ def check_hypothesis_report(ws, params):
         'weak_to_split_reduction_suggested':
             str(rep['weak_to_split_reduction_suggested']).lower(),
     }
-    ok = True
-    for key, field in (('expect_split', 'condition_split'),
-                       ('expect_product', 'condition_product')):
-        if key in params:
-            ok = ok and details[field] == params[key]
+    ok = all(params.get(key, details[field]) == details[field]
+             for key, field in (('expect_split', 'condition_split'),
+                                ('expect_product', 'condition_product')))
     return CheckResult('pass' if ok else 'fail',
                        "checkable hypotheses of the geometric existence "
                        "statement; the conclusion itself is out of scope",
@@ -628,24 +606,18 @@ def check_hypothesis_report(ws, params):
 
 
 def check_tensor(ws, params):
-    alg = ws._algebra(params['algebra'])
-    fld = ws._field(params['field'])
-    emb = ws.embedding_into(alg, fld, params.get('emb'))
+    alg, fld, emb = ws.tower(params)
     L = QuaternionAlgebra(fld, emb(alg.a), emb(alg.b))
-    sigma = _twist_on(ws, alg, params, 'sigma')
-    tau = _twist_on(ws, L, params, 'tau')
+    sigma = ws.twist(alg, params, 'sigma_')
+    tau = ws.twist(L, params, 'tau_')
     try:
         report = tensor_decomposition_check(alg, sigma, L, tau, emb,
                                             ws.flags['degree_bound'])
     except HypothesisFailed as exc:
-        if params.get('expect') == 'hypothesis_failed':
-            return CheckResult('pass',
-                               "tensor decomposition correctly refused: "
-                               "central restriction orders differ",
-                               {'reason': str(exc)})
-        return CheckResult('hypothesis-failed',
-                           "tensor decomposition hypothesis failed",
-                           {'reason': str(exc)})
+        return _refused(exc, params, "tensor decomposition correctly "
+                                     "refused: central restriction orders "
+                                     "differ",
+                        "tensor decomposition hypothesis failed")
     details = {
         'rank': str(report.rank),
         'ambient_dimension': str(report.ambient_dim),
@@ -690,15 +662,8 @@ def regression_q8(ws, params):
 
 
 def regression_bruno(ws, params):
-    q = NumberField([0, 1], label='Q')
-    q2 = NumberField([-2, 0, 1], label='Q(sqrt2)')
-    H = QuaternionAlgebra(q, -1, -1, label='(-1,-1/Q)')
-    emb = FieldMorphism(q, q2, q2.zero())
-    ext = build_galois_extension(H, q2, emb, ws.flags['height_bound'])
-    tau_prime = next(a for a in ext.group if not a.is_identity())
-    sigma = inner_automorphism(H.i())
-    tau = inner_automorphism(ext.L.i()).compose(tau_prime)
-    X = TwistedExtension(ext, sigma, tau)
+    X = counterexample(hamilton_over(hamilton(), sqrt2_field(),
+                                     ws.flags['height_bound']))
     report = product_conditions_report(X)
     ok = (report.sigma_order == 2 and report.tau_order == 2
           and report.sigma_tilde_order == 1 and report.tau_tilde_order == 2
@@ -722,23 +687,13 @@ def regression_bruno(ws, params):
                        details)
 
 
-DL2_MATRIX = (
-    ('gaussian', [1, 0, 1], 'isotropic', None),
-    ('sqrt-2', [2, 0, 1], 'isotropic', None),
-    ('sqrt2', [-2, 0, 1], 'anisotropic', 2),
-    ('sqrt3', [-3, 0, 1], 'anisotropic', 2),
-    ('quartic', [2, 0, -4, 0, 1], 'anisotropic', 4),
-)
-
-
 def regression_dl2_matrix(ws, params):
-    q = NumberField([0, 1], label='Q')
-    H = QuaternionAlgebra(q, -1, -1, label='(-1,-1/Q)')
+    H = hamilton()
     details = {}
     ok = True
     for name, poly, want_verdict, want_order in DL2_MATRIX:
         fld = NumberField(poly, label=name)
-        emb = FieldMorphism(q, fld, fld.zero())
+        emb = q_embedding(H, fld)
         verdict = anisotropy(norm_form(H, fld, emb), ws.flags['height_bound'])
         details['%s_verdict' % name] = verdict.kind
         ok = ok and verdict.kind == want_verdict
@@ -761,25 +716,23 @@ def regression_dl2_matrix(ws, params):
 
 
 def regression_center(ws, params):
-    q2 = NumberField([-2, 0, 1], label='Q(sqrt2)')
-    H2 = QuaternionAlgebra(q2, -1, -1, label='(-1,-1/Q(sqrt2))')
-    conj = next(g for g in automorphism_group(q2) if not g.is_identity())
-    twist = AlgebraAutomorphism(H2, H2.i(), H2.j(), conj)
+    twist = conjugation_twist(sqrt2_field())
+    H2 = twist.owner
     report = center_bounded(H2, twist, 6)
     t = t_poly(twist)
-    s2 = constant_poly(twist, H2.scalar(q2.gen()))
-    it = constant_poly(twist, H2.i()) * t
+    t2_central = is_central(t * t)
+    s2_central = is_central(constant_poly(twist, H2.scalar(H2.base.gen())))
+    it_central = is_central(constant_poly(twist, H2.i()) * t)
     ok = (report.hypothesis_holds and report.closed_form_matches
           and len(report.raw_basis) == 4
-          and is_central(t * t) and not is_central(s2)
-          and not is_central(it))
+          and t2_central and not s2_central and not it_central)
     details = {
         'dimension': str(len(report.raw_basis)),
         'closed_form_span': 'match' if report.closed_form_matches
             else 'mismatch',
-        't^2_central': 'yes' if is_central(t * t) else 'no',
-        'sqrt2_central': 'no' if not is_central(s2) else 'yes',
-        'i*t_central': 'no' if not is_central(it) else 'yes',
+        't^2_central': 'yes' if t2_central else 'no',
+        'sqrt2_central': 'no' if not s2_central else 'yes',
+        'i*t_central': 'no' if not it_central else 'yes',
     }
     return CheckResult('pass' if ok else 'fail',
                        "bounded center of the conjugation-twisted "
@@ -788,12 +741,8 @@ def regression_center(ws, params):
 
 
 def regression_roundtrip(ws, params):
-    q = NumberField([0, 1], label='Q')
-    q2 = NumberField([-2, 0, 1], label='Q(sqrt2)')
-    quartic = NumberField([2, 0, -4, 0, 1], label='quartic')
-    H = QuaternionAlgebra(q, -1, -1, label='(-1,-1/Q)')
-    emb = FieldMorphism(q, q2, q2.zero())
-    ext = build_galois_extension(H, q2, emb, ws.flags['height_bound'])
+    H = hamilton()
+    ext = hamilton_over(H, sqrt2_field(), ws.flags['height_bound'])
     cases = [
         (cyclic_group(2), [0, 1]),
         (cyclic_group(4), [0, 1, 0, 1]),
@@ -811,12 +760,8 @@ def regression_roundtrip(ws, params):
         ok = ok and agree
     # solution round trip through the real quartic
     problem = EmbeddingProblem(cyclic_group(4), ext, [0, 1, 0, 1])
-    ext_big = build_galois_extension(H, quartic, FieldMorphism(
-        q, quartic, quartic.zero()), ws.flags['height_bound'])
-    gal_big = GalData(ext_big)
-    beta = images_by_powers(gal_big, lambda power: power % 4)
-    center_emb = FieldMorphism(q2, quartic, quartic.element([-2, 0, 1]))
-    sol = SolutionMap(ext_big, center_emb, beta, 'full', problem.G, gal_big)
+    sol = quartic_solution(problem, kind='full',
+                           height_bound=ws.flags['height_bound'])
     ok = ok and verify_solution(problem, sol).passed()
     lifted = sol_up(sol_down(sol), H, ws.flags['height_bound'])
     agree = solutions_agree(sol, lifted)
@@ -831,20 +776,9 @@ def regression_roundtrip(ws, params):
 
 
 def regression_fiber(ws, params):
-    q = NumberField([0, 1], label='Q')
-    q2 = NumberField([-2, 0, 1], label='Q(sqrt2)')
-    quartic = NumberField([2, 0, -4, 0, 1], label='quartic')
-    H = QuaternionAlgebra(q, -1, -1, label='(-1,-1/Q)')
-    ext = build_galois_extension(H, q2, FieldMorphism(q, q2, q2.zero()),
-                                 ws.flags['height_bound'])
+    ext = hamilton_over(hamilton(), sqrt2_field(), ws.flags['height_bound'])
     problem = EmbeddingProblem(cyclic_group(4), ext, [0, 1, 0, 1])
-    ext_big = build_galois_extension(
-        H, quartic, FieldMorphism(q, quartic, quartic.zero()),
-        ws.flags['height_bound'])
-    gal_big = GalData(ext_big)
-    beta = images_by_powers(gal_big, lambda power: power % 4)
-    center_emb = FieldMorphism(q2, quartic, quartic.element([-2, 0, 1]))
-    weak = SolutionMap(ext_big, center_emb, beta, 'weak', problem.G, gal_big)
+    weak = quartic_solution(problem, height_bound=ws.flags['height_bound'])
     red = fiber_reduction(problem, weak)
     split, _ = is_split(red.problem)
     expected_order = len(problem.alpha.kernel()) * weak.gal_big.group.order
@@ -864,15 +798,13 @@ def regression_fiber(ws, params):
 
 
 def regression_special_cases(ws, params):
-    q = NumberField([0, 1], label='Q')
-    q2 = NumberField([-2, 0, 1], label='Q(sqrt2)')
-    biquad = NumberField([1, 0, -10, 0, 1], label='biquad')
-    H = QuaternionAlgebra(q, -1, -1, label='(-1,-1/Q)')
+    H = hamilton()
+    q2 = sqrt2_field()
+    biquad_emb = biquadratic(q2)
     details = {}
     ok = True
     # conjugation by the same unit on both levels
-    ext = build_galois_extension(H, q2, FieldMorphism(q, q2, q2.zero()),
-                                 ws.flags['height_bound'])
+    ext = hamilton_over(H, q2, ws.flags['height_bound'])
     X1 = TwistedExtension(ext, inner_automorphism(H.i()),
                           inner_automorphism(ext.L.i()))
     ok1 = eq_produit(X1)
@@ -881,25 +813,17 @@ def regression_special_cases(ws, params):
                              % lifts1.group_order()) if ok1 else 'failed'
     ok = ok and ok1
     # quadratic tower with matching central twists
-    q2conj = next(g for g in automorphism_group(q2) if not g.is_identity())
-    H2 = QuaternionAlgebra(q2, -1, -1)
-    sqrt2_in = biquad.element([0, Fraction(-9, 2), 0, Fraction(1, 2)])
-    emb = FieldMorphism(q2, biquad, sqrt2_in)
-    L2 = QuaternionAlgebra(biquad, -1, -1)
-    sqrt3_in = biquad.gen() - sqrt2_in
-    tau_tilde = next(g for g in automorphism_group(biquad)
-                     if g(sqrt2_in) == -sqrt2_in and g(sqrt3_in) == sqrt3_in)
-    sigma2 = AlgebraAutomorphism(H2, H2.i(), H2.j(), q2conj)
-    tau2 = AlgebraAutomorphism(L2, L2.i(), L2.j(), tau_tilde)
-    report = tensor_decomposition_check(H2, sigma2, L2, tau2, emb,
+    sigma2, tau2 = matching_tower(biquad_emb)
+    report = tensor_decomposition_check(sigma2.owner, sigma2, tau2.owner,
+                                        tau2, biquad_emb,
                                         ws.flags['degree_bound'])
     ok2 = report.passed()
     details['matching_tower'] = 'tensor decomposition verified' if ok2 \
         else 'failed'
     ok = ok and ok2
     # direct factor construction over the biquadratic field
-    X3 = build_special_case_3(H, biquad, FieldMorphism(q, biquad,
-                                                       biquad.zero()), 2,
+    biquad = biquad_emb.target
+    X3 = build_special_case_3(H, biquad, q_embedding(H, biquad), 2,
                               ws.flags['height_bound'])
     ok3 = eq_produit(X3)
     lifts3 = build_twisted_extension(X3, ws.flags['degree_bound'])
@@ -913,40 +837,26 @@ def regression_special_cases(ws, params):
 
 
 def regression_restriction(ws, params):
-    q = NumberField([0, 1], label='Q')
-    q2 = NumberField([-2, 0, 1], label='Q(sqrt2)')
-    quartic = NumberField([2, 0, -4, 0, 1], label='quartic')
-    biquad = NumberField([1, 0, -10, 0, 1], label='biquad')
-    H = QuaternionAlgebra(q, -1, -1, label='(-1,-1/Q)')
+    H = hamilton()
+    q2 = sqrt2_field()
+    quartic_emb = cyclic_quartic(q2)
+    biquad_emb = biquadratic(q2)
+    biquad = biquad_emb.target
     ok = True
     details = {}
     # commutative towers
-    sqrt2_in_biq = biquad.element([0, Fraction(-9, 2), 0, Fraction(1, 2)])
-    big_c = build_comm_extension(biquad, FieldMorphism(q, biquad,
-                                                       biquad.zero()))
-    small_c = build_comm_extension(q2, FieldMorphism(q, q2, q2.zero()))
-    emb = FieldMorphism(q2, biquad, sqrt2_in_biq)
-    witness = RestrictionWitness(
-        ell0=q2, k0_emb=FieldMorphism(q, q2, q2.zero()),
-        emb_l0_big=emb, emb_l0_small=q2.identity_morphism(),
-        emb_k0_big=q.identity_morphism(), emb_k0_small=q.identity_morphism())
+    big_c = build_comm_extension(biquad, q_embedding(H, biquad))
+    small_c = build_comm_extension(q2, q_embedding(H, q2))
     try:
-        restriction_map(big_c, small_c, witness, small_to_big=emb)
+        restriction_between(big_c, small_c, biquad_emb)
         details['commutative_tower'] = 'pointwise verified'
     except Exception as exc:
         details['commutative_tower'] = 'failed: %s' % exc
         ok = False
     # restriction onto the center
-    ext = build_galois_extension(H, q2, FieldMorphism(q, q2, q2.zero()),
-                                 ws.flags['height_bound'])
-    witness2 = RestrictionWitness(
-        ell0=q2, k0_emb=FieldMorphism(q, q2, q2.zero()),
-        emb_l0_big=q2.identity_morphism(),
-        emb_l0_small=q2.identity_morphism(),
-        emb_k0_big=q.identity_morphism(), emb_k0_small=q.identity_morphism())
+    ext = hamilton_over(H, q2, ws.flags['height_bound'])
     try:
-        hom = restriction_map(ext, small_c, witness2,
-                              small_to_big=lambda x: ext.L.scalar(x))
+        hom = restriction_between(ext, small_c, q2.identity_morphism())
         agree = all(hom(g) == g.center_action for g in ext.group)
         details['center_restriction'] = 'equals the central action' \
             if agree else 'mismatch'
@@ -955,13 +865,9 @@ def regression_restriction(ws, params):
         details['center_restriction'] = 'failed: %s' % exc
         ok = False
     # nested division-ring tower
-    big = build_galois_extension(H, quartic,
-                                 FieldMorphism(q, quartic, quartic.zero()),
-                                 ws.flags['height_bound'])
+    big = hamilton_over(H, quartic_emb.target, ws.flags['height_bound'])
     try:
-        hom = restriction_between(big, ext,
-                                  FieldMorphism(q2, quartic,
-                                                quartic.element([-2, 0, 1])))
+        hom = restriction_between(big, ext, quartic_emb)
         onto = len({hom(g) for g in big.group}) == len(ext.group)
         details['tower_restriction'] = 'pointwise verified, onto' \
             if onto else 'not onto'
@@ -1007,20 +913,21 @@ CHECKS = {
     'special_cases_regression': regression_special_cases,
 }
 
-BUILTIN_SCENARIOS = {
-    'q8': "[checks]\nq8_regression\n",
-    'bruno_counterexample': "[checks]\nbruno_regression\n",
-    'dl2_matrix': "[checks]\ndl2_matrix_regression\n",
-    'center_lemma': "[checks]\ncenter_regression\n",
-    'special_cases': "[checks]\nspecial_cases_regression\n",
-    'roundtrips': "[checks]\nroundtrip_regression\n",
-    'fiber': "[checks]\nfiber_regression\n",
-    'restrictions': "[checks]\nrestriction_regression\n",
-    'all': ("[checks]\nq8_regression\nbruno_regression\n"
-            "dl2_matrix_regression\ncenter_regression\n"
-            "special_cases_regression\nroundtrip_regression\n"
-            "fiber_regression\nrestriction_regression\n"),
+# builtin name -> the bundled regression it runs; builtin:all runs them all
+_BUILTIN_CHECKS = {
+    'q8': 'q8_regression',
+    'bruno_counterexample': 'bruno_regression',
+    'dl2_matrix': 'dl2_matrix_regression',
+    'center_lemma': 'center_regression',
+    'special_cases': 'special_cases_regression',
+    'roundtrips': 'roundtrip_regression',
+    'fiber': 'fiber_regression',
+    'restrictions': 'restriction_regression',
 }
+BUILTIN_SCENARIOS = {name: "[checks]\n%s\n" % check
+                     for name, check in _BUILTIN_CHECKS.items()}
+BUILTIN_SCENARIOS['all'] = "[checks]\n%s\n" % '\n'.join(
+    _BUILTIN_CHECKS.values())
 
 
 def builtin_examples():
@@ -1037,6 +944,8 @@ def _run_one(ws, lineno, op, params):
         raise UnresolvedReference("line %d: unknown check %r" % (lineno, op))
     try:
         result = CHECKS[op](ws, params)
+    except UnresolvedReference as exc:
+        raise UnresolvedReference("line %d: %s" % (lineno, exc))
     except HypothesisFailed as exc:
         result = CheckResult('hypothesis-failed', "operation hypothesis",
                              {'reason': str(exc)})
@@ -1129,28 +1038,16 @@ def main(argv=None):
         if args.scenario.startswith('builtin:'):
             name = args.scenario.split(':', 1)[1]
             if name not in BUILTIN_SCENARIOS:
-                print('error: no builtin scenario %r' % name,
-                      file=sys.stderr)
-                return 2
+                raise UnresolvedReference('no builtin scenario %r' % name)
             text = BUILTIN_SCENARIOS[name]
-            source = args.scenario
         else:
             with open(args.scenario) as handle:
                 text = handle.read()
-            source = args.scenario
-        scenario = parse_scenario(text)
-    except OSError as exc:
+        results = run_scenario(parse_scenario(text), flags)
+    except (OSError, ScenarioParseError, UnresolvedReference) as exc:
         print('error: %s' % exc, file=sys.stderr)
         return 2
-    except ScenarioParseError as exc:
-        print('error: %s' % exc, file=sys.stderr)
-        return 2
-    try:
-        results = run_scenario(scenario, flags)
-    except UnresolvedReference as exc:
-        print('error: %s' % exc, file=sys.stderr)
-        return 2
-    report = format_report(source, flags, results)
+    report = format_report(args.scenario, flags, results)
     sys.stdout.write(report)
     if args.report:
         with open(args.report, 'w') as handle:

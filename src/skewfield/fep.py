@@ -15,13 +15,11 @@ problem pushes back to a full solution of the original through the fixed
 field of the projection kernel; everything is re-verified on full tables.
 """
 
-from .galois import (CommExtension, build_comm_extension,
+from .galois import (CommExtension, _center_action, build_comm_extension,
                      build_galois_extension, build_twisted_extension,
-                     eq_produit, restriction_between)
-from .numfield import (FieldMorphism, Immutable, NumberField,
-                       automorphism_group, field_level, fixed_field,
-                       restrict_morphism, subfield_preimage)
-from .qalg import AlgebraAutomorphism, QuaternionAlgebra
+                     eq_produit, fixed_center_tower, restriction_between)
+from .numfield import (FieldMorphism, Immutable, automorphism_group,
+                       fixed_field, restrict_morphism, subfield_preimage)
 
 MAX_GROUP_ORDER = 64
 
@@ -269,10 +267,6 @@ class GalData(Immutable):
         raise ValueError("element not in the Galois group")
 
 
-def _center_action(g):
-    return g.center_action if isinstance(g, AlgebraAutomorphism) else g
-
-
 def images_by_powers(gal, image_of_power):
     """Images of a cyclic Galois group, listed by index.
 
@@ -359,17 +353,11 @@ class SolutionReport(Immutable):
         return self.injective_ok and self.kind_ok and self.compatible_ok
 
 
-def restriction_index_table(sol_or_ext_big, problem, center_emb=None):
-    """Index table of the restriction from the big group to the problem's."""
-    if isinstance(sol_or_ext_big, SolutionMap):
-        ext_big = sol_or_ext_big.ext_big
-        gal_big = sol_or_ext_big.gal_big
-        center_emb = sol_or_ext_big.center_emb
-    else:
-        ext_big = sol_or_ext_big
-        gal_big = GalData(ext_big)
-    hom = restriction_between(ext_big, problem.ext, center_emb)
-    return [problem.gal.index_of(hom(e)) for e in gal_big.elements]
+def restriction_index_table(sol, problem):
+    """Index table of the restriction from the solution's group to the
+    problem's."""
+    hom = restriction_between(sol.ext_big, problem.ext, sol.center_emb)
+    return [problem.gal.index_of(hom(e)) for e in sol.gal_big.elements]
 
 
 def verify_solution(problem, sol):
@@ -535,16 +523,11 @@ def geometric_problem(problem, X, degree_bound=4):
     fn_ext = build_twisted_extension(X, degree_bound)
     alpha_geo = [fn_ext.lift_of(problem.gal.elements[problem.alpha(g)])
                  for g in range(problem.G.order)]
-    ell = X.ext.ell
-    h = X.ext.H.base
-    e_field, e_emb = fixed_field(ell, [X.tau_tilde])
-    f_field, f_emb = fixed_field(h, [X.sigma_tilde])
-    img = X.ext.emb(f_emb(f_field.gen()))
-    pre = subfield_preimage(e_emb, img)
-    if pre is None:
+    tower = fixed_center_tower(X)
+    if tower is None:
         raise AssertionError("fixed base field escaped the fixed extension field")
-    k_in_e = FieldMorphism(f_field, e_field, pre)
-    gal_e = automorphism_group(e_field, k_in_e)
+    e_emb, k_in_e = tower
+    gal_e = automorphism_group(k_in_e.target, k_in_e)
     # restriction of the center group to the fixed field is a bijection
     restricted = []
     for g in problem.ext.group:
@@ -562,7 +545,7 @@ def geometric_problem(problem, X, degree_bound=4):
         via_lift = restrict_morphism(_center_action(lift.rho), e_emb)
         if via_lift != alpha_bar[g]:
             link = False
-    fixed_ext = CommExtension(e_field, k_in_e, gal_e)
+    fixed_ext = CommExtension(k_in_e.target, k_in_e, gal_e)
     return GeometricReport(fn_ext, alpha_geo, fixed_ext, alpha_bar, link)
 
 
@@ -718,92 +701,3 @@ def hypothesis_report(problem, X=None, ample_assertion=None):
                  "hypotheses only"),
         'weak_to_split_reduction_suggested': not split,
     }
-
-
-# ---------------------------------------------------------------------------
-# the quaternion-group scenario
-# ---------------------------------------------------------------------------
-
-class Q8Report(Immutable):
-
-    __slots__ = ('problem', 'split', 'weak', 'weak_report', 'reduction',
-                 'quartic_group_cyclic', 'quartic_contains_conjugation',
-                 'quartic_level', 'kernel_order', 'reduced_order',
-                 'reduced_split', 'reduced_kernel_order', 'base_note')
-
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            object.__setattr__(self, name, kw[name])
-
-    def passed(self):
-        return (not self.split and self.weak_report.passed()
-                and self.quartic_group_cyclic
-                and self.quartic_contains_conjugation
-                and self.quartic_level == 'infinite'
-                and self.kernel_order == 4
-                and self.reduced_split
-                and self.reduced_kernel_order == 4)
-
-
-def q8_scenario(height_bound=8):
-    """The non-split problem for the quaternion group with its bounded
-    weak solution and fiber reduction, everything re-verified.
-
-    The base is the rational Hamilton quaternions; the extension adjoins
-    the square root of two and the weak solution comes from the real
-    cyclic quartic field above it.
-    """
-    Q = NumberField([0, 1], label='Q')
-    q_sqrt2 = NumberField([-2, 0, 1], label='Q(sqrt2)')
-    quartic = NumberField([2, 0, -4, 0, 1], label='Q(sqrt(2+sqrt2))')
-    H = QuaternionAlgebra(Q, -1, -1, label='(-1,-1/Q)')
-    embq = FieldMorphism(Q, q_sqrt2, q_sqrt2.zero())
-    ext = build_galois_extension(H, q_sqrt2, embq, height_bound)
-    gal = GalData(ext)
-    conj_idx = next(n for n, e in enumerate(gal.elements)
-                    if not e.is_identity())
-    q8 = quaternion_group()
-    # generator images: i acts by the conjugation, j acts trivially
-    alpha = [None] * 8
-    alpha[0], alpha[1] = 0, 0               # 1, -1
-    alpha[2] = alpha[3] = conj_idx          # i, -i
-    alpha[4] = alpha[5] = 0                 # j, -j
-    alpha[6] = alpha[7] = conj_idx          # k, -k
-    problem = EmbeddingProblem(q8, ext, alpha, gal)
-    split, _ = is_split(problem)
-
-    # the real cyclic quartic field above Q(sqrt2)
-    qgroup = automorphism_group(quartic)
-    cyclic4 = len(qgroup) == 4 and sorted(g.order() for g in qgroup) == \
-        [1, 2, 4, 4]
-    sqrt2_up = quartic.element([-2, 0, 1])
-    gen4 = next(g for g in qgroup if g.order() == 4)
-    contains_conj = gen4(sqrt2_up) == -sqrt2_up
-    level = field_level(quartic, height_bound)
-
-    embq4 = FieldMorphism(Q, quartic, quartic.zero())
-    ext_big = build_galois_extension(H, quartic, embq4, height_bound)
-    gal_big = GalData(ext_big)
-    center_emb = FieldMorphism(q_sqrt2, quartic, sqrt2_up)
-    # send the generator of the cyclic quartic group to i
-    beta = images_by_powers(gal_big, _q8_power_of_i)
-    weak = SolutionMap(ext_big, center_emb, beta, 'weak', q8, gal_big)
-    weak_report = verify_solution(problem, weak)
-    reduction = fiber_reduction(problem, weak)
-    red_split, _ = is_split(reduction.problem)
-    return Q8Report(
-        problem=problem, split=split, weak=weak, weak_report=weak_report,
-        reduction=reduction, quartic_group_cyclic=cyclic4,
-        quartic_contains_conjugation=contains_conj,
-        quartic_level=level.kind,
-        kernel_order=len(problem.alpha.kernel()),
-        reduced_order=reduction.problem.G.order,
-        reduced_split=red_split,
-        reduced_kernel_order=len(reduction.problem.alpha.kernel()),
-        base_note=("rational base standing in for a complete ample one; "
-                   "none of the verified facts use ampleness"))
-
-
-def _q8_power_of_i(power):
-    # indices in quaternion_group(): 1, -1, i, -i
-    return {0: 0, 1: 2, 2: 1, 3: 3}[power % 4]

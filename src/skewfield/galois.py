@@ -60,6 +60,11 @@ class ProductConditionFailed(Exception):
 # commutative and quaternionic extensions under one interface
 # ---------------------------------------------------------------------------
 
+def _center_action(g):
+    """The action on the center: itself for a field automorphism."""
+    return g.center_action if isinstance(g, AlgebraAutomorphism) else g
+
+
 class CommExtension(Immutable):
     """Finite Galois extension of number fields with its full group."""
 
@@ -320,10 +325,6 @@ class RestrictionHom(Immutable):
     def __call__(self, g):
         return self.table[g]
 
-    def is_isomorphism(self):
-        return len(set(self.table.values())) == \
-            len(self.table) == len(self.small.group)
-
 
 def restriction_map(big, small, witness, small_to_big=None):
     """The composite restriction Gal(big) -> Gal(small) via the witness.
@@ -336,9 +337,8 @@ def restriction_map(big, small, witness, small_to_big=None):
     small_group = small.center_group()
     table = {}
     for g in big.group:
-        g_tilde = g.center_action if isinstance(g, AlgebraAutomorphism) else g
         try:
-            rho0 = restrict_morphism(g_tilde, witness.emb_l0_big)
+            rho0 = restrict_morphism(_center_action(g), witness.emb_l0_big)
         except ValueError as exc:
             raise WitnessInvalid('restriction', str(exc))
         matches = [s for s in small_group
@@ -368,7 +368,8 @@ def restriction_between(big_ext, small_ext, center_emb):
     """Restriction Gal(F/H) -> Gal(L/H) for nested scalar extensions.
 
     center_emb is the inclusion of the small center into the big center.
-    The witness tower is the small extension itself.
+    The witness tower is the small extension itself.  A commutative small
+    extension under a quaternionic big one is its center.
     """
     witness = RestrictionWitness(
         ell0=small_ext.center_field,
@@ -381,6 +382,9 @@ def restriction_between(big_ext, small_ext, center_emb):
     if isinstance(small_ext, GaloisExtension):
         def small_to_big(x):
             return extend_quaternion(x, big_ext.L, center_emb)
+    elif isinstance(big_ext, GaloisExtension):
+        def small_to_big(x):
+            return big_ext.L.scalar(center_emb(x))
     else:
         def small_to_big(x):
             return center_emb(x)
@@ -420,10 +424,10 @@ class TwistedExtension(Immutable):
         return 'TwistedExtension(%r)' % (self.ext,)
 
 
-def _power_list(elem, compose, identity_test, cap=96):
+def _power_list(elem, cap=96):
     out = [elem]
-    while not identity_test(out[-1]):
-        out.append(compose(elem, out[-1]))
+    while not out[-1].is_identity():
+        out.append(elem.compose(out[-1]))
         if len(out) > cap:
             raise ValueError("order cap exceeded")
     return out[-1:] + out[:-1]  # identity first
@@ -433,8 +437,7 @@ def eq_produit(X):
     """Whether the central twist generates a direct factor next to the group."""
     tau_t = X.tau_tilde
     gal = X.ext.center_group()
-    powers = _power_list(tau_t, lambda a, b: a.compose(b),
-                         lambda a: a.is_identity())
+    powers = _power_list(tau_t)
     commutes = all(tau_t.compose(r) == r.compose(tau_t) for r in gal)
     overlap = [p for p in powers if p in gal]
     return commutes and len(overlap) == 1
@@ -461,13 +464,28 @@ class ProductReport(Immutable):
         return self.tau_tilde_order == self.sigma_tilde_order
 
 
+def fixed_center_tower(X):
+    """The fixed field of sigma~ inside the fixed field of tau~.
+
+    Returns (e_emb, k_in_e): the fixed field of tau~ embedded in the
+    center of L, and the fixed field of sigma~ embedded in it; None when
+    the image of the latter escapes the former.
+    """
+    e_field, e_emb = fixed_field(X.ext.ell, [X.tau_tilde])
+    f_field, f_emb = fixed_field(X.ext.H.base, [X.sigma_tilde])
+    # h^<sigma~> sits inside ell^<tau~> when tau extends sigma
+    pre = subfield_preimage(e_emb, X.ext.emb(f_emb(f_field.gen())))
+    if pre is None:
+        return None
+    return e_emb, FieldMorphism(f_field, e_field, pre)
+
+
 def check_product_conditions(X):
     """Exact evaluation of the product conditions on the finite groups."""
     sigma, tau = X.sigma, X.tau
     gal = list(X.ext.group)
     ord_sigma, ord_tau = sigma.order(), tau.order()
-    tau_powers = _power_list(tau, lambda a, b: a.compose(b),
-                             lambda a: a.is_identity())
+    tau_powers = _power_list(tau)
     # closure of gal and tau
     closure = set(gal)
     frontier = list(closure)
@@ -496,17 +514,9 @@ def check_product_conditions(X):
 
     sig_t, tau_t = X.sigma_tilde, X.tau_tilde
     triv2_i = eq_produit(X)
-    ell = X.ext.ell
-    h = X.ext.H.base
-    e_field, e_emb = fixed_field(ell, [tau_t])
-    f_field, f_emb = fixed_field(h, [sig_t])
-    # h^<sigma~> sits inside ell^<tau~> since tau extends sigma
-    img = X.ext.emb(f_emb(f_field.gen()))
-    pre = subfield_preimage(e_emb, img)
-    fixed_tower_galois = False
-    if pre is not None:
-        k_in_e = FieldMorphism(f_field, e_field, pre)
-        fixed_tower_galois = is_galois(e_field, k_in_e)
+    tower = fixed_center_tower(X)
+    fixed_tower_galois = (tower is not None
+                          and is_galois(tower[1].target, tower[1]))
     triv2_ii = (tau_t.order() == sig_t.order()) and fixed_tower_galois
 
     return ProductReport(
@@ -660,15 +670,13 @@ def converse_check(X, degree_bound=4):
 # the direct-factor builder
 # ---------------------------------------------------------------------------
 
-def build_special_case_3(K, ell, k_emb, n, height_bound=8,
-                         cyclic_generator=None):
+def build_special_case_3(K, ell, k_emb, n, height_bound=8):
     """Direct-factor construction of a twisted extension with the product
     condition holding by design.
 
     The Galois group of ell over the center of K must decompose as a direct
     product of a cyclic factor of order n and a nontrivial complement; the
-    intermediate fixed field of the complement becomes the new base.  A
-    particular cyclic generator may be forced through cyclic_generator.
+    intermediate fixed field of the complement becomes the new base.
     """
     from .fep import GalData
 
@@ -686,10 +694,8 @@ def build_special_case_3(K, ell, k_emb, n, height_bound=8,
     # decomposition is found first, and so the new base field
     subgroups = sorted(G.subgroups(), key=lambda sub: (
         len(sub), sorted(tuple(gamma[s].gen_image.coords) for s in sub)))
-    candidates = [gal.index_of(cyclic_generator)] \
-        if cyclic_generator is not None else range(G.order)
     decomposition = None
-    for a in candidates:
+    for a in range(G.order):
         if G.element_order(a) != n:
             continue
         a_powers = G.closure([a])

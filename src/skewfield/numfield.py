@@ -14,6 +14,7 @@ scale, and the constructions this package verifies never need more.
 
 from fractions import Fraction
 from itertools import product as _iproduct
+from math import gcd
 
 from .linalg import coordinates_in_span, invert, kernel_basis, same_span
 
@@ -746,24 +747,18 @@ def fixed_field(ell, autos):
     for combo in _primitive_combos(k):
         cand = ell.element([sum((Fraction(c) * v[i] for c, v in zip(combo, basis)),
                                 _Q0) for i in range(n)])
-        mp = _minimal_polynomial(cand)
+        mp = minimal_polynomial(cand)
         if poly_deg(mp) != k:
             continue
         scale = 1
         for c in mp:
-            scale = scale * c.denominator // _gcd_int(scale, c.denominator)
+            scale = scale * c.denominator // gcd(scale, c.denominator)
         gamma = cand * Fraction(scale)
         deg = poly_deg(mp)
         scaled = [mp[i] * Fraction(scale) ** (deg - i) for i in range(deg)] + [_Q1]
         sub = NumberField(scaled, label='%s^fix' % ell.label)
         return sub, FieldMorphism(sub, ell, gamma)
     raise AssertionError("no primitive element found for the fixed field")
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _primitive_combos(k):
@@ -778,7 +773,7 @@ def _primitive_combos(k):
                 yield combo
 
 
-def _minimal_polynomial(elem):
+def minimal_polynomial(elem):
     """Monic minimal polynomial over Q of a field element."""
     n = elem.field.degree
     powers = [elem.field.one()]
@@ -791,10 +786,6 @@ def _minimal_polynomial(elem):
         if sol is not None:
             return poly_trim([-c for c in sol] + [_Q1])
     raise AssertionError("element has no minimal polynomial")
-
-
-def minimal_polynomial(elem):
-    return _minimal_polynomial(elem)
 
 
 def subfield_preimage(emb, elem):

@@ -8,45 +8,41 @@ numeric tolerances anywhere, only equality and stated time budgets.
 import random
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
 import pytest
 
 from skewfield.fep import (EmbeddingProblem, SolutionMap, cyclic_group,
                            fiber_reduction, geometric_problem, is_split,
-                           q8_scenario, quaternion_group, sol_down, sol_up,
+                           quaternion_group, sol_down, sol_up,
                            solutions_agree, transport_down, transport_up,
-                           problems_agree, verify_solution, GalData,
-                           _center_action)
+                           problems_agree, verify_solution)
 from skewfield.galois import (NotAnisotropic, RestrictionWitness,
                               TwistedExtension, build_comm_extension,
                               build_galois_extension, build_special_case_3,
                               check_product_conditions, eq_produit,
                               restriction_between, restriction_map)
-from skewfield.numfield import (FieldMorphism, NumberField,
-                                automorphism_group, field_level)
+from skewfield.numfield import FieldMorphism, NumberField, field_level
 from skewfield.ore import (HypothesisFailed, SkewFraction, SkewLaurent,
                            SkewPoly, center_bounded, constant_poly,
                            detect_recurrence, is_central, series_expand,
                            t_poly, tensor_decomposition_check)
-from skewfield.qalg import (AlgebraAutomorphism, QuaternionAlgebra,
-                            anisotropy, inner_automorphism, inner_order,
-                            norm_form)
+from skewfield.qalg import (QuaternionAlgebra, anisotropy,
+                            inner_automorphism, inner_order, norm_form)
+from skewfield.regressions import (DL2_MATRIX, biquadratic,
+                                   conjugation_twist, counterexample,
+                                   cyclic_quartic, hamilton, matching_tower,
+                                   q8_scenario, quartic_solution,
+                                   sqrt2_field)
 
-Q = NumberField([0, 1], label='Q')
-Q_SQRT2 = NumberField([-2, 0, 1], label='Q(sqrt2)')
-Q_SQRT3 = NumberField([-3, 0, 1], label='Q(sqrt3)')
-Q_I = NumberField([1, 0, 1], label='Q(i)')
-Q_SQRTM2 = NumberField([2, 0, 1], label='Q(sqrt-2)')
-C4_FIELD = NumberField([2, 0, -4, 0, 1], label='Q(sqrt(2+sqrt2))')
-BIQUAD = NumberField([1, 0, -10, 0, 1], label='Q(sqrt2,sqrt3)')
+HAM_Q = hamilton()
+Q = HAM_Q.base
+Q_SQRT2 = sqrt2_field()
+C4_EMB = cyclic_quartic(Q_SQRT2)
+C4_FIELD = C4_EMB.target
+BIQUAD_EMB = biquadratic(Q_SQRT2)
+BIQUAD = BIQUAD_EMB.target
 
-HAM_Q = QuaternionAlgebra(Q, -1, -1, label='(-1,-1/Q)')
 H2 = QuaternionAlgebra(Q_SQRT2, -1, -1, label='(-1,-1/Q(sqrt2))')
-
-SQRT2_IN_C4 = C4_FIELD.element([-2, 0, 1])
-SQRT2_IN_BIQUAD = BIQUAD.element([0, Fraction(-9, 2), 0, Fraction(1, 2)])
-SQRT3_IN_BIQUAD = BIQUAD.gen() - SQRT2_IN_BIQUAD
 
 
 def embed_q(field):
@@ -68,29 +64,6 @@ def criterion(number, label, budget_seconds=None):
         raise AssertionError('criterion %d exceeded its %ds budget: %.1fs'
                              % (number, budget_seconds, elapsed))
     print('ACCEPTANCE %d: PASS - %s (%.1fs)' % (number, label, elapsed))
-
-
-def conj_twist():
-    conj = next(g for g in automorphism_group(Q_SQRT2) if not g.is_identity())
-    return AlgebraAutomorphism(H2, H2.i(), H2.j(), conj)
-
-
-def quartic_weak_solution(problem, G, power_image=None):
-    if power_image is None:
-        power_image = lambda p: p % 4
-    ext_big = build_galois_extension(HAM_Q, C4_FIELD, embed_q(C4_FIELD))
-    gal_big = GalData(ext_big)
-    gen = next(e for e in gal_big.elements if _center_action(e).order() == 4)
-    beta = [None] * 4
-    cur, power = gen, 1
-    while True:
-        beta[gal_big.index_of(cur)] = power_image(power)
-        if cur.is_identity():
-            break
-        cur = gen.compose(cur)
-        power += 1
-    center_emb = FieldMorphism(Q_SQRT2, C4_FIELD, SQRT2_IN_C4)
-    return SolutionMap(ext_big, center_emb, beta, 'weak', G, gal_big)
 
 
 def test_criterion_1_quaternion_group_regression():
@@ -118,10 +91,8 @@ def test_criterion_2_counterexample_regression():
     with criterion(2, "equal twist orders, unequal central restrictions, "
                       "product condition fails", budget_seconds=5):
         ext = build_galois_extension(HAM_Q, Q_SQRT2, embed_q(Q_SQRT2))
-        tau_prime = next(a for a in ext.group if not a.is_identity())
-        sigma = inner_automorphism(HAM_Q.i())
-        tau = inner_automorphism(ext.L.i()).compose(tau_prime)
-        X = TwistedExtension(ext, sigma, tau)
+        X = counterexample(ext)
+        sigma = X.sigma
         report = check_product_conditions(X)
         assert report.sigma_order == 2
         assert report.tau_order == 2
@@ -136,13 +107,8 @@ def test_criterion_2_counterexample_regression():
 def test_criterion_3_extension_instance_matrix():
     with criterion(3, "anisotropy verdicts and extension constructions "
                       "over five fields", budget_seconds=30):
-        matrix = [
-            (Q_I, 'isotropic', None),
-            (Q_SQRTM2, 'isotropic', None),
-            (Q_SQRT2, 'anisotropic', 2),
-            (Q_SQRT3, 'anisotropic', 2),
-            (C4_FIELD, 'anisotropic', 4),
-        ]
+        matrix = [(NumberField(poly, label=name), want_verdict, want_order)
+                  for name, poly, want_verdict, want_order in DL2_MATRIX]
         for fld, want_verdict, want_order in matrix:
             verdict = anisotropy(norm_form(HAM_Q, fld, embed_q(fld)), 8)
             assert verdict.kind == want_verdict, fld.label
@@ -159,7 +125,7 @@ def test_criterion_3_extension_instance_matrix():
 def test_criterion_4_twisted_center_regression():
     with criterion(4, "bounded center of the conjugation-twisted ring is "
                       "the rational span of even powers", budget_seconds=60):
-        twist = conj_twist()
+        twist = conjugation_twist(Q_SQRT2)
         report = center_bounded(H2, twist, 6)
         assert report.hypothesis_holds
         assert report.closed_form_matches
@@ -184,7 +150,7 @@ def test_criterion_4_twisted_center_regression():
 def test_criterion_5_ore_property_suite():
     with criterion(5, "randomized twisted-arithmetic suite, 1000 cases per "
                       "property, zero failures"):
-        twist = conj_twist()
+        twist = conjugation_twist(Q_SQRT2)
         id_twist = HAM_Q.identity_automorphism()
         rng = random.Random(20260808)
 
@@ -254,7 +220,7 @@ def test_criterion_6_recurrence_detection():
     with criterion(6, "order-1 recurrence certificates for geometric "
                       "series; none for the square indicator"):
         id_twist = HAM_Q.identity_automorphism()
-        twist = conj_twist()
+        twist = conjugation_twist(Q_SQRT2)
         one_q = constant_poly(id_twist, 1)
         s1 = series_expand(SkewFraction(one_q, one_q - t_poly(id_twist)), 30)
         cert1 = detect_recurrence(s1, 3)
@@ -304,7 +270,7 @@ def test_criterion_7_transport_round_trips():
         assert lifted2.kind == 'full'
 
         p4 = EmbeddingProblem(cyclic_group(4), ext, [0, 1, 0, 1])
-        weak4 = quartic_weak_solution(p4, p4.G)
+        weak4 = quartic_solution(p4)
         full4 = SolutionMap(weak4.ext_big, weak4.center_emb,
                             list(weak4.beta.images), 'full', p4.G,
                             weak4.gal_big)
@@ -318,8 +284,8 @@ def test_criterion_7_transport_round_trips():
         # powers of i sit at indices 1, i, -1, -i of the group table
         p8 = EmbeddingProblem(quaternion_group(), ext,
                               [0, 0, 1, 1, 0, 0, 1, 1])
-        weak8 = quartic_weak_solution(
-            p8, p8.G, power_image=lambda p: {0: 0, 1: 2, 2: 1, 3: 3}[p % 4])
+        weak8 = quartic_solution(
+            p8, lambda p: {0: 0, 1: 2, 2: 1, 3: 3}[p % 4])
         assert verify_solution(p8, weak8).passed()
         lifted8 = sol_up(sol_down(weak8), HAM_Q)
         assert solutions_agree(weak8, lifted8)
@@ -330,21 +296,11 @@ def corpus_twisted_extensions():
     ext = build_galois_extension(HAM_Q, Q_SQRT2, embed_q(Q_SQRT2))
     trivial = TwistedExtension(ext, HAM_Q.identity_automorphism(),
                                ext.L.identity_automorphism())
-    tau_prime = next(a for a in ext.group if not a.is_identity())
-    bruno = TwistedExtension(ext, inner_automorphism(HAM_Q.i()),
-                             inner_automorphism(ext.L.i()).compose(tau_prime))
+    bruno = counterexample(ext)
     inner_pair = TwistedExtension(ext, inner_automorphism(HAM_Q.i()),
                                   inner_automorphism(ext.L.i()))
-    emb2 = FieldMorphism(Q_SQRT2, BIQUAD, SQRT2_IN_BIQUAD)
-    ext2 = build_galois_extension(H2, BIQUAD, emb2)
-    conj = next(g for g in automorphism_group(Q_SQRT2) if not g.is_identity())
-    sigma2 = AlgebraAutomorphism(H2, H2.i(), H2.j(), conj)
-    tau_tilde = next(g for g in automorphism_group(BIQUAD)
-                     if g(SQRT2_IN_BIQUAD) == -SQRT2_IN_BIQUAD
-                     and g(SQRT3_IN_BIQUAD) == SQRT3_IN_BIQUAD)
-    tower = TwistedExtension(ext2, sigma2,
-                             AlgebraAutomorphism(ext2.L, ext2.L.i(),
-                                                 ext2.L.j(), tau_tilde))
+    ext2 = build_galois_extension(H2, BIQUAD, BIQUAD_EMB)
+    tower = TwistedExtension(ext2, *matching_tower(BIQUAD_EMB))
     sc3 = build_special_case_3(HAM_Q, BIQUAD, embed_q(BIQUAD), 2)
     return [trivial, bruno, inner_pair, tower, sc3]
 
@@ -356,7 +312,7 @@ def test_criterion_8_restriction_and_product_suite():
         # application to commutative towers
         big_c = build_comm_extension(BIQUAD, embed_q(BIQUAD))
         small_c = build_comm_extension(Q_SQRT2, embed_q(Q_SQRT2))
-        emb = FieldMorphism(Q_SQRT2, BIQUAD, SQRT2_IN_BIQUAD)
+        emb = BIQUAD_EMB
         witness = RestrictionWitness(
             ell0=Q_SQRT2, k0_emb=embed_q(Q_SQRT2),
             emb_l0_big=emb, emb_l0_small=Q_SQRT2.identity_morphism(),
@@ -379,8 +335,7 @@ def test_criterion_8_restriction_and_product_suite():
 
         # nested division-ring tower
         big = build_galois_extension(HAM_Q, C4_FIELD, embed_q(C4_FIELD))
-        hom3 = restriction_between(
-            big, ext, FieldMorphism(Q_SQRT2, C4_FIELD, SQRT2_IN_C4))
+        hom3 = restriction_between(big, ext, C4_EMB)
         assert len({hom3(g) for g in big.group}) == len(ext.group)
 
         # the three algebra-level conditions agree on the whole corpus
@@ -422,9 +377,8 @@ def test_criterion_9_tensor_decomposition_checks():
 
         # the counterexample violates the order hypothesis
         ext = build_galois_extension(HAM_Q, Q_SQRT2, embed_q(Q_SQRT2))
-        tau_prime = next(a for a in ext.group if not a.is_identity())
-        tau = inner_automorphism(ext.L.i()).compose(tau_prime)
-        sigma = inner_automorphism(HAM_Q.i())
+        bruno = counterexample(ext)
+        sigma, tau = bruno.sigma, bruno.tau
         with pytest.raises(HypothesisFailed):
             tensor_decomposition_check(HAM_Q, sigma, ext.L, tau,
                                        embed_q(Q_SQRT2), 4)

@@ -151,6 +151,57 @@ def test_main_rejects_bad_algebra(tmp_path, capsys):
     assert 'algebra H: parameters must be nonzero' in capsys.readouterr().err
 
 
+DECLARED = ("[fields]\nq 0 1\nq2 -2 0 1\n[maps]\nconj2 q2 q2 0 -1\n"
+            "[algebras]\nH q a=-1 b=-1\n")   # seven lines
+
+
+@pytest.mark.parametrize('text, error', [
+    (DECLARED + "[twists]\ns algebra=H inner=0;0;0;0\n"
+                "[checks]\nfield_level field=q\n",
+     "error: twist s: inner=0;0;0;0: conjugation by zero"),
+    (DECLARED + "[checks]\n"
+                "tensor_check algebra=H field=q2 sigma_inner=0;0;0;0\n",
+     "error: line 9: sigma_inner=0;0;0;0: conjugation by zero"),
+    (DECLARED + "[checks]\n"
+                "tensor_check algebra=H field=q2 sigma_center=conj2\n",
+     "error: line 9: sigma_center=conj2: center action must be an "
+     "endomorphism of the center"),
+    (DECLARED + "[problems]\np group=z4 algebra=H field=q2 alpha=c\n"
+                "[checks]\nis_split problem=p\n",
+     "error: problem p: alpha piece 'c' is not generator:map"),
+    (DECLARED + "[checks]\nfield_level expect=infinite\n",
+     "error: line 9: missing parameter field="),
+    (DECLARED + "[checks]\nfield_level field=q height_bound=abc\n",
+     "error: line 9: parameter height_bound=abc: "),
+    ("[fields]\nq 0 1\ngauss 1 0 1\n[algebras]\nH q a=-1 b=-1\n"
+     "[problems]\np group=z2 algebra=H field=gauss alpha=c:id\n"
+     "[checks]\nis_split problem=p\n",
+     "error: problem p: norm form verdict is isotropic"),
+    (DECLARED + "[twists]\ns algebra=H\n"
+                "[checks]\nis_central twist=s element=x\n",
+     "error: line 11: quaternion x: "),
+    (DECLARED + "[checks]\n"
+                "product_conditions algebra=H field=q2 sigma_inner=0;1;0;0\n",
+     "error: line 9: tau does not extend sigma"),
+], ids=['twist_inner_zero', 'check_inner_zero', 'check_center_not_auto',
+        'alpha_without_map', 'missing_field', 'height_not_int',
+        'problem_isotropic', 'bad_quaternion', 'tau_not_extending_sigma'])
+def test_main_rejects_bad_declaration_or_parameter(tmp_path, capsys, text,
+                                                   error):
+    path = tmp_path / 'bad.scn'
+    path.write_text(text)
+    assert main(['run', str(path)]) == 2
+    assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize('name', sorted(set(builtin_examples()) - {'all'}))
+def test_main_runs_each_builtin(capsys, name):
+    code = main(['run', 'builtin:' + name, '--height-bound', '8'])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert 'summary: total=1 pass=1' in out
+
+
 def test_main_runs_builtin_bruno(capsys):
     code = main(['run', 'builtin:bruno_counterexample',
                  '--height-bound', '8'])

@@ -5,24 +5,26 @@ import pytest
 from skewfield.fep import (
     EmbeddingProblem, FiniteGroup, GroupHom, NotWeakSolution, SolutionMap,
     cyclic_group, dihedral_group, direct_product, fiber_reduction,
-    geometric_problem, hypothesis_report, is_split, q8_scenario,
-    quaternion_group, sol_down, sol_up, solutions_agree, transport_down,
-    transport_up, problems_agree, verify_solution)
+    geometric_problem, hypothesis_report, is_split, quaternion_group,
+    sol_down, sol_up, solutions_agree, transport_down, transport_up,
+    problems_agree, verify_solution)
 from skewfield.galois import (NotAnisotropic, ProductConditionFailed,
                               TwistedExtension, build_galois_extension,
                               build_special_case_3)
 from skewfield.numfield import FieldMorphism, NumberField, automorphism_group
-from skewfield.qalg import QuaternionAlgebra
+from skewfield.regressions import (biquadratic, counterexample,
+                                   cyclic_quartic, hamilton, q8_scenario,
+                                   quartic_solution, sqrt2_field)
 
-Q = NumberField([0, 1], label='Q')
-Q_SQRT2 = NumberField([-2, 0, 1], label='Q(sqrt2)')
+HAM_Q = hamilton()
+Q = HAM_Q.base
+Q_SQRT2 = sqrt2_field()
 Q_I = NumberField([1, 0, 1], label='Q(i)')
-C4_FIELD = NumberField([2, 0, -4, 0, 1], label='Q(sqrt(2+sqrt2))')
-BIQUAD = NumberField([1, 0, -10, 0, 1], label='Q(sqrt2,sqrt3)')
+C4_EMB = cyclic_quartic(Q_SQRT2)
+C4_FIELD = C4_EMB.target
+BIQUAD = biquadratic(Q_SQRT2).target
 
-HAM_Q = QuaternionAlgebra(Q, -1, -1, label='(-1,-1/Q)')
-
-SQRT2_IN_C4 = C4_FIELD.element([-2, 0, 1])
+SQRT2_IN_C4 = C4_EMB.gen_image
 
 
 def embed_q(field):
@@ -32,25 +34,6 @@ def embed_q(field):
 def sqrt2_problem(G, images):
     ext = build_galois_extension(HAM_Q, Q_SQRT2, embed_q(Q_SQRT2))
     return EmbeddingProblem(G, ext, images)
-
-
-def c4_weak_solution(problem, start_power=1):
-    """The quaternionic weak solution through the real cyclic quartic."""
-    ext_big = build_galois_extension(HAM_Q, C4_FIELD, embed_q(C4_FIELD))
-    from skewfield.fep import GalData, _center_action
-    gal_big = GalData(ext_big)
-    gen = next(e for e in gal_big.elements if _center_action(e).order() == 4)
-    beta = [None] * 4
-    cur = gen
-    power = start_power
-    while True:
-        beta[gal_big.index_of(cur)] = power % 4
-        if cur.is_identity():
-            break
-        cur = gen.compose(cur)
-        power += start_power
-    center_emb = FieldMorphism(Q_SQRT2, C4_FIELD, SQRT2_IN_C4)
-    return SolutionMap(ext_big, center_emb, beta, 'weak', problem.G, gal_big)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +131,7 @@ def test_dihedral_problem_splits():
 
 def test_weak_solution_verifies():
     problem = sqrt2_problem(cyclic_group(4), [0, 1, 0, 1])
-    weak = c4_weak_solution(problem)
+    weak = quartic_solution(problem)
     report = verify_solution(problem, weak)
     assert report.passed()
 
@@ -166,7 +149,7 @@ def test_broken_solution_reports_offender():
     problem = sqrt2_problem(cyclic_group(4), [0, 1, 0, 1])
     ext_big = build_galois_extension(HAM_Q, C4_FIELD, embed_q(C4_FIELD))
     center_emb = FieldMorphism(Q_SQRT2, C4_FIELD, SQRT2_IN_C4)
-    good = c4_weak_solution(problem)
+    good = quartic_solution(problem)
     # twist the images so compatibility must fail somewhere
     twisted = list(good.beta.images)
     twisted = [(v + 2) % 4 for v in twisted]
@@ -210,7 +193,7 @@ def test_transport_up_guard():
 
 def test_solution_round_trips_and_full_lift():
     problem = sqrt2_problem(cyclic_group(4), [0, 1, 0, 1])
-    weak = c4_weak_solution(problem)
+    weak = quartic_solution(problem)
     down = sol_down(weak)
     up = sol_up(down, HAM_Q)
     assert solutions_agree(weak, up)
@@ -254,10 +237,7 @@ def test_geometric_problem_special_case_3():
 def test_geometric_problem_guarded():
     ext = build_galois_extension(HAM_Q, Q_SQRT2, embed_q(Q_SQRT2))
     problem = EmbeddingProblem(cyclic_group(2), ext, [0, 1])
-    from skewfield.qalg import inner_automorphism
-    tau_prime = next(a for a in ext.group if not a.is_identity())
-    X = TwistedExtension(ext, inner_automorphism(HAM_Q.i()),
-                         inner_automorphism(ext.L.i()).compose(tau_prime))
+    X = counterexample(ext)
     with pytest.raises(ProductConditionFailed):
         geometric_problem(problem, X)
 
@@ -268,7 +248,7 @@ def test_geometric_problem_guarded():
 
 def test_fiber_reduction_z4():
     problem = sqrt2_problem(cyclic_group(4), [0, 1, 0, 1])
-    weak = c4_weak_solution(problem)
+    weak = quartic_solution(problem)
     red = fiber_reduction(problem, weak)
     assert red.problem.G.order == 8
     split, _ = is_split(red.problem)
@@ -282,7 +262,7 @@ def test_fiber_reduction_rejects_non_solution():
     problem = sqrt2_problem(cyclic_group(4), [0, 1, 0, 1])
     ext_big = build_galois_extension(HAM_Q, C4_FIELD, embed_q(C4_FIELD))
     center_emb = FieldMorphism(Q_SQRT2, C4_FIELD, SQRT2_IN_C4)
-    good = c4_weak_solution(problem)
+    good = quartic_solution(problem)
     twisted = [(v + 2) % 4 for v in good.beta.images]
     try:
         bad = SolutionMap(ext_big, center_emb, twisted, 'weak', problem.G)
@@ -296,7 +276,7 @@ def test_fiber_reduction_commutative_problem():
     # the same reduction runs on the commutative shadow directly
     problem = sqrt2_problem(cyclic_group(4), [0, 1, 0, 1])
     down = transport_down(problem)
-    weak = sol_down(c4_weak_solution(problem))
+    weak = sol_down(quartic_solution(problem))
     red = fiber_reduction(down, weak)
     assert red.problem.G.order == 8
     split, _ = is_split(red.problem)
@@ -337,7 +317,7 @@ def test_fiber_transport_through_octic_field():
     assert (c4gen_in_E ** 2) == sqrt2_in_E + 2
 
     problem = sqrt2_problem(cyclic_group(4), [0, 1, 0, 1])
-    weak = c4_weak_solution(problem)
+    weak = quartic_solution(problem)
     red = fiber_reduction(problem, weak)
     assert red.problem.G.order == 8
 
