@@ -20,12 +20,13 @@ from .ore import (HypothesisFailed, InsufficientPrecision,
                   SkewPoly, center_bounded, detect_recurrence, is_central,
                   ore_right_lcm, right_divide, series_expand,
                   tensor_decomposition_check)
-from .galois import (CommExtension, GaloisExtension, NotAnisotropic,
-                     NotGalois, ProductConditionFailed, RestrictionWitness,
-                     TwistedExtension, WitnessInvalid, build_comm_extension,
-                     build_galois_extension, build_special_case_3,
-                     build_twisted_extension, check_product_conditions,
-                     converse_check, eq_produit, is_outer, restriction_map)
+from .galois import (CommExtension, GaloisExtension, NoDirectDecomposition,
+                     NotAnisotropic, NotGalois, ProductConditionFailed,
+                     RestrictionWitness, TwistedExtension, WitnessInvalid,
+                     build_comm_extension, build_galois_extension,
+                     build_special_case_3, build_twisted_extension,
+                     check_product_conditions, converse_check, eq_produit,
+                     is_outer, restriction_map)
 from .fep import (EmbeddingProblem, FiniteGroup, GroupHom, NotWeakSolution,
                   SolutionMap, cyclic_group, dihedral_group,
                   fiber_reduction, geometric_problem, hypothesis_report,

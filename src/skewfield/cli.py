@@ -8,9 +8,11 @@ and certificates and never contain floating point.
 
 Exit codes: 0 when every check passes (unknown verdicts do not fail a
 run on their own), 1 when any check fails or hits an unexpected failed
-hypothesis, 2 on usage or parse errors, on a declaration that cannot be
-built, and on a check parameter that is missing, malformed or names
-nothing declared (reported with the check's line).
+hypothesis, 2 on usage or parse errors (a height bound or precision
+flag below 1 among them), on a declaration that cannot be built, and on a
+check parameter that is missing, malformed, out of range or names nothing
+declared (reported with the check's line).  A guard that rejects a
+well-formed input is a failed check with its reason.
 """
 
 import argparse
@@ -24,11 +26,11 @@ from .fep import (EmbeddingProblem, GalData, cyclic_group, direct_product,
                   hypothesis_report, is_split, problems_agree,
                   quaternion_group, sol_down, sol_up, solutions_agree,
                   transport_down, transport_up, verify_solution)
-from .galois import (NotAnisotropic, NotGalois, ProductConditionFailed,
-                     TwistedExtension, build_comm_extension,
-                     build_galois_extension, build_special_case_3,
-                     build_twisted_extension, converse_check, eq_produit,
-                     restriction_between)
+from .galois import (NoDirectDecomposition, NotAnisotropic, NotGalois,
+                     ProductConditionFailed, TwistedExtension,
+                     build_comm_extension, build_galois_extension,
+                     build_special_case_3, build_twisted_extension,
+                     converse_check, eq_produit, restriction_between)
 from .galois import check_product_conditions as product_conditions_report
 from .numfield import FieldMorphism, NumberField, field_level
 from .ore import (HypothesisFailed, InsufficientPrecision, SkewFraction,
@@ -174,6 +176,19 @@ def _param(params, key, default=_REQUIRED, convert=str):
     except ValueError as exc:
         raise UnresolvedReference("parameter %s=%s: %s"
                                   % (key, params[key], exc))
+
+
+def _int_at_least(low):
+    """Converter for _param: an integer parameter of at least low."""
+    def convert(text):
+        value = int(text)
+        if value < low:
+            raise ValueError("must be an integer >= %d" % low)
+        return value
+    return convert
+
+
+_positive = _int_at_least(1)
 
 
 def _quaternion(alg, tok):
@@ -373,7 +388,8 @@ def _certificate(verdict):
 def check_field_level(ws, params):
     fld = ws.ref(params, 'field')
     verdict = field_level(
-        fld, _param(params, 'height_bound', ws.flags['height_bound'], int))
+        fld,
+        _param(params, 'height_bound', ws.flags['height_bound'], _positive))
     details = {'kind': verdict.kind}
     if verdict.kind == 'finite':
         details['s'] = str(verdict.s)
@@ -389,7 +405,7 @@ def check_anisotropy(ws, params):
     alg, fld, emb = ws.tower(params)
     verdict = anisotropy(
         norm_form(alg, fld, emb),
-        _param(params, 'height_bound', ws.flags['height_bound'], int))
+        _param(params, 'height_bound', ws.flags['height_bound'], _positive))
     details = dict(verdict=verdict.kind, **_certificate(verdict))
     if verdict.kind == 'unknown':
         details['height_searched'] = str(verdict.bound)
@@ -401,7 +417,7 @@ def check_anisotropy(ws, params):
 
 def check_build_extension(ws, params):
     alg, fld, emb = ws.tower(params)
-    height = _param(params, 'height_bound', ws.flags['height_bound'], int)
+    height = _param(params, 'height_bound', ws.flags['height_bound'], _positive)
     try:
         ext = build_galois_extension(alg, fld, emb, height)
     except NotAnisotropic as exc:
@@ -467,7 +483,7 @@ def check_is_central(ws, params):
 def check_recurrence_geometric(ws, params):
     twist = ws.ref(params, 'twist')
     c = _quaternion(twist.owner, params.get('coefficient', '0;1'))
-    max_order = _param(params, 'max_order', 3, int)
+    max_order = _param(params, 'max_order', 3, _positive)
     expect_order = _param(params, 'expect_order', 1, int)
     one = constant_poly(twist, 1)
     frac = SkewFraction(one, one - constant_poly(twist, c) * t_poly(twist))
@@ -492,7 +508,7 @@ def check_recurrence_geometric(ws, params):
 def check_recurrence_squares(ws, params):
     twist = ws.ref(params, 'twist')
     n = _param(params, 'precision', 20, int)
-    max_order = _param(params, 'max_order', 3, int)
+    max_order = _param(params, 'max_order', 3, _positive)
     alg = twist.owner
     coeffs = [alg.one() if k in (0, 1, 4, 9, 16) else alg.zero()
               for k in range(n)]
@@ -542,7 +558,7 @@ def check_product_conditions(ws, params):
 
 def check_special_case_3(ws, params):
     alg, fld, emb = ws.tower(params)
-    n = _param(params, 'n', 2, int)
+    n = _param(params, 'n', 2, _int_at_least(2))
     try:
         X = build_special_case_3(alg, fld, emb, n, ws.flags['height_bound'])
     except NotAnisotropic as exc:
@@ -950,7 +966,7 @@ def _run_one(ws, lineno, op, params):
         result = CheckResult('hypothesis-failed', "operation hypothesis",
                              {'reason': str(exc)})
     except (NotAnisotropic, NotGalois, ProductConditionFailed,
-            InsufficientPrecision) as exc:
+            NoDirectDecomposition, InsufficientPrecision) as exc:
         result = CheckResult('fail', "operation guard rejected the input",
                              {'reason': str(exc)})
     elapsed = int((time.monotonic() - start) * 1000)
@@ -1034,6 +1050,11 @@ def main(argv=None):
         'degree_bound': args.degree_bound,
         'precision': args.precision,
     }
+    for flag in ('height_bound', 'precision'):
+        if flags[flag] < 1:
+            print('error: --%s must be a positive integer'
+                  % flag.replace('_', '-'), file=sys.stderr)
+            return 2
     try:
         if args.scenario.startswith('builtin:'):
             name = args.scenario.split(':', 1)[1]

@@ -56,6 +56,10 @@ class ProductConditionFailed(Exception):
     """The direct-product condition on the central twists does not hold."""
 
 
+class NoDirectDecomposition(ValueError):
+    """The Galois group is no direct product of the requested shape."""
+
+
 # ---------------------------------------------------------------------------
 # commutative and quaternionic extensions under one interface
 # ---------------------------------------------------------------------------
@@ -711,7 +715,9 @@ def build_special_case_3(K, ell, k_emb, n, height_bound=8):
         if decomposition:
             break
     if decomposition is None:
-        raise ValueError("no direct decomposition of the required shape")
+        raise NoDirectDecomposition(
+            "no direct decomposition of the Galois group as a cyclic factor "
+            "of order %d times a nontrivial complement" % n)
     a_gen, complement = decomposition
     e_field, e_emb = fixed_field(ell, complement)
     # base field of K inside the fixed field

@@ -1,12 +1,20 @@
 """Exact arithmetic in small-degree number fields.
 
 A field is presented absolutely over the rationals by a monic irreducible
-integer polynomial; elements are rational coordinate vectors in the power
-basis of the generator.  Subfields are explicit embeddings, towers are
-flattened through primitive elements, and automorphism groups are found by
-enumerating the roots of the defining polynomial inside the field itself.
-Real embeddings are certified with Sturm sequences over exact rationals;
-no floating point is used anywhere.
+integer polynomial.  An element is stored in one canonical integer form,
+in the style of FLINT's ``fmpq_poly``: a tuple of integer numerators over
+one positive integer denominator, coprime to them, for the coordinates in
+the power basis of the generator.  Sums, products and inverses run on those
+integers; products reduce modulo the minimal polynomial with an integer
+table, which is exact because the polynomial is monic with integer
+coefficients.  Field morphisms apply one cached integer matrix.  Rational
+coordinates are only made on request, for reports and linear algebra.
+
+Subfields are explicit embeddings, towers are flattened through primitive
+elements, and automorphism groups are found by enumerating the roots of the
+defining polynomial inside the field itself.  Real embeddings are certified
+with Sturm sequences over exact rationals; no floating point is used
+anywhere.
 
 The degree is capped at 8: every check stays cheap and fully exact at that
 scale, and the constructions this package verifies never need more.
@@ -14,7 +22,7 @@ scale, and the constructions this package verifies never need more.
 
 from fractions import Fraction
 from itertools import product as _iproduct
-from math import gcd
+from math import gcd, lcm
 
 from .linalg import coordinates_in_span, invert, kernel_basis, same_span
 
@@ -42,12 +50,6 @@ def poly_deg(cs):
 def poly_add(a, b):
     n = max(len(a), len(b))
     return poly_trim([(a[i] if i < len(a) else _Q0) + (b[i] if i < len(b) else _Q0)
-                      for i in range(n)])
-
-
-def poly_sub(a, b):
-    n = max(len(a), len(b))
-    return poly_trim([(a[i] if i < len(a) else _Q0) - (b[i] if i < len(b) else _Q0)
                       for i in range(n)])
 
 
@@ -290,7 +292,7 @@ class NumberField(Immutable):
     """Q[x]/(min_poly) with min_poly monic, integer, irreducible, deg <= 8."""
 
     __slots__ = ('min_poly', 'degree', 'label', '_autos', '_places',
-                 '_red_rows', '_zero', '_one')
+                 '_red_rows', '_zero', '_one', '_hash')
 
     def __init__(self, min_poly, label=None):
         coeffs = [Fraction(c) for c in min_poly]
@@ -312,61 +314,37 @@ class NumberField(Immutable):
         object.__setattr__(self, 'label', label or 'K')
         object.__setattr__(self, '_autos', None)
         object.__setattr__(self, '_places', None)
-        # reduced coordinates of gen^k for k = degree .. 2*degree - 2
+        object.__setattr__(self, '_hash', hash(self.min_poly))
+        # integer coordinates of gen^k for k = degree .. 2*degree - 2
         n = len(coeffs) - 1
         rows = []
-        prev = [-c for c in coeffs[:-1]]
+        prev = [-int(c) for c in coeffs[:-1]]
         rows.append(tuple(prev))
         for _ in range(n - 2):
-            shifted = [_Q0] + prev[:-1]
+            shifted = [0] + prev[:-1]
             top = prev[-1]
             prev = [shifted[i] + top * rows[0][i] for i in range(n)]
             rows.append(tuple(prev))
         object.__setattr__(self, '_red_rows', tuple(rows))
-        object.__setattr__(self, '_zero',
-                           FieldElement(self, (_Q0,) * (len(coeffs) - 1)))
-        object.__setattr__(self, '_one',
-                           FieldElement(self, (_Q1,) + (_Q0,) * (len(coeffs) - 2)))
-
-    def mul_coords(self, a, b):
-        """Product of two coordinate tuples, reduced mod min_poly."""
-        n = self.degree
-        if n == 1:
-            return (a[0] * b[0],)
-        prod = [_Q0] * (2 * n - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y == 0:
-                    continue
-                prod[i + j] += x * y
-        out = prod[:n]
-        for k in range(n, 2 * n - 1):
-            c = prod[k]
-            if c == 0:
-                continue
-            row = self._red_rows[k - n]
-            for i in range(n):
-                if row[i] != 0:
-                    out[i] += c * row[i]
-        return tuple(out)
+        object.__setattr__(self, '_zero', FieldElement(self, (0,) * n))
+        object.__setattr__(self, '_one', FieldElement(self, (1,) + (0,) * (n - 1)))
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.min_poly == other.min_poly
 
     def __hash__(self):
-        return hash(self.min_poly)
+        return self._hash
 
     def __repr__(self):
         return 'NumberField(%s, %r)' % ([str(c) for c in self.min_poly], self.label)
 
     def element(self, coords):
-        coords = [Fraction(c) for c in coords]
+        coords = [c if isinstance(c, int) else Fraction(c) for c in coords]
         if len(coords) > self.degree:
             raise ValueError("too many coordinates")
-        coords += [_Q0] * (self.degree - len(coords))
-        return FieldElement(self, tuple(coords))
+        den = lcm(*[c.denominator for c in coords])
+        num = [c.numerator * (den // c.denominator) for c in coords]
+        return FieldElement(self, tuple(num + [0] * (self.degree - len(num))), den)
 
     def scalar(self, q):
         return self.element([Fraction(q)])
@@ -408,17 +386,37 @@ class NumberField(Immutable):
 
 
 class FieldElement(Immutable):
-    """Element of a NumberField as a rational vector in the power basis."""
+    """Element of a NumberField: integer numerators over one denominator.
 
-    __slots__ = ('field', 'coords')
+    ``num[i] / den`` is the coordinate of gen^i in the power basis.  The
+    form is canonical: ``den`` is a positive integer and
+    gcd(den, *num) == 1, so zero is ((0, ..., 0), 1), and equality and
+    hashing compare the integers.  ``coords`` returns the coordinates as a
+    tuple of Fractions.
+    """
 
-    def __init__(self, field, coords):
+    __slots__ = ('field', 'num', 'den')
+
+    def __init__(self, field, num, den=1):
+        # num is a tuple of ints and den a positive int
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple([x // g for x in num])
+            den //= g
         object.__setattr__(self, 'field', field)
-        object.__setattr__(self, 'coords', tuple(coords))
+        object.__setattr__(self, 'num', num)
+        object.__setattr__(self, 'den', den)
+
+    @property
+    def coords(self):
+        den = self.den
+        if den == 1:
+            return tuple(map(Fraction, self.num))
+        return tuple([Fraction(x, den) for x in self.num])
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -426,7 +424,7 @@ class FieldElement(Immutable):
         return None
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def __bool__(self):
         return not self.is_zero()
@@ -435,59 +433,104 @@ class FieldElement(Immutable):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coords == o.coords
+        return self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        return hash((self.field.min_poly, self.coords))
+        return hash((self.field._hash, self.num, self.den))
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, [a + b for a, b in zip(self.coords, o.coords)])
+        da, db = self.den, o.den
+        if da == db:
+            return FieldElement(self.field,
+                                tuple([x + y for x, y in zip(self.num, o.num)]), da)
+        return FieldElement(self.field, tuple([x * db + y * da for x, y
+                                               in zip(self.num, o.num)]), da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, [-a for a in self.coords])
+        return FieldElement(self.field, tuple([-x for x in self.num]), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        da, db = self.den, o.den
+        if da == db:
+            return FieldElement(self.field,
+                                tuple([x - y for x, y in zip(self.num, o.num)]), da)
+        return FieldElement(self.field, tuple([x * db - y * da for x, y
+                                               in zip(self.num, o.num)]), da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, self.field.mul_coords(self.coords,
-                                                              o.coords))
+        field = self.field
+        a, b = self.num, o.num
+        n = len(a)
+        if n == 1:
+            return FieldElement(field, (a[0] * b[0],), self.den * o.den)
+        prod = [0] * (2 * n - 1)
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    prod[k] += x * y
+        # gen^(n+k) reduces to the integer row _red_rows[k]
+        out = prod[:n]
+        for c, row in zip(prod[n:], field._red_rows):
+            if c:
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        return FieldElement(field, tuple(out), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
+        """Inverse by fraction-free Gauss-Jordan elimination in integers.
+
+        Solves M z = e_0 for the matrix M of multiplication by ``num``
+        (Bareiss): every intermediate entry is an integer minor of the
+        augmented matrix, so each division is exact, and at the end every
+        pivot equals det M and the last column holds det M * z.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        # extended euclid: u*self + v*min_poly = 1 in Q[x]
-        a = poly_trim(list(self.coords))
-        b = list(self.field.min_poly)
-        r0, r1 = a, b
-        s0, s1 = [_Q1], []
-        while r1:
-            q, r = poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
-        # r0 is a nonzero constant gcd
-        inv = poly_scale(s0, 1 / r0[0])
-        _, rr = poly_divmod(inv, list(self.field.min_poly))
-        return self.field.element(rr)
+        field = self.field
+        n = len(self.num)
+        col = list(self.num)
+        cols = [col]
+        for _ in range(n - 1):
+            top = col[-1]
+            col = [0] + col[:-1]
+            if top:
+                col = [c + top * r for c, r in zip(col, field._red_rows[0])]
+            cols.append(col)
+        rows = [[c[i] for c in cols] + [int(i == 0)] for i in range(n)]
+        prev = 1
+        for k in range(n):
+            p = next(i for i in range(k, n) if rows[i][k])
+            rows[k], rows[p] = rows[p], rows[k]
+            pivot_row = rows[k]
+            piv = pivot_row[k]
+            for i in range(n):
+                if i != k:
+                    f = rows[i][k]
+                    rows[i] = [(piv * x - f * y) // prev
+                               for x, y in zip(rows[i], pivot_row)]
+            prev = piv
+        sign = 1 if prev > 0 else -1
+        return FieldElement(field, tuple([sign * self.den * row[n] for row in rows]),
+                            sign * prev)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -525,7 +568,7 @@ class FieldMorphism(Immutable):
     polynomial vanishes at gen_image inside the target.
     """
 
-    __slots__ = ('source', 'target', 'gen_image', '_trivial')
+    __slots__ = ('source', 'target', 'gen_image', '_trivial', '_matrix')
 
     def __init__(self, source, target, gen_image):
         if gen_image.field != target:
@@ -538,16 +581,37 @@ class FieldMorphism(Immutable):
         object.__setattr__(self, 'gen_image', gen_image)
         object.__setattr__(self, '_trivial',
                            source == target and gen_image == source.gen())
+        object.__setattr__(self, '_matrix', None)
+
+    def _columns(self):
+        """Integer columns of image_basis() and their one denominator.
+
+        Column k holds the numerators of gen_image^k over the common
+        denominator; built on first use and cached.
+        """
+        if self._matrix is None:
+            powers = []
+            power = self.target.one()
+            for _ in range(self.source.degree):
+                powers.append(power)
+                power = power * self.gen_image
+            den = lcm(*[p.den for p in powers])
+            cols = tuple(tuple([x * (den // p.den) for x in p.num]) for p in powers)
+            object.__setattr__(self, '_matrix', (cols, den))
+        return self._matrix
 
     def __call__(self, elem):
-        if elem.field != self.source:
+        if elem.field is not self.source and elem.field != self.source:
             raise ValueError("element not in the source field")
         if self._trivial:
             return elem
-        acc = self.target.zero()
-        for c in reversed(elem.coords):
-            acc = acc * self.gen_image + self.target.scalar(c)
-        return acc
+        cols, den = self._columns()
+        out = [0] * self.target.degree
+        for c, col in zip(elem.num, cols):
+            if c:
+                for i, x in enumerate(col):
+                    out[i] += c * x
+        return FieldElement(self.target, tuple(out), den * elem.den)
 
     def __eq__(self, other):
         return (isinstance(other, FieldMorphism)
@@ -556,8 +620,7 @@ class FieldMorphism(Immutable):
                 and self.gen_image == other.gen_image)
 
     def __hash__(self):
-        return hash((self.source.min_poly, self.target.min_poly,
-                     self.gen_image.coords))
+        return hash((self.source, self.target, self.gen_image))
 
     def __repr__(self):
         return 'FieldMorphism(%s -> %s : gen -> %s)' % (
@@ -575,9 +638,9 @@ class FieldMorphism(Immutable):
 
     def matrix(self):
         """Rational matrix of the map on power-basis coordinates (columns)."""
-        cols = [self(b).coords for b in self.source.basis()]
-        n = self.target.degree
-        return [[cols[j][i] for j in range(len(cols))] for i in range(n)]
+        cols, den = self._columns()
+        return [[Fraction(col[i], den) for col in cols]
+                for i in range(self.target.degree)]
 
     def order(self, cap=64):
         if self.source != self.target:
@@ -602,12 +665,8 @@ class FieldMorphism(Immutable):
 
     def image_basis(self):
         """Q-spanning vectors of the image subfield inside the target."""
-        out = []
-        power = self.target.one()
-        for _ in range(self.source.degree):
-            out.append(list(power.coords))
-            power = power * self.gen_image
-        return out
+        cols, den = self._columns()
+        return [[Fraction(x, den) for x in col] for col in cols]
 
 
 def _eval_poly_at_element(coeffs, elem):
@@ -869,7 +928,7 @@ class LevelVerdict(Immutable):
 def _integer_elements(field, height):
     n = field.degree
     for combo in _iproduct(range(-height, height + 1), repeat=n):
-        yield field.element([Fraction(c) for c in combo])
+        yield FieldElement(field, combo)
 
 
 def field_level(ell, height_bound):

@@ -11,10 +11,13 @@ that a series comes from a fraction.
 The bounded-degree center computation and the tensor-decomposition check
 reduce everything to exact rational linear algebra: twists and one-sided
 multiplications are rational-linear on coordinates, so commutation
-constraints vectorize over Q.
+constraints vectorize over Q.  Their matrices are cached as integer
+matrices over one denominator and multiplied in integers; rationals are
+made once per entry of the assembled system.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .linalg import kernel_basis, rank, same_span, solve
 from .numfield import Immutable, fixed_field
@@ -551,45 +554,50 @@ class RecurrenceCertificate(Immutable):
         return 'RecurrenceCertificate(order %d from %d)' % (self.order, self.start)
 
 
+# The matrix caches hold (rows, den): an integer matrix over one denominator.
+
+def _int_matrix(images):
+    """(rows, den) whose columns are the q-vectors of the given quaternions."""
+    den = lcm(*[c.den for q in images for c in q.coords])
+    cols = [[x * (den // c.den) for c in q.coords for x in c.num] for q in images]
+    return list(zip(*cols)), den
+
+
 def _left_mul_matrix(alg, c, cache):
     key = ('L', c)
     if key not in cache:
-        cols = [(c * b).q_vector() for b in alg.q_basis()]
-        n = alg.q_dim()
-        cache[key] = [[cols[j][i] for j in range(n)] for i in range(n)]
+        cache[key] = _int_matrix([c * b for b in alg.q_basis()])
     return cache[key]
 
 
 def _right_mul_matrix(alg, c, cache):
     key = ('R', c)
     if key not in cache:
-        cols = [(b * c).q_vector() for b in alg.q_basis()]
-        n = alg.q_dim()
-        cache[key] = [[cols[j][i] for j in range(n)] for i in range(n)]
+        cache[key] = _int_matrix([b * c for b in alg.q_basis()])
     return cache[key]
 
 
 def _twist_matrix(twist, k, cache):
     key = ('T', k)
     if key not in cache:
-        cache[key] = twist.power(k).q_matrix()
+        tw = twist.power(k)
+        cache[key] = _int_matrix([tw(b) for b in twist.owner.q_basis()])
     return cache[key]
 
 
 def _mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    out = [[_Q0] * p for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for k in range(m):
-            c = ai[k]
-            if c == 0:
-                continue
-            bk = b[k]
-            row = out[i]
-            for j in range(p):
-                row[j] += c * bk[j]
-    return out
+    """Product of two (rows, den) integer matrices, in integers."""
+    (a, da), (b, db) = a, b
+    p = len(b[0])
+    out = []
+    for ai in a:
+        row = [0] * p
+        for c, bk in zip(ai, b):
+            if c:
+                for j, y in enumerate(bk):
+                    row[j] += c * y
+        out.append(row)
+    return out, da * db
 
 
 def detect_recurrence(series, max_order):
@@ -619,8 +627,9 @@ def detect_recurrence(series, max_order):
                 if a.is_zero():
                     blocks.append(None)
                     continue
-                blocks.append(_mat_mul(_left_mul_matrix(alg, a, cache),
-                                       _twist_matrix(twist, n - i, cache)))
+                blk, den = _mat_mul(_left_mul_matrix(alg, a, cache),
+                                    _twist_matrix(twist, n - i, cache))
+                blocks.append([[Fraction(x, den) for x in row] for row in blk])
             target = series.coefficient(n).q_vector()
             for r in range(dim):
                 row = []
@@ -701,24 +710,25 @@ def center_bounded(algebra, twist, degree_bound):
     nvars = (degree_bound + 1) * dim
     cache = {}
     rows = []
-    tw_mat = _twist_matrix(twist, 1, cache)
+    tw_mat, tw_den = _twist_matrix(twist, 1, cache)
     gens = _algebra_generators(algebra)
     for j in range(degree_bound + 1):
         # x_j fixed by the twist (commutation with t)
         for r in range(dim):
             row = [_Q0] * nvars
             for cidx in range(dim):
-                val = tw_mat[r][cidx] - (_Q1 if r == cidx else _Q0)
-                row[j * dim + cidx] = val
+                val = tw_mat[r][cidx] - (tw_den if r == cidx else 0)
+                row[j * dim + cidx] = Fraction(val, tw_den)
             rows.append(row)
         # g x_j = x_j sigma^j(g) for each generator
         for g in gens:
-            left = _left_mul_matrix(algebra, g, cache)
-            right = _right_mul_matrix(algebra, twist.power(j)(g), cache)
+            left, dl = _left_mul_matrix(algebra, g, cache)
+            right, dr = _right_mul_matrix(algebra, twist.power(j)(g), cache)
             for r in range(dim):
                 row = [_Q0] * nvars
                 for cidx in range(dim):
-                    row[j * dim + cidx] = left[r][cidx] - right[r][cidx]
+                    row[j * dim + cidx] = Fraction(
+                        left[r][cidx] * dr - right[r][cidx] * dl, dl * dr)
                 rows.append(row)
     basis_vecs = kernel_basis(rows, nvars, _Q0, _Q1)
     raw_basis = []

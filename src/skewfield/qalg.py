@@ -30,7 +30,7 @@ class ZeroNormError(ArithmeticError):
 class QuaternionAlgebra(Immutable):
     """(a,b/h): i^2 = a, j^2 = b, ij = k = -ji over the number field h."""
 
-    __slots__ = ('base', 'a', 'b', 'label', 'division_certified',
+    __slots__ = ('base', 'a', 'b', 'ab', 'label', 'division_certified',
                  'extension_of', '_table')
 
     def __init__(self, base, a, b, label=None, division_certified=None,
@@ -44,6 +44,7 @@ class QuaternionAlgebra(Immutable):
         object.__setattr__(self, 'base', base)
         object.__setattr__(self, 'a', a)
         object.__setattr__(self, 'b', b)
+        object.__setattr__(self, 'ab', a * b)
         object.__setattr__(self, 'label', label or 'H')
         object.__setattr__(self, 'division_certified', division_certified)
         object.__setattr__(self, 'extension_of', extension_of)
@@ -52,8 +53,7 @@ class QuaternionAlgebra(Immutable):
 
     def _build_table(self):
         one, zero = self.base.one(), self.base.zero()
-        a, b = self.a, self.b
-        ab = a * b
+        a, b, ab = self.a, self.b, self.ab
 
         def vec(c0=zero, c1=zero, c2=zero, c3=zero):
             return (c0, c1, c2, c3)
@@ -89,8 +89,7 @@ class QuaternionAlgebra(Immutable):
                      for i in range(4))
 
     def _mul_coords(self, x, y):
-        a, b = self.a, self.b
-        ab = a * b
+        a, b, ab = self.a, self.b, self.ab
         x0, x1, x2, x3 = x
         y0, y1, y2, y3 = y
         return (x0 * y0 + a * (x1 * y1) + b * (x2 * y2) - ab * (x3 * y3),
@@ -246,8 +245,8 @@ class QuatElement(Immutable):
 
     def reduced_norm(self):
         x0, x1, x2, x3 = self.coords
-        a, b = self.alg.a, self.alg.b
-        return x0 * x0 - a * (x1 * x1) - b * (x2 * x2) + a * b * (x3 * x3)
+        alg = self.alg
+        return x0 * x0 - alg.a * (x1 * x1) - alg.b * (x2 * x2) + alg.ab * (x3 * x3)
 
     def inverse(self):
         n = self.reduced_norm()

@@ -194,6 +194,53 @@ def test_main_rejects_bad_declaration_or_parameter(tmp_path, capsys, text,
     assert error in capsys.readouterr().err
 
 
+BIQUAD_H = "[fields]\nq 0 1\nbiquad 1 0 -10 0 1\n[algebras]\nH q a=-1 b=-1\n"
+
+
+@pytest.mark.parametrize('text, error', [
+    (DECLARED + "[checks]\nfield_level field=q height_bound=0\n",
+     "error: line 9: parameter height_bound=0: must be an integer >= 1"),
+    (DECLARED + "[checks]\nanisotropy algebra=H field=q2 height_bound=0\n",
+     "error: line 9: parameter height_bound=0: must be an integer >= 1"),
+    (DECLARED + "[checks]\n"
+                "build_extension algebra=H field=q2 height_bound=-3\n",
+     "error: line 9: parameter height_bound=-3: must be an integer >= 1"),
+    (BIQUAD_H + "[checks]\nspecial_case_3 algebra=H field=biquad n=1\n",
+     "error: line 7: parameter n=1: must be an integer >= 2"),
+    (DECLARED + "[twists]\ns algebra=H\n[checks]\n"
+                "recurrence_geometric twist=s max_order=0\n",
+     "error: line 11: parameter max_order=0: must be an integer >= 1"),
+], ids=['field_level_height_zero', 'anisotropy_height_zero',
+        'build_extension_height_negative', 'special_case_3_n_one',
+        'recurrence_max_order_zero'])
+def test_main_rejects_out_of_range_parameter(tmp_path, capsys, text, error):
+    path = tmp_path / 'bad.scn'
+    path.write_text(text)
+    assert main(['run', str(path)]) == 2
+    assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize('flag', ['--height-bound', '--precision'])
+def test_main_rejects_non_positive_flag(capsys, flag):
+    path = os.path.join(SCN_DIR, 'ore_center.scn')
+    assert main(['run', path, flag, '0']) == 2
+    captured = capsys.readouterr()
+    assert 'error: %s must be a positive integer' % flag in captured.err
+    assert captured.out == ''
+
+
+def test_main_reports_missing_decomposition_as_fail(tmp_path, capsys):
+    # Gal(biquad/Q) is Z2 x Z2: no cyclic factor of order 3
+    path = tmp_path / 'no_decomposition.scn'
+    path.write_text(BIQUAD_H + "[checks]\n"
+                               "special_case_3 algebra=H field=biquad n=3\n")
+    assert main(['run', str(path)]) == 1
+    out = capsys.readouterr().out
+    assert 'status: fail' in out
+    assert ('reason: no direct decomposition of the Galois group as a cyclic '
+            'factor of order 3 times a nontrivial complement') in out
+
+
 @pytest.mark.parametrize('name', sorted(set(builtin_examples()) - {'all'}))
 def test_main_runs_each_builtin(capsys, name):
     code = main(['run', 'builtin:' + name, '--height-bound', '8'])

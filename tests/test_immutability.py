@@ -1,5 +1,7 @@
 """Value objects refuse attribute assignment; lazy caches stay stable."""
 
+from fractions import Fraction
+
 import pytest
 
 from skewfield.fep import cyclic_group
@@ -37,3 +39,11 @@ def test_lazy_caches_are_stable():
     assert field.real_places() == field.real_places()
     group = cyclic_group(6)
     assert group.subgroups() == group.subgroups()
+
+
+@pytest.mark.parametrize('attr', ['num', 'den', 'coords'])
+def test_field_element_integer_form_is_immutable(attr):
+    x = Q_SQRT2.element([Fraction(1, 2), 3])
+    with pytest.raises(AttributeError, match='FieldElement is immutable'):
+        setattr(x, attr, None)
+    assert (x.num, x.den) == ((1, 6), 2)

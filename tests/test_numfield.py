@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -7,7 +8,8 @@ from skewfield.numfield import (
     FieldMorphism, LevelVerdict, NumberField, automorphism_group,
     count_real_roots, field_level, fixed_field, is_galois,
     is_irreducible_over_q, isolate_real_roots, minimal_polynomial,
-    restrict_morphism, roots_in_field, same_subfield, subfield_preimage)
+    poly_divmod, poly_mul, poly_trim, restrict_morphism, roots_in_field,
+    same_subfield, subfield_preimage)
 
 Q = NumberField([0, 1], label='Q')
 Q_SQRT2 = NumberField([-2, 0, 1], label='Q(sqrt2)')
@@ -285,3 +287,122 @@ def test_finite_levels_are_powers_of_two():
 def test_minimal_polynomial_of_generator():
     assert minimal_polynomial(C4_FIELD.gen()) == list(map(Fraction, [2, 0, -4, 0, 1]))
     assert minimal_polynomial(Q_SQRT2.scalar(3)) == [Fraction(-3), Fraction(1)]
+
+
+# ---------------------------------------------------------------------------
+# integer element core against a plain-Fraction reference
+# ---------------------------------------------------------------------------
+
+Q_8RT2 = NumberField([-2, 0, 0, 0, 0, 0, 0, 0, 1], label='Q(2^(1/8))')
+Q_4RT2 = NumberField([-2, 0, 0, 0, 1], label='Q(2^(1/4))')
+
+
+def _ref_reduce(fld, poly):
+    rem = poly_divmod(poly_trim(poly), list(fld.min_poly))[1]
+    return tuple(rem) + (Fraction(0),) * (fld.degree - len(rem))
+
+
+def _ref_mul(fld, x, y):
+    return _ref_reduce(fld, poly_mul(list(x), list(y)))
+
+
+def _ref_apply(mor, coords):
+    # Horner in the target: sum of c_i * gen_image^i
+    g = mor.gen_image.coords
+    acc = (Fraction(0),) * mor.target.degree
+    for c in reversed(coords):
+        acc = _ref_mul(mor.target, acc, g)
+        acc = (acc[0] + c,) + acc[1:]
+    return acc
+
+
+def _random_coords(rng, n):
+    # non-integral rationals, zeros and integers mixed
+    return [rng.choice([Fraction(0), Fraction(rng.randint(-9, 9)),
+                        Fraction(rng.randint(-40, 40), rng.randint(1, 12))])
+            for _ in range(n)]
+
+
+def _assert_canonical(x):
+    assert type(x.den) is int and x.den > 0
+    assert all(type(c) is int for c in x.num)
+    assert len(x.num) == x.field.degree
+    assert gcd(x.den, *x.num) == 1
+
+
+DIFFERENTIAL_FIELDS = [Q, Q_SQRT2, C4_FIELD, BIQUAD, Q_8RT2]
+
+
+@pytest.mark.parametrize('fld', DIFFERENTIAL_FIELDS,
+                         ids=[f.label for f in DIFFERENTIAL_FIELDS])
+def test_integer_arithmetic_matches_fraction_reference(fld):
+    rng = random.Random(4000 + fld.degree)
+    n = fld.degree
+    for _ in range(60):
+        xs, ys = _random_coords(rng, n), _random_coords(rng, n)
+        x, y = fld.element(xs), fld.element(ys)
+        assert x.coords == tuple(xs)
+        assert (x + y).coords == tuple(a + b for a, b in zip(xs, ys))
+        assert (x - y).coords == tuple(a - b for a, b in zip(xs, ys))
+        assert (-x).coords == tuple(-a for a in xs)
+        assert (x * y).coords == _ref_mul(fld, xs, ys)
+        for z in (x + y, x - y, x * y):
+            _assert_canonical(z)
+        if any(xs):
+            inv = x.inverse()
+            _assert_canonical(inv)
+            assert _ref_mul(fld, xs, inv.coords) == _ref_reduce(fld, [Fraction(1)])
+
+
+MORPHISMS = [
+    ('c4_generator', next(g for g in automorphism_group(C4_FIELD)
+                          if g.order() == 4)),
+    ('biquad_auto', next(g for g in automorphism_group(BIQUAD)
+                         if not g.is_identity())),
+    ('q_into_c4', embed_q(C4_FIELD)),
+    ('sqrt2_into_biquad', FieldMorphism(
+        Q_SQRT2, BIQUAD, BIQUAD.element([0, Fraction(-9, 2), 0,
+                                         Fraction(1, 2)]))),
+    ('4rt2_into_8rt2', FieldMorphism(Q_4RT2, Q_8RT2, Q_8RT2.element([0, 0, 1]))),
+    ('8rt2_negation', FieldMorphism(Q_8RT2, Q_8RT2, -Q_8RT2.gen())),
+]
+
+
+@pytest.mark.parametrize('name, mor', MORPHISMS,
+                         ids=[name for name, _ in MORPHISMS])
+def test_morphism_application_matches_fraction_reference(name, mor):
+    rng = random.Random(name)
+    for _ in range(40):
+        xs = _random_coords(rng, mor.source.degree)
+        image = mor(mor.source.element(xs))
+        _assert_canonical(image)
+        assert image.coords == _ref_apply(mor, xs)
+    cols = [list(c) for c in zip(*mor.matrix())]
+    assert cols == mor.image_basis()
+    assert cols[0] == list(mor.target.one().coords)
+
+
+def test_canonical_form_and_hash_agree_across_constructions():
+    for fld in DIFFERENTIAL_FIELDS:
+        zero = fld.zero()
+        assert zero.num == (0,) * fld.degree and zero.den == 1
+        x = fld.element([Fraction(3, 4)] * fld.degree)
+        assert (x - x).num == zero.num and (x - x).den == 1
+        assert fld.element([Fraction(0, 5)]).den == 1
+    half = Q_SQRT2.element([Fraction(2, 4), Fraction(6, 2)])
+    same = [Q_SQRT2.element([Fraction(1, 2), 3]),
+            Q_SQRT2.element(['1/2', '3']),
+            Q_SQRT2.element([1, 6]) * Fraction(1, 2),
+            Q_SQRT2.element([1, 6]) * Q_SQRT2.scalar(2).inverse(),
+            Q_SQRT2.scalar(Fraction(1, 2)) + 3 * Q_SQRT2.gen()]
+    assert half.num == (1, 6) and half.den == 2
+    for y in same:
+        _assert_canonical(y)
+        assert y == half and hash(y) == hash(half)
+        assert (y.num, y.den) == (half.num, half.den)
+    assert len({half, *same}) == 1
+    three = Q.scalar(3)
+    assert three == Q.element([Fraction(6, 2)]) == 3
+    assert hash(three) == hash(Q.scalar(Fraction(9, 3)))
+    assert all(type(c) is Fraction for c in half.coords)
+    assert half.coords == (Fraction(1, 2), Fraction(3))
