@@ -9,16 +9,15 @@ and certificates and never contain floating point.
 Exit codes: 0 when every check passes (unknown verdicts do not fail a
 run on their own), 1 when any check fails or hits an unexpected failed
 hypothesis, 2 on usage or parse errors (a height bound or precision
-flag below 1 among them), on a declaration that cannot be built, and on a
-check parameter that is missing, malformed, out of range or names nothing
-declared (reported with the check's line).  A guard that rejects a
-well-formed input is a failed check with its reason.
+flag below 1 or a degree bound below 0 among them), on a declaration that
+cannot be built, and on a check parameter that is missing, malformed, out
+of range or names nothing declared (reported with the check's line).  A
+guard that rejects a well-formed input is a failed check with its reason.
 """
 
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .fep import (EmbeddingProblem, GalData, cyclic_group, direct_product,
@@ -443,7 +442,8 @@ def check_build_extension(ws, params):
 
 def check_center_bounded(ws, params):
     twist = ws.ref(params, 'twist')
-    bound = _param(params, 'degree_bound', ws.flags['degree_bound'], int)
+    bound = _param(params, 'degree_bound', ws.flags['degree_bound'],
+                   _int_at_least(0))
     expect_dim = _param(params, 'expect_dim', None, int)
     expect_closed = params.get('expect_closed_form')
     report = center_bounded(twist.owner, twist, bound)
@@ -975,24 +975,16 @@ def _run_one(ws, lineno, op, params):
 
 def run_scenario(scenario, flags):
     ws = Workspace(scenario, flags)
-    jobs = scenario.checks
-    if flags.get('parallel', 1) > 1:
-        with ThreadPoolExecutor(max_workers=flags['parallel']) as pool:
-            results = list(pool.map(
-                lambda job: _run_one(ws, *job), jobs))
-    else:
-        results = [_run_one(ws, *job) for job in jobs]
-    return results
+    return [_run_one(ws, *job) for job in scenario.checks]
 
 
 def format_report(source, flags, results):
     lines = []
     lines.append('skewfield-report 1')
     lines.append('scenario: %s' % source)
-    lines.append('flags: height_bound=%d degree_bound=%d precision=%d '
-                 'parallel=%d' % (flags['height_bound'],
-                                  flags['degree_bound'],
-                                  flags['precision'], flags['parallel']))
+    lines.append('flags: height_bound=%d degree_bound=%d precision=%d'
+                 % (flags['height_bound'], flags['degree_bound'],
+                    flags['precision']))
     counts = {'pass': 0, 'fail': 0, 'hypothesis-failed': 0, 'unknown': 0}
     for idx, (op, result, elapsed) in enumerate(results, start=1):
         counts[result.status] += 1
@@ -1026,7 +1018,6 @@ def main(argv=None):
                       help="path to a scenario file, or builtin:NAME")
     runp.add_argument('--list-builtin', action='store_true',
                       help="list the built-in regression scenarios")
-    runp.add_argument('--parallel', type=int, default=1, metavar='N')
     runp.add_argument('--height-bound', type=int, default=20, metavar='B')
     runp.add_argument('--degree-bound', type=int, default=4, metavar='D')
     runp.add_argument('--precision', type=int, default=30, metavar='P')
@@ -1045,15 +1036,16 @@ def main(argv=None):
               file=sys.stderr)
         return 2
     flags = {
-        'parallel': max(1, args.parallel),
         'height_bound': args.height_bound,
         'degree_bound': args.degree_bound,
         'precision': args.precision,
     }
-    for flag in ('height_bound', 'precision'):
-        if flags[flag] < 1:
-            print('error: --%s must be a positive integer'
-                  % flag.replace('_', '-'), file=sys.stderr)
+    for flag, low, kind in (('height_bound', 1, 'positive'),
+                            ('degree_bound', 0, 'non-negative'),
+                            ('precision', 1, 'positive')):
+        if flags[flag] < low:
+            print('error: --%s must be a %s integer'
+                  % (flag.replace('_', '-'), kind), file=sys.stderr)
             return 2
     try:
         if args.scenario.startswith('builtin:'):

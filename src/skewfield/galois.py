@@ -18,13 +18,13 @@ bound.
 
 from fractions import Fraction
 
-from .linalg import kernel_basis, same_span
+from .linalg import common_kernel, same_span
 from .numfield import (FieldMorphism, Immutable, automorphism_group,
-                       fixed_field, is_galois, restrict_morphism,
-                       subfield_preimage)
+                       cyclic_powers, fixed_field, is_galois,
+                       restrict_morphism, subfield_preimage)
 from .ore import HypothesisFailed, SkewPoly, _algebra_generators
-from .qalg import (AlgebraAutomorphism, QuaternionAlgebra, anisotropy,
-                   extend_quaternion, inner_order, norm_form)
+from .qalg import (AlgebraAutomorphism, QuaternionAlgebra, QuatElement,
+                   anisotropy, extend_quaternion, inner_order, norm_form)
 
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
@@ -163,17 +163,11 @@ class GaloisExtension(Immutable):
         return extend_quaternion(x, self.L, self.emb)
 
     def _check_artin(self):
-        n = self.L.q_dim()
-        rows = []
-        for a in _generating_subset(self.group):
-            m = a.q_matrix()
-            for i in range(n):
-                rows.append([m[i][j] - (_Q1 if i == j else _Q0)
-                             for j in range(n)])
-        fixed = kernel_basis(rows, n, _Q0, _Q1) if rows else \
-            [[_Q1 if i == j else _Q0 for j in range(n)] for i in range(n)]
+        fixed = common_kernel(
+            [lambda x, a=a: a(x) - x for a in _generating_subset(self.group)],
+            self.L.q_basis(), QuatElement.q_vector, _Q0, _Q1)
         base_img = [self.embed_base(x).q_vector() for x in self.H.q_basis()]
-        return same_span(fixed, base_img, _Q0)
+        return same_span(fixed, base_img)
 
 
 def build_galois_extension(H, ell, emb, height_bound=8):
@@ -186,8 +180,7 @@ def build_galois_extension(H, ell, emb, height_bound=8):
     """
     if emb.source != H.base or emb.target != ell:
         raise ValueError("embedding must map the center of H into ell")
-    if not is_galois(ell, emb):
-        raise NotGalois("%s over %s is not Galois" % (ell.label, H.base.label))
+    center_group = build_comm_extension(ell, emb).group
     verdict = anisotropy(norm_form(H, ell, emb), height_bound)
     if verdict.kind != 'anisotropic':
         raise NotAnisotropic(verdict)
@@ -195,7 +188,7 @@ def build_galois_extension(H, ell, emb, height_bound=8):
                           label='%s(x)%s' % (H.label, ell.label),
                           division_certified=True, extension_of=(H, emb))
     group = []
-    for s in automorphism_group(ell, emb):
+    for s in center_group:
         a = AlgebraAutomorphism(L, L.i(), L.j(), s)
         for x in ell.basis():
             if a(L.scalar(x)) != L.scalar(s(x)):
@@ -232,37 +225,27 @@ def _generating_subset(group):
     return gens
 
 
-def _commutant_basis(basis_elems, generators, vector_of):
-    """Kernel basis of x -> g x - x g over Q, for all listed generators."""
-    dim = len(basis_elems)
-    rows = []
-    for g in generators:
-        cols = [vector_of(g * e - e * g) for e in basis_elems]
-        for r in range(dim):
-            rows.append([cols[c][r] for c in range(dim)])
-    if not rows:
-        return [[(_Q1 if i == j else _Q0) for j in range(dim)]
-                for i in range(dim)]
-    return kernel_basis(rows, dim, _Q0, _Q1)
+def _commutators(generators):
+    """The linear maps x -> g x - x g, one per generator."""
+    return [lambda x, g=g: g * x - x * g for g in generators]
 
 
 def is_outer(ext):
     """Centralizer of the base inside L compared with the center of L."""
     L = ext.L
-    basis = L.q_basis()
     gens = [ext.embed_base(g) for g in _algebra_generators(ext.H)]
-    cent = _commutant_basis(basis, gens, lambda x: x.q_vector())
+    cent = common_kernel(_commutators(gens), L.q_basis(),
+                         QuatElement.q_vector, _Q0, _Q1)
     center_vecs = [L.scalar(b).q_vector() for b in L.base.basis()]
-    return same_span(cent, center_vecs, _Q0)
+    return same_span(cent, center_vecs)
 
 
 def commutative_centralizer_check(ell, k_emb):
     """The commutative analogue through the same centralizer machinery."""
     basis = ell.basis()
-    gens = [k_emb(k_emb.source.gen())]
-    cent = _commutant_basis(basis, gens, lambda x: list(x.coords))
-    center_vecs = [list(b.coords) for b in basis]
-    return same_span(cent, center_vecs, _Q0)
+    cent = common_kernel(_commutators([k_emb(k_emb.source.gen())]), basis,
+                         lambda x: x.coords, _Q0, _Q1)
+    return same_span(cent, [b.coords for b in basis])
 
 
 # ---------------------------------------------------------------------------
@@ -428,20 +411,11 @@ class TwistedExtension(Immutable):
         return 'TwistedExtension(%r)' % (self.ext,)
 
 
-def _power_list(elem, cap=96):
-    out = [elem]
-    while not out[-1].is_identity():
-        out.append(elem.compose(out[-1]))
-        if len(out) > cap:
-            raise ValueError("order cap exceeded")
-    return out[-1:] + out[:-1]  # identity first
-
-
 def eq_produit(X):
     """Whether the central twist generates a direct factor next to the group."""
     tau_t = X.tau_tilde
     gal = X.ext.center_group()
-    powers = _power_list(tau_t)
+    powers = cyclic_powers(tau_t, 96)
     commutes = all(tau_t.compose(r) == r.compose(tau_t) for r in gal)
     overlap = [p for p in powers if p in gal]
     return commutes and len(overlap) == 1
@@ -489,7 +463,7 @@ def check_product_conditions(X):
     sigma, tau = X.sigma, X.tau
     gal = list(X.ext.group)
     ord_sigma, ord_tau = sigma.order(), tau.order()
-    tau_powers = _power_list(tau)
+    tau_powers = cyclic_powers(tau, 96)
     # closure of gal and tau
     closure = set(gal)
     frontier = list(closure)
@@ -590,6 +564,8 @@ def build_twisted_extension(X, degree_bound=4):
     with the twist, fix the base polynomials, and act multiplicatively on
     spanning monomial pairs up to the bound.
     """
+    if degree_bound < 0:
+        raise ValueError("degree bound must be non-negative")
     if not eq_produit(X):
         raise ProductConditionFailed("central twists do not form a direct product")
     tau = X.tau
@@ -688,11 +664,9 @@ def build_special_case_3(K, ell, k_emb, n, height_bound=8):
         raise ValueError("cyclic factor must have order at least 2")
     if k_emb.source != K.base or k_emb.target != ell:
         raise ValueError("embedding must map the center of K into ell")
-    gamma = automorphism_group(ell, k_emb)
-    if len(gamma) * K.base.degree != ell.degree:
-        raise NotGalois("%s over the center of %s is not Galois"
-                        % (ell.label, K.label))
-    gal = GalData(CommExtension(ell, k_emb, gamma))
+    comm = build_comm_extension(ell, k_emb)
+    gamma = comm.group
+    gal = GalData(comm)
     G = gal.group
     # by size, then by generator images: this order fixes which
     # decomposition is found first, and so the new base field

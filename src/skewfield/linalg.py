@@ -94,12 +94,7 @@ def invert(rows, zero, one):
 
 def in_span(vectors, target, zero):
     """Whether ``target`` lies in the span of ``vectors`` (all same length)."""
-    if not vectors:
-        return all(x == 0 for x in target)
-    cols = len(vectors)
-    dim = len(target)
-    rows = [[vectors[j][i] for j in range(cols)] for i in range(dim)]
-    return solve(rows, list(target), cols, zero) is not None
+    return coordinates_in_span(vectors, target, zero) is not None
 
 
 def coordinates_in_span(vectors, target, zero):
@@ -112,8 +107,18 @@ def coordinates_in_span(vectors, target, zero):
     return solve(rows, list(target), cols, zero)
 
 
-def same_span(vs, ws, zero):
-    if rank(vs) != rank(ws):
-        return False
-    return all(in_span(ws, v, zero) for v in vs) and all(
-        in_span(vs, w, zero) for w in ws)
+def same_span(vs, ws):
+    """Whether the two lists of vectors span the same space."""
+    return rank(vs) == rank(ws) == rank(vs + ws)
+
+
+def common_kernel(maps, basis, vector_of, zero, one):
+    """Coordinates over ``basis`` of the elements every linear map sends to 0.
+
+    Each map takes an element to an element; ``vector_of`` gives the
+    coordinate vector of an image.  With no maps this is the identity basis.
+    """
+    rows = []
+    for f in maps:
+        rows.extend(zip(*[vector_of(f(e)) for e in basis]))
+    return kernel_basis(rows, len(basis), zero, one)

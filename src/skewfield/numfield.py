@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import product as _iproduct
 from math import gcd, lcm
 
-from .linalg import coordinates_in_span, invert, kernel_basis, same_span
+from .linalg import common_kernel, coordinates_in_span, invert, same_span
 
 MAX_DEGREE = 8
 
@@ -288,6 +288,53 @@ class Immutable:
         raise AttributeError("%s is immutable" % type(self).__name__)
 
 
+class RingElement(Immutable):
+    """Base of the ring element classes: the derived operators, once.
+
+    A subclass defines +, unary -, * and _coerce, which returns the other
+    operand as an element of the same ring or None; ** with a negative
+    exponent also needs inverse().
+    """
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + self
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __rmul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = self._coerce(1)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+
 class NumberField(Immutable):
     """Q[x]/(min_poly) with min_poly monic, integer, irreducible, deg <= 8."""
 
@@ -385,7 +432,7 @@ class NumberField(Immutable):
         return list(self._places)
 
 
-class FieldElement(Immutable):
+class FieldElement(RingElement):
     """Element of a NumberField: integer numerators over one denominator.
 
     ``num[i] / den`` is the coordinate of gen^i in the power basis.  The
@@ -465,12 +512,6 @@ class FieldElement(Immutable):
         return FieldElement(self.field, tuple([x * db - y * da for x, y
                                                in zip(self.num, o.num)]), da * db)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -543,18 +584,6 @@ class FieldElement(Immutable):
         if o is None:
             return NotImplemented
         return o * self.inverse()
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __repr__(self):
         return 'FieldElement(%s @ %s)' % ([str(c) for c in self.coords],
@@ -645,12 +674,7 @@ class FieldMorphism(Immutable):
     def order(self, cap=64):
         if self.source != self.target:
             raise ValueError("order of a non-endomorphism")
-        cur = self
-        for n in range(1, cap + 1):
-            if cur.is_identity():
-                return n
-            cur = self.compose(cur)
-        raise ValueError("order exceeds cap %d" % cap)
+        return len(cyclic_powers(self, cap))
 
     def inverse(self):
         """Inverse automorphism, by exact inversion of the rational matrix."""
@@ -667,6 +691,20 @@ class FieldMorphism(Immutable):
         """Q-spanning vectors of the image subfield inside the target."""
         cols, den = self._columns()
         return [[Fraction(x, den) for x in col] for col in cols]
+
+
+def cyclic_powers(g, cap):
+    """[id, g, g^2, ..., g^(n-1)] for the order n of g, at most cap.
+
+    g is a map with compose() and is_identity(); an order above cap raises
+    ValueError.
+    """
+    powers = [g]
+    while not powers[-1].is_identity():
+        if len(powers) == cap:
+            raise ValueError("order exceeds cap %d" % cap)
+        powers.append(g.compose(powers[-1]))
+    return powers[-1:] + powers[:-1]
 
 
 def _eval_poly_at_element(coeffs, elem):
@@ -791,15 +829,8 @@ def fixed_field(ell, autos):
     to an algebraic integer so its minimal polynomial has integer entries.
     """
     n = ell.degree
-    rows = []
-    for s in autos:
-        m = s.matrix()
-        for i in range(n):
-            rows.append([m[i][j] - (_Q1 if i == j else _Q0) for j in range(n)])
-    if rows:
-        basis = kernel_basis(rows, n, _Q0, _Q1)
-    else:
-        basis = [[_Q1 if i == j else _Q0 for j in range(n)] for i in range(n)]
+    basis = common_kernel([lambda x, s=s: s(x) - x for s in autos],
+                          ell.basis(), lambda x: x.coords, _Q0, _Q1)
     k = len(basis)
     if k == 0:
         raise AssertionError("fixed set lost the rationals")
@@ -872,7 +903,7 @@ def same_subfield(emb1, emb2):
     """Whether two embeddings into the same field have equal images."""
     if emb1.target != emb2.target:
         return False
-    return same_span(emb1.image_basis(), emb2.image_basis(), _Q0)
+    return same_span(emb1.image_basis(), emb2.image_basis())
 
 
 def is_galois(ell, h_embedding=None):

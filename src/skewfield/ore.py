@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 
 from .linalg import kernel_basis, rank, same_span, solve
-from .numfield import Immutable, fixed_field
+from .numfield import Immutable, RingElement, fixed_field
 from .qalg import (QuatElement, extend_quaternion, inner_order,
                    quat_from_q_vector)
 
@@ -40,21 +40,44 @@ class HypothesisFailed(Exception):
 # skew polynomials
 # ---------------------------------------------------------------------------
 
-class SkewPoly(Immutable):
+def _quaternions(alg, coeffs):
+    """The coefficients as elements of alg; scalars are mapped into it."""
+    out = []
+    for c in coeffs:
+        if isinstance(c, QuatElement):
+            if c.alg != alg:
+                raise ValueError("coefficient in the wrong algebra")
+            out.append(c)
+        else:
+            out.append(alg.scalar(c))
+    return out
+
+
+def _twisted_convolution(twist, a, a_start, b, size):
+    """Entries 0 .. size-1 of the twisted product of two coefficient lists.
+
+    Entry n is the sum over i + j = n of a_i sigma^(a_start+i)(b_j): the
+    coefficient of t^(a_start+n) in (sum a_i t^(a_start+i)) (sum b_j t^j).
+    Zero coefficients are skipped.
+    """
+    out = [twist.owner.zero()] * max(0, size)
+    for i, x in enumerate(a[:size]):
+        if x.is_zero():
+            continue
+        tw = twist.power(a_start + i)
+        for n, y in enumerate(b[:size - i], i):
+            if not y.is_zero():
+                out[n] = out[n] + x * tw(y)
+    return out
+
+
+class SkewPoly(RingElement):
     """Polynomial over a quaternion algebra with twisted multiplication."""
 
     __slots__ = ('twist', 'coeffs')
 
     def __init__(self, twist, coeffs):
-        alg = twist.owner
-        norm = []
-        for c in coeffs:
-            if isinstance(c, QuatElement):
-                if c.alg != alg:
-                    raise ValueError("coefficient in the wrong algebra")
-                norm.append(c)
-            else:
-                norm.append(alg.scalar(c))
+        norm = _quaternions(twist.owner, coeffs)
         while norm and norm[-1].is_zero():
             norm.pop()
         object.__setattr__(self, 'twist', twist)
@@ -115,45 +138,16 @@ class SkewPoly(Immutable):
         return SkewPoly(self.twist,
                         [self.coefficient(i) + o.coefficient(i) for i in range(n)])
 
-    __radd__ = __add__
-
     def __neg__(self):
         return SkewPoly(self.twist, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return SkewPoly(self.twist, [])
-        out = [self.alg.zero()] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            tw = self.twist.power(i)
-            for j, b in enumerate(o.coeffs):
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * tw(b)
-        return SkewPoly(self.twist, out)
-
-    def __rmul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self
+        a, b = self.coeffs, o.coeffs
+        return SkewPoly(self.twist, _twisted_convolution(
+            self.twist, a, 0, b, len(a) + len(b) - 1))
 
     def map_coefficients(self, fn):
         return SkewPoly(self.twist, [fn(c) for c in self.coeffs])
@@ -247,7 +241,7 @@ def ore_right_lcm(a, b):
 # Ore fractions num * den^{-1}
 # ---------------------------------------------------------------------------
 
-class SkewFraction(Immutable):
+class SkewFraction(RingElement):
     """Right fraction num * den^{-1}; equality is the Ore cross relation.
 
     No reduction to lowest terms is attempted: representatives are kept as
@@ -306,22 +300,8 @@ class SkewFraction(Immutable):
         m, u, v = ore_right_lcm(self.den, o.den)
         return SkewFraction(self.num * u + o.num * v, m)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return SkewFraction(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -333,12 +313,6 @@ class SkewFraction(Immutable):
         # den^{-1} * num' = v * u^{-1} from num' * u = den * v
         _, u, v = ore_right_lcm(o.num, self.den)
         return SkewFraction(self.num * v, o.den * u)
-
-    def __rmul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self
 
     def inverse(self):
         if self.is_zero():
@@ -374,15 +348,7 @@ class SkewLaurent(Immutable):
     __slots__ = ('twist', 'ord', 'coeffs', 'limit')
 
     def __init__(self, twist, ord_, coeffs):
-        alg = twist.owner
-        norm = []
-        for c in coeffs:
-            if isinstance(c, QuatElement):
-                if c.alg != alg:
-                    raise ValueError("coefficient in the wrong algebra")
-                norm.append(c)
-            else:
-                norm.append(alg.scalar(c))
+        norm = _quaternions(twist.owner, coeffs)
         limit = ord_ + len(norm)
         while norm and norm[0].is_zero():
             norm.pop(0)
@@ -438,21 +404,10 @@ class SkewLaurent(Immutable):
     def __mul__(self, other):
         if not isinstance(other, SkewLaurent) or other.twist != self.twist:
             raise ValueError("can only multiply matching series")
-        if self.is_zero_to_precision() or other.is_zero_to_precision():
-            start = self.ord + other.ord
-            return SkewLaurent(self.twist, start, [])
-        start = self.ord + other.ord
-        limit = min(self.limit + other.ord, other.limit + self.ord)
-        out = [self.alg.zero()] * max(0, limit - start)
-        for i, a in enumerate(self.coeffs):
-            ei = self.ord + i
-            tw = self.twist.power(ei)
-            for j, b in enumerate(other.coeffs):
-                n = ei + other.ord + j
-                if n >= limit:
-                    break
-                out[n - start] = out[n - start] + a * tw(b)
-        return SkewLaurent(self.twist, start, out)
+        a, b = self.coeffs, other.coeffs
+        out = _twisted_convolution(self.twist, a, self.ord, b,
+                                   min(len(a), len(b)))
+        return SkewLaurent(self.twist, self.ord + other.ord, out)
 
     def shifted(self, k):
         """Multiplication by t^k on the right: exponent shift only."""
@@ -469,19 +424,8 @@ def _poly_times_series(poly, series):
     if poly.is_zero() or series.is_zero_to_precision():
         return SkewLaurent(twist, series.ord, [])
     val = poly.valuation()
-    start = val + series.ord
-    limit = series.limit + val
-    out = [twist.owner.zero()] * (limit - start)
-    for i, a in enumerate(poly.coeffs):
-        if a.is_zero():
-            continue
-        tw = twist.power(i)
-        for j, b in enumerate(series.coeffs):
-            n = i + series.ord + j
-            if n >= limit:
-                break
-            out[n - start] = out[n - start] + a * tw(b)
-    return SkewLaurent(twist, start, out)
+    return SkewLaurent(twist, val + series.ord, _twisted_convolution(
+        twist, poly.coeffs[val:], val, series.coeffs, len(series.coeffs)))
 
 
 def series_expand(fraction, precision):
@@ -706,6 +650,8 @@ def center_bounded(algebra, twist, degree_bound):
     """
     if twist.owner != algebra:
         raise ValueError("twist does not act on the algebra")
+    if degree_bound < 0:
+        raise ValueError("degree bound must be non-negative")
     dim = algebra.q_dim()
     nvars = (degree_bound + 1) * dim
     cache = {}
@@ -755,7 +701,7 @@ def center_bounded(algebra, twist, degree_bound):
                 expected.append(SkewPoly(twist, coeffs))
         got_vecs = [b.q_vector(degree_bound) for b in raw_basis]
         want_vecs = [e.q_vector(degree_bound) for e in expected]
-        closed_form_matches = same_span(got_vecs, want_vecs, _Q0)
+        closed_form_matches = same_span(got_vecs, want_vecs)
     return CenterReport(degree_bound, raw_basis, hypothesis,
                         closed_form_matches, m, io)
 
@@ -797,6 +743,8 @@ def tensor_decomposition_check(H, sigma, L, tau, emb, degree_bound):
     """
     if sigma.owner != H or tau.owner != L:
         raise ValueError("twists act on the wrong algebras")
+    if degree_bound < 0:
+        raise ValueError("degree bound must be non-negative")
     if L.a != emb(H.a) or L.b != emb(H.b):
         raise ValueError("L is not the scalar extension of H along emb")
     for x in H.q_basis():

@@ -16,8 +16,9 @@ central action is trivial.
 
 from fractions import Fraction
 
-from .linalg import kernel_basis
-from .numfield import FieldElement, Immutable, _integer_elements
+from .linalg import common_kernel
+from .numfield import (FieldElement, Immutable, RingElement,
+                       _integer_elements, cyclic_powers)
 
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
@@ -167,7 +168,7 @@ class QuaternionAlgebra(Immutable):
                                  for p in range(4)])
 
 
-class QuatElement(Immutable):
+class QuatElement(RingElement):
 
     __slots__ = ('alg', 'coords')
 
@@ -206,34 +207,14 @@ class QuatElement(Immutable):
         return QuatElement(self.alg, tuple(a + b for a, b in
                                            zip(self.coords, o.coords)))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return QuatElement(self.alg, tuple(-a for a in self.coords))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return QuatElement(self.alg, self.alg._mul_coords(self.coords, o.coords))
-
-    def __rmul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self
 
     def scale(self, c):
         """Coordinatewise multiplication by a central element."""
@@ -255,18 +236,6 @@ class QuatElement(Immutable):
         ninv = n.inverse()
         return QuatElement(self.alg,
                            tuple(c * ninv for c in self.conj().coords))
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.alg.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __repr__(self):
         return 'QuatElement(%s @ %s)' % (
@@ -538,12 +507,7 @@ class AlgebraAutomorphism(Immutable):
                                    self.center_action.compose(other.center_action))
 
     def order(self, cap=96):
-        cur = self
-        for n in range(1, cap + 1):
-            if cur.is_identity():
-                return n
-            cur = self.compose(cur)
-        raise ValueError("order exceeds cap %d" % cap)
+        return len(cyclic_powers(self, cap))
 
     def inverse(self):
         return self.power(self.order() - 1)
@@ -560,12 +524,6 @@ class AlgebraAutomorphism(Immutable):
             out = self.compose(self.power(k - 1))
         self._powers[k] = out
         return out
-
-    def q_matrix(self):
-        """Rational matrix on q_basis() coordinates (columns are images)."""
-        cols = [self(b).q_vector() for b in self.owner.q_basis()]
-        n = self.owner.q_dim()
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def inner_automorphism(y):
@@ -636,20 +594,12 @@ class StructureAlgebra(Immutable):
 
 def centralizer_in_algebra(alg, generators):
     """Basis of elements commuting with every given coordinate vector."""
-    zero, one = alg.field.zero(), alg.field.one()
-    rows = []
-    for g in generators:
-        # linear map x -> g x - x g, columns over the basis
-        cols = []
-        for p in range(alg.dim):
-            e = alg.basis_vector(p)
-            diff = [u - v for u, v in zip(alg.mul(g, e), alg.mul(e, g))]
-            cols.append(diff)
-        for r in range(alg.dim):
-            rows.append([cols[p][r] for p in range(alg.dim)])
-    if not rows:
-        return [alg.basis_vector(p) for p in range(alg.dim)]
-    return kernel_basis(rows, alg.dim, zero, one)
+    def commutator(g):
+        return lambda x: [u - v for u, v in zip(alg.mul(g, x), alg.mul(x, g))]
+
+    return common_kernel([commutator(g) for g in generators],
+                         [alg.basis_vector(p) for p in range(alg.dim)],
+                         lambda v: v, alg.field.zero(), alg.field.one())
 
 
 def center_of_algebra(alg):

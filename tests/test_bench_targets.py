@@ -1,0 +1,40 @@
+"""Every function the traced benchmark run wraps still exists by name.
+
+bench/spans.py wraps library functions by module attribute, by a class's
+own ``__dict__`` entry or by the ``cli.CHECKS`` registry.  A refactor that
+moves or deletes one of them passes the library tests and only fails when
+``bench/run.py --trace 1`` installs the wrappers; this test fails instead.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from skewfield import linalg, ore
+
+SPANS = Path(__file__).resolve().parents[1] / 'bench' / 'spans.py'
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location('bench_spans', SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_span_target_resolves():
+    for name, modname, path in _load_spans().TARGETS:
+        module = importlib.import_module(modname)
+        if path == 'CHECKS[*]':
+            target = module.CHECKS
+            assert target and all(map(callable, target.values())), name
+        elif '.' in path:
+            clsname, attr = path.split('.')
+            assert callable(getattr(module, clsname).__dict__.get(attr)), \
+                (name, path)
+        else:
+            assert callable(getattr(module, path, None)), (name, path)
+
+
+def test_importers_share_the_wrapped_functions():
+    assert ore.kernel_basis is linalg.kernel_basis

@@ -5,7 +5,7 @@ import pytest
 from skewfield.cli import (ScenarioParseError, builtin_examples, exit_code,
                            format_report, main, parse_scenario, run_scenario)
 
-FLAGS = {'parallel': 1, 'height_bound': 8, 'degree_bound': 4, 'precision': 20}
+FLAGS = {'height_bound': 8, 'degree_bound': 4, 'precision': 20}
 
 SCN_DIR = os.path.join(os.path.dirname(__file__), '..', 'scenarios')
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), 'golden')
@@ -105,19 +105,6 @@ is_split problem=p expect=true
 """
     results = run_text(text)
     assert results[0][1].status == 'pass'
-
-
-def test_report_format_is_deterministic_under_parallelism():
-    text = builtin_examples()['dl2_matrix']
-    seq = run_text(text, dict(FLAGS))
-    par = run_text(text, dict(FLAGS, parallel=4))
-
-    def strip(results, flags):
-        report = format_report('x', dict(flags, parallel=0), results)
-        return [line for line in report.splitlines()
-                if not line.startswith('  time_ms')]
-
-    assert strip(seq, FLAGS) == strip(par, FLAGS)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +213,36 @@ def test_main_rejects_non_positive_flag(capsys, flag):
     assert main(['run', path, flag, '0']) == 2
     captured = capsys.readouterr()
     assert 'error: %s must be a positive integer' % flag in captured.err
+    assert captured.out == ''
+
+
+CENTER_SCN = (DECLARED + "[twists]\ns algebra=H2\n[checks]\n"
+              "center_bounded twist=s degree_bound=%s\n").replace(
+    "H q a=-1 b=-1\n", "H q a=-1 b=-1\nH2 q2 a=-1 b=-1\n")
+
+
+def test_main_rejects_negative_degree_bound_parameter(tmp_path, capsys):
+    path = tmp_path / 'negative.scn'
+    path.write_text(CENTER_SCN % '-1')
+    assert main(['run', str(path)]) == 2
+    captured = capsys.readouterr()
+    assert ('error: line 12: parameter degree_bound=-1: must be an integer '
+            '>= 0') in captured.err
+    assert 'Traceback' not in captured.err and captured.out == ''
+
+
+def test_main_accepts_zero_degree_bound_parameter(tmp_path, capsys):
+    path = tmp_path / 'zero.scn'
+    path.write_text(CENTER_SCN % '0')
+    assert main(['run', str(path)]) == 0
+    assert 'status: pass' in capsys.readouterr().out
+
+
+def test_main_rejects_negative_degree_bound_flag(capsys):
+    assert main(['run', 'builtin:special_cases', '--degree-bound', '-1']) == 2
+    captured = capsys.readouterr()
+    assert ('error: --degree-bound must be a non-negative integer'
+            in captured.err)
     assert captured.out == ''
 
 

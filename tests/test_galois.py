@@ -268,6 +268,14 @@ def test_converse_check_trivial():
     assert report.lift_group_order == 2
 
 
+def test_negative_degree_bound_is_refused():
+    X = trivial_twist_instance()
+    with pytest.raises(ValueError, match='degree bound'):
+        build_twisted_extension(X, -1)
+    with pytest.raises(ValueError, match='degree bound'):
+        converse_check(X, -1)
+
+
 def test_converse_check_tensor_twist():
     emb = FieldMorphism(Q_SQRT2, BIQUAD, SQRT2_IN_BIQUAD)
     ext = build_galois_extension(H2, BIQUAD, emb)

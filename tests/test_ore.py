@@ -408,3 +408,13 @@ def test_tensor_check_hypothesis_failure():
     sigma = inner_automorphism(HAM_Q.i())
     with pytest.raises(HypothesisFailed):
         tensor_decomposition_check(HAM_Q, sigma, L, tau, emb, 4)
+
+
+def test_negative_degree_bound_is_refused():
+    L = QuaternionAlgebra(Q_SQRT2, -1, -1)
+    with pytest.raises(ValueError, match='degree bound'):
+        center_bounded(H2, TWIST, -1)
+    with pytest.raises(ValueError, match='degree bound'):
+        tensor_decomposition_check(HAM_Q, ID_TWIST, L,
+                                   L.identity_automorphism(),
+                                   embed_q(Q_SQRT2), -1)
