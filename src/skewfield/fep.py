@@ -101,23 +101,32 @@ class FiniteGroup(Immutable):
         return frozenset(out)
 
     def subgroups(self):
-        """All subgroups, by growing closures one generator at a time."""
+        """All subgroups, each grown from a smaller one by one new generator.
+
+        A subgroup H is extended by one element g of each coset gH outside
+        it, since <H, g> = <H, gh> for h in H, and the closure starts from
+        the generators H was found with, plus g.
+        """
         if self._subgroups is None:
-            known = {frozenset([0])}
-            frontier = [frozenset([0])]
+            trivial = frozenset([0])
+            gens = {trivial: ()}
+            frontier = [trivial]
             while frontier:
                 nxt = []
                 for sub in frontier:
+                    covered = set(sub)
                     for g in range(self.order):
-                        if g in sub:
+                        if g in covered:
                             continue
-                        bigger = self.closure(list(sub) + [g])
-                        if bigger not in known:
-                            known.add(bigger)
+                        covered.update(self.op(g, h) for h in sub)
+                        gen = gens[sub] + (g,)
+                        bigger = self.closure(gen)
+                        if bigger not in gens:
+                            gens[bigger] = gen
                             nxt.append(bigger)
                 frontier = nxt
             object.__setattr__(self, '_subgroups',
-                               sorted(known, key=lambda s: (len(s), sorted(s))))
+                               sorted(gens, key=lambda s: (len(s), sorted(s))))
         return list(self._subgroups)
 
     def is_cyclic(self):

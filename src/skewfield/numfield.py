@@ -1,14 +1,18 @@
 """Exact arithmetic in small-degree number fields.
 
 A field is presented absolutely over the rationals by a monic irreducible
-integer polynomial.  An element is stored in one canonical integer form,
-in the style of FLINT's ``fmpq_poly``: a tuple of integer numerators over
-one positive integer denominator, coprime to them, for the coordinates in
-the power basis of the generator.  Sums, products and inverses run on those
-integers; products reduce modulo the minimal polynomial with an integer
-table, which is exact because the polynomial is monic with integer
-coefficients.  Field morphisms apply one cached integer matrix.  Rational
-coordinates are only made on request, for reports and linear algebra.
+integer polynomial, whose irreducibility ``zfactor`` certifies on
+construction: Eisenstein's criterion, then the degree sieve of
+distinct-degree factorizations modulo a few primes, then Hensel lifting and
+exhaustive recombination of the factors modulo one prime.  An element is
+stored in one canonical integer form, in the style of FLINT's
+``fmpq_poly``: a tuple of integer numerators over one positive integer
+denominator, coprime to them, for the coordinates in the power basis of the
+generator.  Sums, products and inverses run on those integers; products
+reduce modulo the minimal polynomial with an integer table, which is exact
+because the polynomial is monic with integer coefficients.  Field morphisms
+apply one cached integer matrix.  Rational coordinates are only made on
+request, for reports and linear algebra.
 
 Subfields are explicit embeddings, towers are flattened through primitive
 elements, and automorphism groups are found by enumerating the roots of the
@@ -25,8 +29,7 @@ from itertools import product as _iproduct
 from math import gcd, lcm
 
 from .linalg import common_kernel, coordinates_in_span, invert, same_span
-
-MAX_DEGREE = 8
+from .zfactor import MAX_DEGREE, is_irreducible_over_q
 
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
@@ -45,12 +48,6 @@ def poly_trim(cs):
 
 def poly_deg(cs):
     return len(cs) - 1
-
-
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    return poly_trim([(a[i] if i < len(a) else _Q0) + (b[i] if i < len(b) else _Q0)
-                      for i in range(n)])
 
 
 def poly_mul(a, b):
@@ -195,83 +192,6 @@ def refine_root_interval(p, lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# irreducibility over Q by bounded trial factorization
-# ---------------------------------------------------------------------------
-
-def _divisors_signed(n):
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.extend((d, -d, n // d, -(n // d)))
-        d += 1
-    return sorted(set(out))
-
-
-def _interp_points(k):
-    pts = [0]
-    i = 1
-    while len(pts) < k:
-        pts.extend((i, -i))
-        i += 1
-    return pts[:k]
-
-
-def _lagrange(points, values):
-    """Interpolating polynomial through (points[i], values[i]), rational."""
-    n = len(points)
-    out = []
-    for i in range(n):
-        num = [Fraction(values[i])]
-        den = _Q1
-        for j in range(n):
-            if j == i:
-                continue
-            num = poly_mul(num, [Fraction(-points[j]), _Q1])
-            den *= Fraction(points[i] - points[j])
-        out = poly_add(out, poly_scale(num, 1 / den))
-    return out
-
-
-def is_squarefree_over_q(coeffs):
-    p = poly_trim([Fraction(c) for c in coeffs])
-    return poly_deg(poly_gcd(p, poly_deriv(p))) <= 0
-
-
-def is_irreducible_over_q(int_coeffs):
-    """Irreducibility of a monic integer polynomial, degree at most 8.
-
-    Trial factorization in the style of Kronecker: a monic integer factor
-    of degree d is pinned down by its values at d+1 integer points, each of
-    which must divide the corresponding value of the polynomial.
-    """
-    cs = [int(c) for c in int_coeffs]
-    n = len(cs) - 1
-    if n <= 0:
-        raise ValueError("constant polynomial")
-    if n == 1:
-        return True
-    p = [Fraction(c) for c in cs]
-    for d in range(1, n // 2 + 1):
-        pts = _interp_points(d + 1)
-        vals = [poly_eval(p, Fraction(k)) for k in pts]
-        if any(v == 0 for v in vals):
-            return False
-        choice_sets = [_divisors_signed(int(v)) for v in vals]
-        for combo in _iproduct(*choice_sets):
-            g = _lagrange(pts, combo)
-            if poly_deg(g) != d or g[-1] != 1:
-                continue
-            if any(c.denominator != 1 for c in g):
-                continue
-            q, r = poly_divmod(p, g)
-            if not r:
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # fields, elements, morphisms
 # ---------------------------------------------------------------------------
 
@@ -352,8 +272,6 @@ class NumberField(Immutable):
             raise ValueError("minimal polynomial must have integer coefficients")
         if len(coeffs) - 1 > MAX_DEGREE:
             raise ValueError("degree above %d not supported" % MAX_DEGREE)
-        if not is_squarefree_over_q(coeffs):
-            raise ValueError("minimal polynomial is not squarefree")
         if not is_irreducible_over_q(coeffs):
             raise ValueError("minimal polynomial is reducible over Q")
         object.__setattr__(self, 'min_poly', tuple(coeffs))

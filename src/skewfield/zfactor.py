@@ -1,0 +1,267 @@
+"""Certified irreducibility of monic integer polynomials over Q.
+
+The certificate is Zassenhaus's (Cohen, *A Course in Computational
+Algebraic Number Theory*, sections 3.4-3.5), on Python integers only:
+
+1. Eisenstein's criterion at a prime below ``PRIME_CAP`` settles many
+   inputs at once (x^8 + 2 at p = 2).
+2. Odd primes are scanned in order.  A prime is *good* when f stays
+   squarefree modulo it.  Every bad prime divides the discriminant, which
+   is a nonzero integer bounded by Hadamard's inequality when f is
+   squarefree; so once the bad primes multiply past that bound, f has a
+   repeated factor and is reducible.
+3. Distinct-degree factorization modulo each good prime gives the degrees
+   a rational factor could have.  Their intersection over up to
+   ``SIEVE_PRIMES`` primes (Musser, JACM 1978) proves irreducibility as
+   soon as no degree from 1 to n/2 is left.
+4. Otherwise the factorization modulo the good prime with the fewest
+   factors is completed by Cantor-Zassenhaus equal-degree splitting, seeded
+   by the prime so every run repeats, and Hensel-lifted to a modulus
+   m > 2B, where B = C(n/2, n/4) * |f|_2 bounds the coefficients of a
+   monic factor of degree at most n/2 (Mignotte: |g_j| <= C(d, j) |f|_2).
+   Such a factor is congruent modulo m to the product of a subset of the
+   lifted factors and is recovered from its symmetric residues, so trying
+   every subset, at most 2^8, decides: f is irreducible exactly when no
+   subset's product divides it.
+
+The scan stops at the ``SIEVE_PRIMES``-th good prime, or at the first good
+prime above ``PRIME_CAP``, or when the bad primes prove a repeated factor;
+one of the three always comes.
+"""
+
+import random
+from itertools import combinations, count
+from math import comb, gcd, isqrt
+
+MAX_DEGREE = 8
+SIEVE_PRIMES = 5
+PRIME_CAP = 1000
+
+_SMALL_PRIMES = tuple(p for p in range(2, PRIME_CAP)
+                      if all(p % q for q in range(2, isqrt(p) + 1)))
+
+
+def is_irreducible_over_q(int_coeffs):
+    """Irreducibility over Q of a monic integer polynomial, degree at most 8.
+
+    Coefficients are listed lowest degree first.  A polynomial with a
+    repeated factor is reducible, so the answer is False.
+    """
+    f = [int(c) for c in int_coeffs]
+    while f and f[-1] == 0:
+        f.pop()
+    n = len(f) - 1
+    if n <= 0:
+        raise ValueError("constant polynomial")
+    if f[-1] != 1:
+        raise ValueError("polynomial must be monic")
+    if n > MAX_DEGREE:
+        raise ValueError("degree above %d not supported" % MAX_DEGREE)
+    if n == 1:
+        return True
+    content = gcd(*f[:-1])
+    if any(content % p == 0 and f[0] % (p * p) for p in _SMALL_PRIMES):
+        return True
+    deriv = [k * c for k, c in enumerate(f)][1:]
+    norm = isqrt(sum(c * c for c in f)) + 1
+    hadamard = norm ** (n - 1) * (isqrt(sum(c * c for c in deriv)) + 1) ** n
+    bad_product = 1
+    degrees = set(range(1, n // 2 + 1))
+    good = []
+    for p in _odd_primes():
+        if len(good) == SIEVE_PRIMES or (good and p > PRIME_CAP):
+            break
+        fp = _mod(f, p)
+        if len(_gcd(fp, _mod(deriv, p), p)) > 1:
+            bad_product *= p
+            if bad_product > hadamard:
+                return False
+            continue
+        split = _distinct_degree(fp, p)
+        sums = {0}
+        for d, g in split:
+            for _ in range((len(g) - 1) // d):
+                sums |= {s + d for s in sums}
+        degrees &= sums
+        if not degrees:
+            return True
+        good.append((sum((len(g) - 1) // d for d, g in split), p, split))
+    _, p, split = min(good)
+    rng = random.Random(p)
+    factors = [h for d, g in split for h in _equal_degree(g, d, p, rng)]
+    lifted, m = _hensel_lift(f, factors, p, 2 * comb(n // 2, n // 4) * norm)
+    for size in range(1, len(lifted)):
+        for subset in combinations(lifted, size):
+            if sum(len(h) - 1 for h in subset) not in degrees:
+                continue
+            g = [1]
+            for h in subset:
+                g = _mul(g, h, m)
+            if _divides([c - m if 2 * c > m else c for c in g], f):
+                return False
+    return True
+
+
+def _odd_primes():
+    yield from _SMALL_PRIMES[1:]
+    for q in count(PRIME_CAP + 1, 2):
+        if all(q % r for r in range(3, isqrt(q) + 1, 2)):
+            yield q
+
+
+# ---------------------------------------------------------------------------
+# dense polynomials modulo m, coefficient lists lowest degree first, trimmed
+# ---------------------------------------------------------------------------
+
+def _mod(a, m):
+    out = [c % m for c in a]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _add(a, b, m, sign=1):
+    n = max(len(a), len(b))
+    return _mod([(a[i] if i < len(a) else 0)
+                 + sign * (b[i] if i < len(b) else 0) for i in range(n)], m)
+
+
+def _mul(a, b, m):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _mod(out, m)
+
+
+def _divmod(a, b, m):
+    """Quotient and remainder of a by b, whose leading coefficient is a unit."""
+    r = [c % m for c in a]
+    nb = len(b) - 1
+    inv = pow(b[-1], -1, m)
+    q = [0] * max(len(r) - nb, 0)
+    for k in range(len(r) - nb - 1, -1, -1):
+        c = q[k] = r[k + nb] * inv % m
+        if c:
+            for j, y in enumerate(b):
+                r[k + j] = (r[k + j] - c * y) % m
+    return _mod(q, m), _mod(r[:nb], m)
+
+
+def _gcd(a, b, p):
+    """Monic gcd modulo the prime p."""
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _powmod(a, e, f, m):
+    """a^e modulo f and m."""
+    out, a = [1], _divmod(a, f, m)[1]
+    while e:
+        if e & 1:
+            out = _divmod(_mul(out, a, m), f, m)[1]
+        e >>= 1
+        if e:
+            a = _divmod(_mul(a, a, m), f, m)[1]
+    return out
+
+
+def _xgcd(a, b, p):
+    """s, t with s*a + t*b = 1 modulo p, deg s < deg b, deg t < deg a."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _add(s0, _mul(q, s1, p), p, -1)
+        t0, t1 = t1, _add(t0, _mul(q, t1, p), p, -1)
+    inv = pow(r0[0], -1, p)
+    return _mod([c * inv for c in s0], p), _mod([c * inv for c in t0], p)
+
+
+def _divides(g, f):
+    """Whether the monic integer polynomial g divides f over Z."""
+    r = list(f)
+    ng = len(g) - 1
+    for k in range(len(r) - ng - 1, -1, -1):
+        c = r[k + ng]
+        if c:
+            for j, y in enumerate(g):
+                r[k + j] -= c * y
+    return not any(r[:ng])
+
+
+# ---------------------------------------------------------------------------
+# factoring modulo p and lifting modulo p^k
+# ---------------------------------------------------------------------------
+
+def _distinct_degree(f, p):
+    """Pairs (d, product of the degree-d factors) of squarefree monic f mod p."""
+    out = []
+    h = x = [0, 1]
+    d = 0
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        h = _powmod(h, p, f, p)
+        g = _gcd(f, _add(h, x, p, -1), p)
+        if len(g) > 1:
+            out.append((d, g))
+            f = _divmod(f, g, p)[0]
+            h = _divmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((len(f) - 1, f))
+    return out
+
+
+def _equal_degree(g, d, p, rng):
+    """Monic irreducible factors of g mod the odd prime p, all of degree d."""
+    if len(g) - 1 == d:
+        return [g]
+    e = (p ** d - 1) // 2
+    while True:
+        t = _mod([rng.randrange(p) for _ in range(len(g) - 1)], p)
+        u = _gcd(g, _add(_powmod(t, e, g, p), [1], p, -1), p)
+        if 1 < len(u) < len(g):
+            return (_equal_degree(u, d, p, rng)
+                    + _equal_degree(_divmod(g, u, p)[0], d, p, rng))
+
+
+def _hensel_lift(f, factors, p, bound):
+    """Monic lifts of the factors of f mod p, modulo some m = p^k > bound.
+
+    Each factor is lifted against the product of the others; the monic lift
+    of a coprime factorization is unique, so the lifts multiply to f mod m.
+    """
+    lifted = []
+    for i, h in enumerate(factors):
+        g = [1]
+        for j, other in enumerate(factors):
+            if j != i:
+                g = _mul(g, other, p)
+        s, t = _xgcd(g, h, p)
+        m = p
+        while m <= bound:
+            g, h, s, t, m = _hensel_step(f, g, h, s, t, m)
+        lifted.append(h)
+    return lifted, m
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """From f = g*h, s*g + t*h = 1 mod m, h monic, to the same mod m^2.
+
+    Von zur Gathen and Gerhard, *Modern Computer Algebra*, Algorithm 15.10.
+    """
+    mm = m * m
+    e = _add(f, _mul(g, h, mm), mm, -1)
+    q, r = _divmod(_mul(s, e, mm), h, mm)
+    g = _add(g, _add(_mul(t, e, mm), _mul(q, g, mm), mm), mm)
+    h = _add(h, r, mm)
+    b = _add(_add(_mul(s, g, mm), _mul(t, h, mm), mm), [1], mm, -1)
+    c, d = _divmod(_mul(s, b, mm), h, mm)
+    s = _add(s, d, mm, -1)
+    t = _add(t, _add(_mul(t, b, mm), _mul(c, g, mm), mm), mm, -1)
+    return g, h, s, t, mm

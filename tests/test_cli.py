@@ -258,6 +258,14 @@ def test_main_reports_missing_decomposition_as_fail(tmp_path, capsys):
             'factor of order 3 times a nontrivial complement') in out
 
 
+def test_main_declares_a_field_with_a_30_digit_coefficient(tmp_path, capsys):
+    path = tmp_path / 'big.scn'
+    path.write_text("[fields]\nbig %d 0 0 0 1\n[checks]\n"
+                    "field_level field=big height_bound=1\n" % (10 ** 30 + 1))
+    assert main(['run', str(path)]) == 0
+    assert 'status: unknown' in capsys.readouterr().out
+
+
 @pytest.mark.parametrize('name', sorted(set(builtin_examples()) - {'all'}))
 def test_main_runs_each_builtin(capsys, name):
     code = main(['run', 'builtin:' + name, '--height-bound', '8'])
