@@ -16,8 +16,6 @@ group; the lifts acting coefficientwise are built and checked to a degree
 bound.
 """
 
-from fractions import Fraction
-
 from .linalg import common_kernel, same_span
 from .numfield import (FieldMorphism, Immutable, automorphism_group,
                        cyclic_powers, fixed_field, is_galois,
@@ -25,9 +23,6 @@ from .numfield import (FieldMorphism, Immutable, automorphism_group,
 from .ore import HypothesisFailed, SkewPoly, _algebra_generators
 from .qalg import (AlgebraAutomorphism, QuaternionAlgebra, QuatElement,
                    anisotropy, extend_quaternion, inner_order, norm_form)
-
-_Q0 = Fraction(0)
-_Q1 = Fraction(1)
 
 
 class NotGalois(Exception):
@@ -165,7 +160,7 @@ class GaloisExtension(Immutable):
     def _check_artin(self):
         fixed = common_kernel(
             [lambda x, a=a: a(x) - x for a in _generating_subset(self.group)],
-            self.L.q_basis(), QuatElement.q_vector, _Q0, _Q1)
+            self.L.q_basis(), QuatElement.q_vector)
         base_img = [self.embed_base(x).q_vector() for x in self.H.q_basis()]
         return same_span(fixed, base_img)
 
@@ -235,7 +230,7 @@ def is_outer(ext):
     L = ext.L
     gens = [ext.embed_base(g) for g in _algebra_generators(ext.H)]
     cent = common_kernel(_commutators(gens), L.q_basis(),
-                         QuatElement.q_vector, _Q0, _Q1)
+                         QuatElement.q_vector)
     center_vecs = [L.scalar(b).q_vector() for b in L.base.basis()]
     return same_span(cent, center_vecs)
 
@@ -244,7 +239,7 @@ def commutative_centralizer_check(ell, k_emb):
     """The commutative analogue through the same centralizer machinery."""
     basis = ell.basis()
     cent = common_kernel(_commutators([k_emb(k_emb.source.gen())]), basis,
-                         lambda x: x.coords, _Q0, _Q1)
+                         lambda x: x.coords)
     return same_span(cent, [b.coords for b in basis])
 
 

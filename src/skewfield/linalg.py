@@ -1,110 +1,115 @@
-"""Exact dense linear algebra over any field-like coefficient type.
+"""Exact dense linear algebra over the rationals, eliminated in integers.
 
-Entries must support +, -, *, /, unary minus and == against 0.  Both
-``fractions.Fraction`` and the number-field elements of this package
-qualify.  Everything works on small matrices; no pivoting strategy beyond
-"first nonzero" is needed because the arithmetic is exact.
+Entries are ``int`` or ``fractions.Fraction``.  Every routine runs on one
+fraction-free Gauss-Jordan echelon (Bareiss): each row is scaled to
+integers once, by the lcm of its denominators, and every later entry is an
+integer minor of the scaled matrix, so each division is exact.  Rationals
+are made only at the end, as entry over pivot, so results are exact values
+of the reduced echelon form: kernel vectors carry a 1 in their free column,
+and solutions set the free variables to 0.
 """
+
+from fractions import Fraction
+from math import lcm
+
+_Q0 = Fraction(0)
+_Q1 = Fraction(1)
 
 
 def eliminate(rows, ncols):
-    """Row-reduce ``rows`` in place to reduced echelon form.
+    """Bring ``rows`` in place to fraction-free reduced echelon form.
 
-    Returns the list of pivot column indices.  ``rows`` may have more or
-    fewer rows than ``ncols``; trailing columns beyond ``ncols`` (for an
-    augmented system) are carried along but never pivoted on.
+    Returns the list of pivot column indices.  Afterwards every entry is an
+    int, all pivots equal one integer d, and pivot row r divided by d is row
+    r of the reduced echelon form; the rows past the rank vanish in the
+    first ``ncols`` columns.  ``rows`` may have more or fewer rows than
+    ``ncols``; trailing columns beyond ``ncols`` (for an augmented system)
+    are carried along but never pivoted on.  Each row is replaced by a new
+    list, so the row objects passed in are left as they were.
     """
+    for i, row in enumerate(rows):
+        den = lcm(*[x.denominator for x in row])
+        rows[i] = [x.numerator * (den // x.denominator) for x in row]
     pivots = []
-    r = 0
+    prev = 1
+    m = len(rows)
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if not rows[i][c] == 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c] == 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+        r = len(pivots)
+        if r == m:
             break
+        p = next((i for i in range(r, m) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pivot_row = rows[r]
+        piv = pivot_row[c]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                rows[i] = [(piv * x - f * y) // prev
+                           for x, y in zip(row, pivot_row)]
+            elif piv != prev and any(row):
+                rows[i] = [piv * x // prev for x in row]
+        prev = piv
+        pivots.append(c)
     return pivots
 
 
 def rank(rows, ncols=None):
-    if not rows:
-        return 0
     if ncols is None:
-        ncols = len(rows[0])
-    work = [list(row) for row in rows]
-    return len(eliminate(work, ncols))
+        ncols = len(rows[0]) if rows else 0
+    return len(eliminate(list(rows), ncols))
 
 
-def kernel_basis(rows, ncols, zero, one):
+def kernel_basis(rows, ncols):
     """Basis of the right kernel of the matrix given by ``rows``."""
-    work = [list(row) for row in rows]
+    work = list(rows)
     pivots = eliminate(work, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for f in free:
-        vec = [zero] * ncols
-        vec[f] = one
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        vec = [_Q0] * ncols
+        vec[f] = _Q1
         for r, c in enumerate(pivots):
-            vec[c] = -work[r][f]
+            vec[c] = Fraction(-work[r][f], work[r][c])
         basis.append(vec)
     return basis
 
 
-def solve(rows, rhs, ncols, zero):
-    """One solution of ``rows * x = rhs`` or None if inconsistent.
-
-    Free variables are set to zero.
-    """
+def solve(rows, rhs, ncols):
+    """One solution of ``rows * x = rhs``, free variables 0, or None."""
     work = [list(row) + [b] for row, b in zip(rows, rhs)]
     pivots = eliminate(work, ncols)
-    for row in work[len(pivots):]:
-        if not row[ncols] == 0:
-            return None
-    sol = [zero] * ncols
+    if any(row[ncols] for row in work[len(pivots):]):
+        return None
+    sol = [_Q0] * ncols
     for r, c in enumerate(pivots):
-        sol[c] = work[r][ncols]
+        sol[c] = Fraction(work[r][ncols], work[r][c])
     return sol
 
 
-def invert(rows, zero, one):
+def invert(rows):
     """Inverse of a square matrix, or None if singular."""
     n = len(rows)
-    work = []
-    for i, row in enumerate(rows):
-        aug = [one if j == i else zero for j in range(n)]
-        work.append(list(row) + aug)
-    pivots = eliminate(work, n)
-    if len(pivots) != n:
+    work = [list(row) + [int(j == i) for j in range(n)]
+            for i, row in enumerate(rows)]
+    if len(eliminate(work, n)) != n:
         return None
-    return [row[n:] for row in work]
+    return [[Fraction(x, row[r]) for x in row[n:]]
+            for r, row in enumerate(work)]
 
 
-def in_span(vectors, target, zero):
+def in_span(vectors, target):
     """Whether ``target`` lies in the span of ``vectors`` (all same length)."""
-    return coordinates_in_span(vectors, target, zero) is not None
+    return coordinates_in_span(vectors, target) is not None
 
 
-def coordinates_in_span(vectors, target, zero):
+def coordinates_in_span(vectors, target):
     """Coefficients expressing ``target`` over ``vectors``, or None."""
     if not vectors:
         return [] if all(x == 0 for x in target) else None
-    cols = len(vectors)
-    dim = len(target)
-    rows = [[vectors[j][i] for j in range(cols)] for i in range(dim)]
-    return solve(rows, list(target), cols, zero)
+    return solve(list(zip(*vectors)), target, len(vectors))
 
 
 def same_span(vs, ws):
@@ -112,13 +117,14 @@ def same_span(vs, ws):
     return rank(vs) == rank(ws) == rank(vs + ws)
 
 
-def common_kernel(maps, basis, vector_of, zero, one):
+def common_kernel(maps, basis, vector_of):
     """Coordinates over ``basis`` of the elements every linear map sends to 0.
 
     Each map takes an element to an element; ``vector_of`` gives the
-    coordinate vector of an image.  With no maps this is the identity basis.
+    rational coordinate vector of an image.  With no maps this is the
+    identity basis.
     """
     rows = []
     for f in maps:
         rows.extend(zip(*[vector_of(f(e)) for e in basis]))
-    return kernel_basis(rows, len(basis), zero, one)
+    return kernel_basis(rows, len(basis))

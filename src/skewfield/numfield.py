@@ -28,7 +28,8 @@ from fractions import Fraction
 from itertools import product as _iproduct
 from math import gcd, lcm
 
-from .linalg import common_kernel, coordinates_in_span, invert, same_span
+from .linalg import (common_kernel, coordinates_in_span, eliminate, invert,
+                     same_span)
 from .zfactor import MAX_DEGREE, is_irreducible_over_q
 
 _Q0 = Fraction(0)
@@ -455,12 +456,10 @@ class FieldElement(RingElement):
     __rmul__ = __mul__
 
     def inverse(self):
-        """Inverse by fraction-free Gauss-Jordan elimination in integers.
+        """Inverse by solving M z = e_0 in the shared integer echelon.
 
-        Solves M z = e_0 for the matrix M of multiplication by ``num``
-        (Bareiss): every intermediate entry is an integer minor of the
-        augmented matrix, so each division is exact, and at the end every
-        pivot equals det M and the last column holds det M * z.
+        M is the integer matrix of multiplication by ``num``; every pivot
+        of the echelon equals det M, and the last column holds det M * z.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
@@ -475,21 +474,11 @@ class FieldElement(RingElement):
                 col = [c + top * r for c, r in zip(col, field._red_rows[0])]
             cols.append(col)
         rows = [[c[i] for c in cols] + [int(i == 0)] for i in range(n)]
-        prev = 1
-        for k in range(n):
-            p = next(i for i in range(k, n) if rows[i][k])
-            rows[k], rows[p] = rows[p], rows[k]
-            pivot_row = rows[k]
-            piv = pivot_row[k]
-            for i in range(n):
-                if i != k:
-                    f = rows[i][k]
-                    rows[i] = [(piv * x - f * y) // prev
-                               for x, y in zip(rows[i], pivot_row)]
-            prev = piv
-        sign = 1 if prev > 0 else -1
+        eliminate(rows, n)
+        det = rows[0][0]
+        sign = 1 if det > 0 else -1
         return FieldElement(field, tuple([sign * self.den * row[n] for row in rows]),
-                            sign * prev)
+                            sign * det)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -595,14 +584,15 @@ class FieldMorphism(Immutable):
         return len(cyclic_powers(self, cap))
 
     def inverse(self):
-        """Inverse automorphism, by exact inversion of the rational matrix."""
+        """Inverse automorphism: the integer columns are den * matrix()."""
         if self.source != self.target:
             raise ValueError("inverse of a non-automorphism")
-        m = invert(self.matrix(), _Q0, _Q1)
+        cols, den = self._columns()
+        m = invert(list(zip(*cols)))
         if m is None:
             raise ValueError("morphism not invertible")
         gen = self.source.gen().coords
-        img = [sum((row[j] * gen[j] for j in range(len(gen))), _Q0) for row in m]
+        img = [den * sum((x * g for x, g in zip(row, gen)), _Q0) for row in m]
         return FieldMorphism(self.source, self.source, self.source.element(img))
 
     def image_basis(self):
@@ -748,7 +738,7 @@ def fixed_field(ell, autos):
     """
     n = ell.degree
     basis = common_kernel([lambda x, s=s: s(x) - x for s in autos],
-                          ell.basis(), lambda x: x.coords, _Q0, _Q1)
+                          ell.basis(), lambda x: x.coords)
     k = len(basis)
     if k == 0:
         raise AssertionError("fixed set lost the rationals")
@@ -788,18 +778,18 @@ def minimal_polynomial(elem):
     for _ in range(n):
         powers.append(powers[-1] * elem)
     for d in range(1, n + 1):
-        vecs = [list(powers[i].coords) for i in range(d)]
-        target = list(powers[d].coords)
-        sol = coordinates_in_span(vecs, target, _Q0)
+        # sum s_i num_i = num_d gives p_d = sum (s_i den_i / den_d) p_i
+        sol = coordinates_in_span([p.num for p in powers[:d]], powers[d].num)
         if sol is not None:
-            return poly_trim([-c for c in sol] + [_Q1])
+            return poly_trim([-s * Fraction(p.den, powers[d].den)
+                              for s, p in zip(sol, powers)] + [_Q1])
     raise AssertionError("element has no minimal polynomial")
 
 
 def subfield_preimage(emb, elem):
     """Coordinates of elem as an element of emb.source, or None."""
     vecs = emb.image_basis()
-    sol = coordinates_in_span(vecs, list(elem.coords), _Q0)
+    sol = coordinates_in_span(vecs, list(elem.coords))
     if sol is None:
         return None
     return emb.source.element(sol)

@@ -12,8 +12,9 @@ The bounded-degree center computation and the tensor-decomposition check
 reduce everything to exact rational linear algebra: twists and one-sided
 multiplications are rational-linear on coordinates, so commutation
 constraints vectorize over Q.  Their matrices are cached as integer
-matrices over one denominator and multiplied in integers; rationals are
-made once per entry of the assembled system.
+matrices over one denominator and multiplied in integers, and the assembled
+systems go to the integer echelon of ``linalg`` as integer rows, each row
+block scaled by one lcm; rationals appear only in the solutions.
 """
 
 from fractions import Fraction
@@ -23,9 +24,6 @@ from .linalg import kernel_basis, rank, same_span, solve
 from .numfield import Immutable, RingElement, fixed_field
 from .qalg import (QuatElement, extend_quaternion, inner_order,
                    quat_from_q_vector)
-
-_Q0 = Fraction(0)
-_Q1 = Fraction(1)
 
 
 class InsufficientPrecision(ValueError):
@@ -561,6 +559,7 @@ def detect_recurrence(series, max_order):
     alg = twist.owner
     dim = alg.q_dim()
     cache = {}
+    zero = [0] * dim
     for k in range(1, max_order + 1):
         rows = []
         rhs = []
@@ -568,23 +567,20 @@ def detect_recurrence(series, max_order):
             blocks = []
             for i in range(1, k + 1):
                 a = series.coefficient(n - i)
-                if a.is_zero():
-                    blocks.append(None)
-                    continue
-                blk, den = _mat_mul(_left_mul_matrix(alg, a, cache),
-                                    _twist_matrix(twist, n - i, cache))
-                blocks.append([[Fraction(x, den) for x in row] for row in blk])
-            target = series.coefficient(n).q_vector()
+                blocks.append(None if a.is_zero() else _mat_mul(
+                    _left_mul_matrix(alg, a, cache),
+                    _twist_matrix(twist, n - i, cache)))
+            target, tden = _int_matrix([series.coefficient(n)])
+            # one lcm per row block scales all its rows to integers
+            den = lcm(tden, *[blk[1] for blk in blocks if blk])
             for r in range(dim):
                 row = []
                 for blk in blocks:
-                    if blk is None:
-                        row.extend([_Q0] * dim)
-                    else:
-                        row.extend(blk[r])
+                    row.extend([x * (den // blk[1]) for x in blk[0][r]]
+                               if blk else zero)
                 rows.append(row)
-                rhs.append(target[r])
-        sol = solve(rows, rhs, k * dim, _Q0)
+                rhs.append(target[r][0] * (den // tden))
+        sol = solve(rows, rhs, k * dim)
         if sol is None:
             continue
         ys = [quat_from_q_vector(alg, sol[i * dim:(i + 1) * dim])
@@ -658,25 +654,24 @@ def center_bounded(algebra, twist, degree_bound):
     rows = []
     tw_mat, tw_den = _twist_matrix(twist, 1, cache)
     gens = _algebra_generators(algebra)
+    # integer rows: each constraint is scaled by its positive denominator
     for j in range(degree_bound + 1):
         # x_j fixed by the twist (commutation with t)
         for r in range(dim):
-            row = [_Q0] * nvars
+            row = [0] * nvars
             for cidx in range(dim):
-                val = tw_mat[r][cidx] - (tw_den if r == cidx else 0)
-                row[j * dim + cidx] = Fraction(val, tw_den)
+                row[j * dim + cidx] = tw_mat[r][cidx] - (tw_den if r == cidx else 0)
             rows.append(row)
         # g x_j = x_j sigma^j(g) for each generator
         for g in gens:
             left, dl = _left_mul_matrix(algebra, g, cache)
             right, dr = _right_mul_matrix(algebra, twist.power(j)(g), cache)
             for r in range(dim):
-                row = [_Q0] * nvars
+                row = [0] * nvars
                 for cidx in range(dim):
-                    row[j * dim + cidx] = Fraction(
-                        left[r][cidx] * dr - right[r][cidx] * dl, dl * dr)
+                    row[j * dim + cidx] = left[r][cidx] * dr - right[r][cidx] * dl
                 rows.append(row)
-    basis_vecs = kernel_basis(rows, nvars, _Q0, _Q1)
+    basis_vecs = kernel_basis(rows, nvars)
     raw_basis = []
     for vec in basis_vecs:
         coeffs = [quat_from_q_vector(algebra, vec[j * dim:(j + 1) * dim])

@@ -1,7 +1,9 @@
 """Exact quaternion algebras over number fields.
 
 (a,b/h) is the four-dimensional algebra with basis 1, i, j, k = ij and
-relations i^2 = a, j^2 = b, ji = -ij over the center h.  The reduced norm
+relations i^2 = a, j^2 = b, ji = -ij over the center h, written once as a
+table of unit products e_p e_q = +-c e_r with c in {1, a, b, ab}; a
+product sums those terms over the nonzero coordinates only.  The reduced norm
 is the diagonal quadratic form <1, -a, -b, ab> in that basis; whether it
 has a nontrivial zero over an extension field decides whether the scalar
 extension stays a division ring.  Anisotropy is answered three-valued with
@@ -20,19 +22,26 @@ from .linalg import common_kernel
 from .numfield import (FieldElement, Immutable, RingElement,
                        _integer_elements, cyclic_powers)
 
-_Q0 = Fraction(0)
-_Q1 = Fraction(1)
-
 
 class ZeroNormError(ArithmeticError):
     """Raised when inverting an element of reduced norm zero."""
+
+
+# The units e = (1, i, j, k) multiply as e_p e_q = sign * c * e_r, where c
+# is one of the constants (1, a, b, ab); entry [p][q] is (r, sign, c).
+_UNITS = (
+    ((0, 1, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0)),
+    ((1, 1, 0), (0, 1, 1), (3, 1, 0), (2, 1, 1)),
+    ((2, 1, 0), (3, -1, 0), (0, 1, 2), (1, -1, 2)),
+    ((3, 1, 0), (2, -1, 1), (1, 1, 2), (0, -1, 3)),
+)
 
 
 class QuaternionAlgebra(Immutable):
     """(a,b/h): i^2 = a, j^2 = b, ij = k = -ji over the number field h."""
 
     __slots__ = ('base', 'a', 'b', 'ab', 'label', 'division_certified',
-                 'extension_of', '_table')
+                 'extension_of', '_units')
 
     def __init__(self, base, a, b, label=None, division_certified=None,
                  extension_of=None):
@@ -49,40 +58,32 @@ class QuaternionAlgebra(Immutable):
         object.__setattr__(self, 'label', label or 'H')
         object.__setattr__(self, 'division_certified', division_certified)
         object.__setattr__(self, 'extension_of', extension_of)
-        object.__setattr__(self, '_table', self._build_table())
+        object.__setattr__(self, '_units', self._resolve_units())
         self._check_structure_constants()
 
-    def _build_table(self):
-        one, zero = self.base.one(), self.base.zero()
-        a, b, ab = self.a, self.b, self.ab
-
-        def vec(c0=zero, c1=zero, c2=zero, c3=zero):
-            return (c0, c1, c2, c3)
-
-        t = [[None] * 4 for _ in range(4)]
-        t[0][0] = vec(one)
-        t[0][1] = t[1][0] = vec(c1=one)
-        t[0][2] = t[2][0] = vec(c2=one)
-        t[0][3] = t[3][0] = vec(c3=one)
-        t[1][1] = vec(a)
-        t[2][2] = vec(b)
-        t[3][3] = vec(-ab)
-        t[1][2] = vec(c3=one)
-        t[2][1] = vec(c3=-one)
-        t[1][3] = vec(c2=a)
-        t[3][1] = vec(c2=-a)
-        t[2][3] = vec(c1=-b)
-        t[3][2] = vec(c1=b)
-        return tuple(tuple(row) for row in t)
+    def _resolve_units(self):
+        """_UNITS as (r, negate, factor): factor is sign * c, or None when
+        that is 1 or -1 and negate carries the sign."""
+        consts = (self.base.one(), self.a, self.b, self.ab)
+        out = []
+        for row in _UNITS:
+            out_row = []
+            for r, sign, c in row:
+                v = consts[c] if sign > 0 else -consts[c]
+                out_row.append((r, v == -1, None) if v == 1 or v == -1
+                               else (r, False, v))
+            out.append(tuple(out_row))
+        return tuple(out)
 
     def _check_structure_constants(self):
-        # associativity of the table on all basis triples
-        for p in range(4):
-            for q in range(4):
-                for r in range(4):
-                    left = self._mul_coords(self._table[p][q], self._basis_coords(r))
-                    right = self._mul_coords(self._basis_coords(p), self._table[q][r])
-                    if left != right:
+        # associativity of the unit products on all basis triples
+        basis = [self._basis_coords(p) for p in range(4)]
+        mul = self._mul_coords
+        for x in basis:
+            for y in basis:
+                xy = mul(x, y)
+                for z in basis:
+                    if mul(xy, z) != mul(x, mul(y, z)):
                         raise AssertionError("structure constants not associative")
 
     def _basis_coords(self, k):
@@ -90,13 +91,24 @@ class QuaternionAlgebra(Immutable):
                      for i in range(4))
 
     def _mul_coords(self, x, y):
-        a, b, ab = self.a, self.b, self.ab
-        x0, x1, x2, x3 = x
-        y0, y1, y2, y3 = y
-        return (x0 * y0 + a * (x1 * y1) + b * (x2 * y2) - ab * (x3 * y3),
-                x0 * y1 + x1 * y0 - b * (x2 * y3) + b * (x3 * y2),
-                x0 * y2 + x2 * y0 + a * (x1 * y3) - a * (x3 * y1),
-                x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1)
+        """Coordinates of x y, summing unit products of nonzero coordinates."""
+        ys = [(q, yq) for q, yq in enumerate(y) if any(yq.num)]
+        out = [None] * 4
+        for xp, row in zip(x, self._units):
+            if not any(xp.num):
+                continue
+            for q, yq in ys:
+                r, negate, factor = row[q]
+                t = xp * yq
+                if factor is not None:
+                    t = factor * t
+                acc = out[r]
+                if acc is None:
+                    out[r] = -t if negate else t
+                else:
+                    out[r] = acc - t if negate else acc + t
+        zero = self.base.zero()
+        return tuple([zero if v is None else v for v in out])
 
     def __eq__(self, other):
         return (isinstance(other, QuaternionAlgebra)
@@ -162,10 +174,10 @@ class QuaternionAlgebra(Immutable):
 
     def structure_algebra(self):
         """The same algebra as generic structure constants over the center."""
-        return StructureAlgebra(self.base,
-                                [['1', 'i', 'j', 'k'][p] for p in range(4)],
-                                [[list(self._table[p][q]) for q in range(4)]
-                                 for p in range(4)])
+        basis = [self._basis_coords(p) for p in range(4)]
+        return StructureAlgebra(self.base, ['1', 'i', 'j', 'k'],
+                                [[list(self._mul_coords(x, y)) for y in basis]
+                                 for x in basis])
 
 
 class QuatElement(RingElement):
@@ -546,14 +558,18 @@ def inner_order(auto):
 # ---------------------------------------------------------------------------
 
 class StructureAlgebra(Immutable):
-    """Finite-dimensional algebra over an exact field via structure constants.
+    """Finite-dimensional algebra over Q via structure constants.
 
-    table[p][q] is the coordinate vector of e_p * e_q.
+    table[p][q] is the coordinate vector of e_p * e_q.  The field must have
+    degree 1: the centers and centralizers are solved in rational linear
+    algebra.
     """
 
     __slots__ = ('field', 'labels', 'table', 'dim')
 
     def __init__(self, field, labels, table):
+        if field.degree != 1:
+            raise ValueError("structure constants must lie in a field of degree 1")
         dim = len(labels)
         if len(table) != dim or any(len(row) != dim for row in table):
             raise ValueError("structure constant table has the wrong shape")
@@ -593,13 +609,17 @@ class StructureAlgebra(Immutable):
 
 
 def centralizer_in_algebra(alg, generators):
-    """Basis of elements commuting with every given coordinate vector."""
+    """Basis of elements commuting with every given coordinate vector.
+
+    The kernel is solved over Q and its vectors mapped back to elements.
+    """
     def commutator(g):
         return lambda x: [u - v for u, v in zip(alg.mul(g, x), alg.mul(x, g))]
 
-    return common_kernel([commutator(g) for g in generators],
-                         [alg.basis_vector(p) for p in range(alg.dim)],
-                         lambda v: v, alg.field.zero(), alg.field.one())
+    basis = common_kernel([commutator(g) for g in generators],
+                          [alg.basis_vector(p) for p in range(alg.dim)],
+                          lambda v: [c.coords[0] for c in v])
+    return [[alg.field.scalar(c) for c in vec] for vec in basis]
 
 
 def center_of_algebra(alg):

@@ -45,6 +45,45 @@ def test_defining_relations():
     assert i * j == k
 
 
+def dense_product(alg, x, y):
+    """Reference: the full quaternion product formula on all 16 terms."""
+    a, b, ab = alg.a, alg.b, alg.a * alg.b
+    x0, x1, x2, x3 = x.coords
+    y0, y1, y2, y3 = y.coords
+    return (x0 * y0 + a * (x1 * y1) + b * (x2 * y2) - ab * (x3 * y3),
+            x0 * y1 + x1 * y0 - b * (x2 * y3) + b * (x3 * y2),
+            x0 * y2 + x2 * y0 + a * (x1 * y3) - a * (x3 * y1),
+            x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1)
+
+
+def rnd_field_elem(rng, field):
+    return field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                          for _ in range(field.degree)])
+
+
+def rnd_sparse_elem(rng, alg):
+    """Random rational coordinates, each zero with probability one half."""
+    return alg.element([rnd_field_elem(rng, alg.base) if rng.random() < 0.5
+                        else 0 for _ in range(4)])
+
+
+def test_sparse_product_agrees_with_the_dense_formula():
+    rng = random.Random(77)
+    cyclic_quartic = NumberField([2, 0, -4, 0, 1], label='Q(sqrt(2+sqrt2))')
+    eighth_root_of_2 = NumberField([-2, 0, 0, 0, 0, 0, 0, 0, 1])
+    for field in (Q, Q_SQRT2, cyclic_quartic, eighth_root_of_2):
+        params = [(-1, -1), (1, 1), (Fraction(3, 2), Fraction(-5, 7))]
+        while len(params) < 6:
+            a, b = rnd_field_elem(rng, field), rnd_field_elem(rng, field)
+            if a and b and a.coords[0].denominator > 1:
+                params.append((a, b))
+        for a, b in params:
+            alg = QuaternionAlgebra(field, a, b)
+            for _ in range(12):
+                x, y = rnd_sparse_elem(rng, alg), rnd_sparse_elem(rng, alg)
+                assert (x * y).coords == dense_product(alg, x, y)
+
+
 def test_inverse_of_one_plus_i():
     x = HAM_Q.one() + HAM_Q.i()
     inv = x.inverse()
@@ -267,6 +306,14 @@ def test_center_of_commutative_toy_algebra():
                            [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
     basis = center_of_algebra(toy)
     assert len(basis) == 2
+
+
+def test_structure_algebra_refuses_a_field_of_degree_above_one():
+    with pytest.raises(ValueError):
+        StructureAlgebra(Q_SQRT2, ['1', 'x'],
+                         [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
+    with pytest.raises(ValueError):
+        HAM_SQRT2.structure_algebra()
 
 
 def test_centralizer_of_i():
