@@ -13,8 +13,8 @@ from .numfield import (FieldElement, FieldMorphism, LevelVerdict,
 from .qalg import (AlgebraAutomorphism, AnisotropyVerdict, NormForm,
                    QuatElement, QuaternionAlgebra, StructureAlgebra,
                    ZeroNormError, anisotropy, center_of_algebra,
-                   inner_automorphism, inner_order, matrix_embedding_norm,
-                   norm_form, reduced_norm, scalar_extension)
+                   inner_automorphism, inner_order, norm_form, reduced_norm,
+                   scalar_extension)
 from .ore import (HypothesisFailed, InsufficientPrecision,
                   RecurrenceCertificate, SkewFraction, SkewLaurent,
                   SkewPoly, center_bounded, detect_recurrence, is_central,

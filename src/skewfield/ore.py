@@ -19,10 +19,11 @@ block scaled by one lcm; rationals appear only in the solutions.
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .linalg import kernel_basis, rank, same_span, solve
 from .numfield import Immutable, RingElement, fixed_field
-from .qalg import (QuatElement, extend_quaternion, inner_order,
+from .qalg import (QuatElement, extend_quaternion, inner_order, q_matrix,
                    quat_from_q_vector)
 
 
@@ -171,40 +172,30 @@ def constant_poly(twist, c):
     return SkewPoly(twist, [c])
 
 
-def right_divide(a, b):
-    """Quotient and remainder with a = q*b + r and deg r < deg b."""
+def _divide(a, b, right):
+    """Quotient and remainder of a by b, on the right or on the left."""
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     twist = a.twist
-    q = SkewPoly(twist, [])
-    r = a
-    db = b.degree()
-    blead = b.leading()
+    q, r, db = SkewPoly(twist, []), a, b.degree()
+    blead_inv = b.leading().inverse()
     while not r.is_zero() and r.degree() >= db:
         d = r.degree() - db
-        c = r.leading() * twist.power(d)(blead).inverse()
+        c = (r.leading() * twist.power(d)(blead_inv) if right
+             else twist.power(-db)(blead_inv * r.leading()))
         term = SkewPoly(twist, [twist.owner.zero()] * d + [c])
-        q = q + term
-        r = r - term * b
+        q, r = q + term, r - (term * b if right else b * term)
     return q, r
+
+
+def right_divide(a, b):
+    """Quotient and remainder with a = q*b + r and deg r < deg b."""
+    return _divide(a, b, True)
 
 
 def left_divide(a, b):
     """Quotient and remainder with a = b*q + r and deg r < deg b."""
-    if b.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    twist = a.twist
-    q = SkewPoly(twist, [])
-    r = a
-    db = b.degree()
-    blead_inv = b.leading().inverse()
-    while not r.is_zero() and r.degree() >= db:
-        d = r.degree() - db
-        c = twist.power(-db)(blead_inv * r.leading())
-        term = SkewPoly(twist, [twist.owner.zero()] * d + [c])
-        q = q + term
-        r = r - b * term
-    return q, r
+    return _divide(a, b, False)
 
 
 def ore_right_lcm(a, b):
@@ -496,50 +487,19 @@ class RecurrenceCertificate(Immutable):
         return 'RecurrenceCertificate(order %d from %d)' % (self.order, self.start)
 
 
-# The matrix caches hold (rows, den): an integer matrix over one denominator.
-
-def _int_matrix(images):
-    """(rows, den) whose columns are the q-vectors of the given quaternions."""
-    den = lcm(*[c.den for q in images for c in q.coords])
-    cols = [[x * (den // c.den) for c in q.coords for x in c.num] for q in images]
-    return list(zip(*cols)), den
-
-
-def _left_mul_matrix(alg, c, cache):
-    key = ('L', c)
-    if key not in cache:
-        cache[key] = _int_matrix([c * b for b in alg.q_basis()])
-    return cache[key]
-
-
-def _right_mul_matrix(alg, c, cache):
-    key = ('R', c)
-    if key not in cache:
-        cache[key] = _int_matrix([b * c for b in alg.q_basis()])
-    return cache[key]
-
-
-def _twist_matrix(twist, k, cache):
-    key = ('T', k)
-    if key not in cache:
-        tw = twist.power(k)
-        cache[key] = _int_matrix([tw(b) for b in twist.owner.q_basis()])
-    return cache[key]
+def _mul_matrix(alg, c, side, cache):
+    """Cached q_matrix of left ('L') or right ('R') multiplication by c."""
+    if (side, c) not in cache:
+        cache[side, c] = q_matrix([c * e if side == 'L' else e * c
+                                   for e in alg.q_basis()])
+    return cache[side, c]
 
 
 def _mat_mul(a, b):
     """Product of two (rows, den) integer matrices, in integers."""
     (a, da), (b, db) = a, b
-    p = len(b[0])
-    out = []
-    for ai in a:
-        row = [0] * p
-        for c, bk in zip(ai, b):
-            if c:
-                for j, y in enumerate(bk):
-                    row[j] += c * y
-        out.append(row)
-    return out, da * db
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a], da * db
 
 
 def detect_recurrence(series, max_order):
@@ -568,18 +528,18 @@ def detect_recurrence(series, max_order):
             for i in range(1, k + 1):
                 a = series.coefficient(n - i)
                 blocks.append(None if a.is_zero() else _mat_mul(
-                    _left_mul_matrix(alg, a, cache),
-                    _twist_matrix(twist, n - i, cache)))
-            target, tden = _int_matrix([series.coefficient(n)])
+                    _mul_matrix(alg, a, 'L', cache),
+                    twist.power(n - i).int_matrix()))
+            target = series.coefficient(n)
             # one lcm per row block scales all its rows to integers
-            den = lcm(tden, *[blk[1] for blk in blocks if blk])
+            den = lcm(target.den, *[blk[1] for blk in blocks if blk])
             for r in range(dim):
                 row = []
                 for blk in blocks:
                     row.extend([x * (den // blk[1]) for x in blk[0][r]]
                                if blk else zero)
                 rows.append(row)
-                rhs.append(target[r][0] * (den // tden))
+                rhs.append(target.num[r] * (den // target.den))
         sol = solve(rows, rhs, k * dim)
         if sol is None:
             continue
@@ -595,6 +555,18 @@ def detect_recurrence(series, max_order):
 # centrality
 # ---------------------------------------------------------------------------
 
+class _Report(Immutable):
+    """A record of results, given in the order of its __slots__."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError("wrong number of values for the report")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+
 def _algebra_generators(alg):
     gens = [alg.i(), alg.j()]
     if alg.base.degree > 1:
@@ -604,20 +576,14 @@ def _algebra_generators(alg):
 
 def is_central(x):
     """Whether x commutes with t and with the generators of the algebra."""
-    if isinstance(x, SkewPoly):
-        t = t_poly(x.twist)
-        gens = [constant_poly(x.twist, g) for g in _algebra_generators(x.alg)]
-        return all(x * g == g * x for g in gens + [t])
-    if isinstance(x, SkewFraction):
-        one = constant_poly(x.twist, 1)
-        t = SkewFraction(t_poly(x.twist), one)
-        gens = [SkewFraction(constant_poly(x.twist, g), one)
-                for g in _algebra_generators(x.twist.owner)]
-        return all(x * g == g * x for g in gens + [t])
-    raise TypeError("is_central expects a skew polynomial or fraction")
+    if not isinstance(x, (SkewPoly, SkewFraction)):
+        raise TypeError("is_central expects a skew polynomial or fraction")
+    gens = [constant_poly(x.twist, g)
+            for g in _algebra_generators(x.twist.owner)]
+    return all(x * g == g * x for g in gens + [t_poly(x.twist)])
 
 
-class CenterReport(Immutable):
+class CenterReport(_Report):
     """Bounded-degree central elements, with the closed-form comparison.
 
     raw_basis spans the degree-bounded center of the twisted polynomial
@@ -627,15 +593,6 @@ class CenterReport(Immutable):
 
     __slots__ = ('degree_bound', 'raw_basis', 'hypothesis_holds',
                  'closed_form_matches', 'twist_order', 'inner_order')
-
-    def __init__(self, degree_bound, raw_basis, hypothesis_holds,
-                 closed_form_matches, twist_order, inner_order_):
-        object.__setattr__(self, 'degree_bound', degree_bound)
-        object.__setattr__(self, 'raw_basis', tuple(raw_basis))
-        object.__setattr__(self, 'hypothesis_holds', hypothesis_holds)
-        object.__setattr__(self, 'closed_form_matches', closed_form_matches)
-        object.__setattr__(self, 'twist_order', twist_order)
-        object.__setattr__(self, 'inner_order', inner_order_)
 
 
 def center_bounded(algebra, twist, degree_bound):
@@ -652,31 +609,23 @@ def center_bounded(algebra, twist, degree_bound):
     nvars = (degree_bound + 1) * dim
     cache = {}
     rows = []
-    tw_mat, tw_den = _twist_matrix(twist, 1, cache)
+    tw_mat, tw_den = twist.int_matrix()
     gens = _algebra_generators(algebra)
     # integer rows: each constraint is scaled by its positive denominator
     for j in range(degree_bound + 1):
+        pad, rest = [0] * (j * dim), [0] * (nvars - (j + 1) * dim)
         # x_j fixed by the twist (commutation with t)
-        for r in range(dim):
-            row = [0] * nvars
-            for cidx in range(dim):
-                row[j * dim + cidx] = tw_mat[r][cidx] - (tw_den if r == cidx else 0)
-            rows.append(row)
+        rows.extend(pad + [x - tw_den * (c == r) for c, x in enumerate(row)]
+                    + rest for r, row in enumerate(tw_mat))
         # g x_j = x_j sigma^j(g) for each generator
         for g in gens:
-            left, dl = _left_mul_matrix(algebra, g, cache)
-            right, dr = _right_mul_matrix(algebra, twist.power(j)(g), cache)
-            for r in range(dim):
-                row = [0] * nvars
-                for cidx in range(dim):
-                    row[j * dim + cidx] = left[r][cidx] * dr - right[r][cidx] * dl
-                rows.append(row)
-    basis_vecs = kernel_basis(rows, nvars)
-    raw_basis = []
-    for vec in basis_vecs:
-        coeffs = [quat_from_q_vector(algebra, vec[j * dim:(j + 1) * dim])
-                  for j in range(degree_bound + 1)]
-        raw_basis.append(SkewPoly(twist, coeffs))
+            left, dl = _mul_matrix(algebra, g, 'L', cache)
+            right, dr = _mul_matrix(algebra, twist.power(j)(g), 'R', cache)
+            rows.extend(pad + [x * dr - y * dl for x, y in zip(lrow, rrow)]
+                        + rest for lrow, rrow in zip(left, right))
+    raw_basis = tuple(SkewPoly(twist, [
+        quat_from_q_vector(algebra, vec[j * dim:(j + 1) * dim])
+        for j in range(degree_bound + 1)]) for vec in kernel_basis(rows, nvars))
     m = twist.order()
     io = inner_order(twist)
     hypothesis = (io == m)
@@ -684,16 +633,10 @@ def center_bounded(algebra, twist, degree_bound):
     if hypothesis:
         sub, emb = fixed_field(algebra.base,
                                [twist.center_action])
-        expected = []
-        power = sub.one()
-        fixed_basis = []
-        for _ in range(sub.degree):
-            fixed_basis.append(emb(power))
-            power = power * sub.gen()
-        for p in range(0, degree_bound // m + 1):
-            for c in fixed_basis:
-                coeffs = [algebra.zero()] * (m * p) + [algebra.scalar(c)]
-                expected.append(SkewPoly(twist, coeffs))
+        expected = [SkewPoly(twist, [algebra.zero()] * (m * p)
+                             + [algebra.scalar(emb(c))])
+                    for p in range(0, degree_bound // m + 1)
+                    for c in sub.basis()]
         got_vecs = [b.q_vector(degree_bound) for b in raw_basis]
         want_vecs = [e.q_vector(degree_bound) for e in expected]
         closed_form_matches = same_span(got_vecs, want_vecs)
@@ -705,22 +648,11 @@ def center_bounded(algebra, twist, degree_bound):
 # bounded tensor-decomposition verification
 # ---------------------------------------------------------------------------
 
-class TensorReport(Immutable):
+class TensorReport(_Report):
 
     __slots__ = ('injective', 'surjective', 'multiplicative', 'rank',
                  'spanning_count', 'ambient_dim', 'twist_order',
                  'fixed_degree_ratio')
-
-    def __init__(self, injective, surjective, multiplicative, rank_,
-                 spanning_count, ambient_dim, twist_order, fixed_degree_ratio):
-        object.__setattr__(self, 'injective', injective)
-        object.__setattr__(self, 'surjective', surjective)
-        object.__setattr__(self, 'multiplicative', multiplicative)
-        object.__setattr__(self, 'rank', rank_)
-        object.__setattr__(self, 'spanning_count', spanning_count)
-        object.__setattr__(self, 'ambient_dim', ambient_dim)
-        object.__setattr__(self, 'twist_order', twist_order)
-        object.__setattr__(self, 'fixed_degree_ratio', fixed_degree_ratio)
 
     def passed(self):
         return self.injective and self.surjective and self.multiplicative
@@ -761,31 +693,16 @@ def tensor_decomposition_check(H, sigma, L, tau, emb, degree_bound):
     r = ell_fix.degree // h_fix.degree
     # the quaternion Q-basis of H already spans the base-side directions;
     # only an extension-side fixed-field basis is needed on the right
-    ellfix_in_ell = []
-    power = ell_fix.one()
-    for _ in range(r):
-        ellfix_in_ell.append(ell_fix_emb(power))
-        power = power * ell_fix.gen()
-
-    left_factors = []
-    for j in range(m):
-        for e in H.q_basis():
-            if j > degree_bound:
-                continue
-            coeffs = [L.zero()] * j + [extend_quaternion(e, L, emb)]
-            left_factors.append(SkewPoly(tau, coeffs))
-    right_factors = []
-    for p in range(degree_bound // m + 1):
-        for f in ellfix_in_ell:
-            coeffs = [L.zero()] * (m * p) + [L.scalar(f)]
-            right_factors.append(SkewPoly(tau, coeffs))
-
-    spanning = []
-    for y in left_factors:
-        for z in right_factors:
-            prod = y * z
-            if prod.degree() <= degree_bound:
-                spanning.append(prod)
+    ellfix_in_ell = [ell_fix_emb(f) for f in ell_fix.basis()[:r]]
+    left_factors = [SkewPoly(tau, [L.zero()] * j + [extend_quaternion(e, L, emb)])
+                    for j in range(min(m, degree_bound + 1))
+                    for e in H.q_basis()]
+    right_factors = [SkewPoly(tau, [L.zero()] * (m * p) + [L.scalar(f)])
+                     for p in range(degree_bound // m + 1)
+                     for f in ellfix_in_ell]
+    spanning = [prod for prod in (y * z for y in left_factors
+                                  for z in right_factors)
+                if prod.degree() <= degree_bound]
     vecs = [s.q_vector(degree_bound) for s in spanning]
     rk = rank(vecs)
     ambient = (degree_bound + 1) * L.q_dim()

@@ -1,22 +1,29 @@
 """Exact quaternion algebras over number fields.
 
 (a,b/h) is the four-dimensional algebra with basis 1, i, j, k = ij and
-relations i^2 = a, j^2 = b, ji = -ij over the center h, written once as a
-table of unit products e_p e_q = +-c e_r with c in {1, a, b, ab}; a
-product sums those terms over the nonzero coordinates only.  The reduced norm
-is the diagonal quadratic form <1, -a, -b, ab> in that basis; whether it
+relations i^2 = a, j^2 = b, ji = -ij over the center h.  An element is one
+integer vector, like a ``FieldElement``: the numerators of its coordinates
+on the units times the power basis of h, over one denominator.  A product
+packs each coordinate polynomial into one integer at 2^shift (Kronecker
+substitution), sums the big-integer products of the unit pairs e_p e_q =
++-c e_(p xor q), c in {1, a, b, ab}, for each unit, reduces each sum once
+modulo m(2^shift), m the minimal polynomial, and unpacks the digits.  The
+reduced norm is the diagonal quadratic form <1, -a, -b, ab>; whether it
 has a nontrivial zero over an extension field decides whether the scalar
 extension stays a division ring.  Anisotropy is answered three-valued with
 certificates: a definite real place, an explicit isotropy witness, or an
 honest unknown after a bounded search.
 
 Automorphisms are stored by the images of i and j together with their
-action on the center.  The inner order of an automorphism equals the order
-of that central action; conjugations are exactly the automorphisms whose
-central action is trivial.
+action on the center, and applied as one cached integer matrix.  The inner
+order of an automorphism equals the order of that central action;
+conjugations are exactly the automorphisms whose central action is trivial.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, mul, neg
+from struct import unpack
 
 from .linalg import common_kernel
 from .numfield import (FieldElement, Immutable, RingElement,
@@ -27,21 +34,52 @@ class ZeroNormError(ArithmeticError):
     """Raised when inverting an element of reduced norm zero."""
 
 
-# The units e = (1, i, j, k) multiply as e_p e_q = sign * c * e_r, where c
-# is one of the constants (1, a, b, ab); entry [p][q] is (r, sign, c).
-_UNITS = (
-    ((0, 1, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0)),
-    ((1, 1, 0), (0, 1, 1), (3, 1, 0), (2, 1, 1)),
-    ((2, 1, 0), (3, -1, 0), (0, 1, 2), (1, -1, 2)),
-    ((3, 1, 0), (2, -1, 1), (1, 1, 2), (0, -1, 3)),
-)
+# 2^63 in each of k 64-bit digits, for up to four units over degree 8
+_HALVES = tuple(int.from_bytes((bytes(7) + b'\x80') * k, 'little')
+                for k in range(33))
+
+
+def _pack(num, n, shift):
+    """Each run of n coefficients in num as its polynomial at 2^shift."""
+    out = []
+    for u in range(0, len(num), n):
+        v = 0
+        for c in reversed(num[u:u + n]):
+            v = (v << shift) + c
+        out.append(v)
+    return out
+
+
+def _unpack(v, shift, count):
+    """The count balanced base-2^shift digits of v, shift a multiple of 64.
+
+    Adding 2^(shift-1) to every digit and flipping each digit's top bit
+    leaves the digits' two's complement bytes.
+    """
+    width = shift >> 3
+    off = _HALVES[count] if width == 8 else int.from_bytes(
+        (bytes(width - 1) + b'\x80') * count, 'little')
+    try:
+        buf = ((v + off) ^ off).to_bytes(width * count, 'little')
+    except OverflowError:
+        raise AssertionError("packed value overflowed its digits") from None
+    if width == 8:
+        return unpack('<%dq' % count, buf)
+    return [int.from_bytes(buf[i:i + width], 'little', signed=True)
+            for i in range(0, width * count, width)]
 
 
 class QuaternionAlgebra(Immutable):
-    """(a,b/h): i^2 = a, j^2 = b, ij = k = -ji over the number field h."""
+    """(a,b/h): i^2 = a, j^2 = b, ij = k = -ji over the number field h.
+
+    Construction precomputes the integer data of a product: for each unit
+    r, the pairs (p, q) with p xor q = r, with their signs, grouped by their
+    constant in (1, a, b, ab) as integer numerators over one denominator;
+    and a bit bound on a reduced product coefficient.
+    """
 
     __slots__ = ('base', 'a', 'b', 'ab', 'label', 'division_certified',
-                 'extension_of', '_units')
+                 'extension_of', '_terms', '_cden', '_cbits', '_moduli')
 
     def __init__(self, base, a, b, label=None, division_certified=None,
                  extension_of=None):
@@ -58,57 +96,84 @@ class QuaternionAlgebra(Immutable):
         object.__setattr__(self, 'label', label or 'H')
         object.__setattr__(self, 'division_certified', division_certified)
         object.__setattr__(self, 'extension_of', extension_of)
-        object.__setattr__(self, '_units', self._resolve_units())
-        self._check_structure_constants()
+        n, den = base.degree, lcm(a.den, b.den, self.ab.den)
+        nums = []
+        for c in (base.one(), a, b, self.ab):
+            nums.append([x * (den // c.den) for x in c.num])
+            while len(nums[-1]) > 1 and not nums[-1][-1]:
+                nums[-1].pop()
+        # e_p e_q = (-1)^(p1 q0) c_(p and q) e_(p xor q), p = p0 + 2 p1;
+        # constants equal up to sign share one product, and 1 (None) needs none
+        terms = []
+        for r in range(4):
+            groups = {}
+            for p in range(4):
+                c, negate = tuple(nums[p & (p ^ r)]), (p >> 1) & (p ^ r) & 1
+                if c not in groups and tuple([-x for x in c]) in groups:
+                    c, negate = tuple([-x for x in c]), 1 - negate
+                groups.setdefault(c, []).append((p, p ^ r, negate))
+            terms.append(tuple((None if c == (1,) else c, tuple(pairs))
+                               for c, pairs in groups.items()))
+        # A coefficient of one unit's sum of c x_p y_q sums at most 4 n^2
+        # terms c_l x_i y_j; reducing it multiplies that by at most the
+        # largest column sum of |gen^m| (m < 3n - 2) on the power basis.
+        # Two spare bits keep each reduced sum within half of m(2^shift).
+        rows = [(1,) + (0,) * (n - 1)]
+        while len(rows) < 2 * n - 2 + max(map(len, nums)):
+            rows.append(tuple([s + rows[-1][-1] * r for s, r in
+                               zip((0,) + rows[-1][:-1], base._red_rows[0])]))
+        grow = max(map(sum, zip(*[map(abs, row) for row in rows])))
+        object.__setattr__(self, '_terms', tuple(terms))
+        object.__setattr__(self, '_cden', den)
+        object.__setattr__(self, '_cbits', max(abs(x) for c in nums for x in c)
+                           .bit_length() + (4 * n * n).bit_length()
+                           + grow.bit_length() + 2)
+        object.__setattr__(self, '_moduli', {})
+        # associativity of the terms on all unit triples, in the center;
+        # the product is bilinear over the commutative center, so these
+        # decide it
+        unit = {}
+        for groups in terms:
+            for c, pairs in groups:
+                c = base.element([Fraction(x, den) for x in c or (1,)])
+                unit.update({(p, q): -c if sign else c for p, q, sign in pairs})
+        if any(unit[p, q] * unit[p ^ q, s] != unit[q, s] * unit[p, q ^ s]
+               for p in range(4) for q in range(4) for s in range(4)):
+            raise AssertionError("structure constants not associative")
 
-    def _resolve_units(self):
-        """_UNITS as (r, negate, factor): factor is sign * c, or None when
-        that is 1 or -1 and negate carries the sign."""
-        consts = (self.base.one(), self.a, self.b, self.ab)
+    def _product(self, xn, yn, terms):
+        """Numerators of the product over x.den * y.den * _cden.
+
+        ``terms`` lists the units to compute (``_terms`` or a prefix).  Over
+        a center of degree n > 1 the coordinate polynomials are packed at
+        2^shift, shift a multiple of 64 above the bound on a reduced
+        coefficient, and each unit's sum is taken modulo m(2^shift) into
+        the symmetric range: the reduced polynomial at 2^shift.
+        """
+        n = self.base.degree
+        if n > 1:
+            shift = (max(map(abs, xn)).bit_length()
+                     + max(map(abs, yn)).bit_length() + self._cbits + 63) & -64
+            xn, yn = _pack(xn, n, shift), _pack(yn, n, shift)
+            mod = self._moduli.get(shift) or self._moduli.setdefault(
+                shift, (1 << shift * n)
+                - _pack(self.base._red_rows[0], n, shift)[0])
+            half = mod >> 1
         out = []
-        for row in _UNITS:
-            out_row = []
-            for r, sign, c in row:
-                v = consts[c] if sign > 0 else -consts[c]
-                out_row.append((r, v == -1, None) if v == 1 or v == -1
-                               else (r, False, v))
-            out.append(tuple(out_row))
-        return tuple(out)
-
-    def _check_structure_constants(self):
-        # associativity of the unit products on all basis triples
-        basis = [self._basis_coords(p) for p in range(4)]
-        mul = self._mul_coords
-        for x in basis:
-            for y in basis:
-                xy = mul(x, y)
-                for z in basis:
-                    if mul(xy, z) != mul(x, mul(y, z)):
-                        raise AssertionError("structure constants not associative")
-
-    def _basis_coords(self, k):
-        return tuple(self.base.one() if i == k else self.base.zero()
-                     for i in range(4))
-
-    def _mul_coords(self, x, y):
-        """Coordinates of x y, summing unit products of nonzero coordinates."""
-        ys = [(q, yq) for q, yq in enumerate(y) if any(yq.num)]
-        out = [None] * 4
-        for xp, row in zip(x, self._units):
-            if not any(xp.num):
-                continue
-            for q, yq in ys:
-                r, negate, factor = row[q]
-                t = xp * yq
-                if factor is not None:
-                    t = factor * t
-                acc = out[r]
-                if acc is None:
-                    out[r] = -t if negate else t
-                else:
-                    out[r] = acc - t if negate else acc + t
-        zero = self.base.zero()
-        return tuple([zero if v is None else v for v in out])
+        for groups in terms:
+            acc = 0
+            for c, pairs in groups:
+                s = 0
+                for p, q, negate in pairs:
+                    xp, yq = xn[p], yn[q]
+                    if xp and yq:
+                        s = s - xp * yq if negate else s + xp * yq
+                if s and c is not None:
+                    s *= c[0] if len(c) == 1 else _pack(c, len(c), shift)[0]
+                acc += s
+            out.append(acc if n == 1 else (acc + half) % mod - half)
+        return out if n == 1 else _unpack(_pack(out, len(out), shift * n)[0],
+                                          shift, n * len(out))
 
     def __eq__(self, other):
         return (isinstance(other, QuaternionAlgebra)
@@ -135,35 +200,38 @@ class QuaternionAlgebra(Immutable):
         if len(out) > 4:
             raise ValueError("too many coordinates")
         out += [self.base.zero()] * (4 - len(out))
-        return QuatElement(self, tuple(out))
+        den = lcm(*[c.den for c in out])
+        return QuatElement(self, tuple([x * (den // c.den)
+                                        for c in out for x in c.num]), den)
 
     def scalar(self, c):
         return self.element([c])
 
     def zero(self):
-        return self.element([])
+        return QuatElement(self, (0,) * (4 * self.base.degree))
 
     def one(self):
-        return self.element([1])
+        return self._unit(0)
 
     def i(self):
-        return self.element([0, 1])
+        return self._unit(1)
 
     def j(self):
-        return self.element([0, 0, 1])
+        return self._unit(2)
 
     def k(self):
-        return self.element([0, 0, 0, 1])
+        return self._unit(3)
+
+    def _unit(self, u, power=0):
+        """gen^power e_u."""
+        num = [0] * (4 * self.base.degree)
+        num[u * self.base.degree + power] = 1
+        return QuatElement(self, tuple(num))
 
     def q_basis(self):
         """Basis over Q: quaternion units times the center's power basis."""
-        out = []
-        for unit in range(4):
-            for fb in self.base.basis():
-                coords = [self.base.zero()] * 4
-                coords[unit] = fb
-                out.append(QuatElement(self, tuple(coords)))
-        return out
+        return [self._unit(u, i) for u in range(4)
+                for i in range(self.base.degree)]
 
     def q_dim(self):
         return 4 * self.base.degree
@@ -174,23 +242,41 @@ class QuaternionAlgebra(Immutable):
 
     def structure_algebra(self):
         """The same algebra as generic structure constants over the center."""
-        basis = [self._basis_coords(p) for p in range(4)]
+        units = [self._unit(u) for u in range(4)]
         return StructureAlgebra(self.base, ['1', 'i', 'j', 'k'],
-                                [[list(self._mul_coords(x, y)) for y in basis]
-                                 for x in basis])
+                                [[list((x * y).coords) for y in units]
+                                 for x in units])
 
 
 class QuatElement(RingElement):
+    """Element of a quaternion algebra: integer numerators over one denominator.
 
-    __slots__ = ('alg', 'coords')
+    ``num[u * deg + i] / den`` is the coordinate of gen^i e_u, with
+    e = (1, i, j, k); the form is canonical as for ``FieldElement``.
+    ``coords`` builds the four center coordinates on request.
+    """
 
-    def __init__(self, alg, coords):
+    __slots__ = ('alg', 'num', 'den')
+
+    def __init__(self, alg, num, den=1):
+        # num is a tuple of ints and den a positive int
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple([x // g for x in num])
+            den //= g
         object.__setattr__(self, 'alg', alg)
-        object.__setattr__(self, 'coords', tuple(coords))
+        object.__setattr__(self, 'num', num)
+        object.__setattr__(self, 'den', den)
+
+    @property
+    def coords(self):
+        base, n = self.alg.base, self.alg.base.degree
+        return tuple([FieldElement(base, self.num[u:u + n], self.den)
+                      for u in range(0, 4 * n, n)])
 
     def _coerce(self, other):
         if isinstance(other, QuatElement):
-            if other.alg != self.alg:
+            if other.alg is not self.alg and other.alg != self.alg:
                 raise ValueError("elements of different algebras")
             return other
         if isinstance(other, (int, Fraction, FieldElement)):
@@ -198,7 +284,7 @@ class QuatElement(RingElement):
         return None
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coords)
+        return not any(self.num)
 
     def __bool__(self):
         return not self.is_zero()
@@ -207,47 +293,58 @@ class QuatElement(RingElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coords == o.coords
+        return self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        return hash((self.alg.base, self.coords))
+        return hash((self.alg.base, self.num, self.den))
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuatElement(self.alg, tuple(a + b for a, b in
-                                           zip(self.coords, o.coords)))
+        da, db = self.den, o.den
+        if da == db:
+            return QuatElement(self.alg, tuple(map(add, self.num, o.num)), da)
+        return QuatElement(self.alg, tuple([x * db + y * da for x, y
+                                            in zip(self.num, o.num)]), da * db)
 
     def __neg__(self):
-        return QuatElement(self.alg, tuple(-a for a in self.coords))
+        return QuatElement(self.alg, tuple(map(neg, self.num)), self.den)
 
     def __mul__(self, other):
+        if type(other) is QuatElement and other.alg is self.alg:
+            return self._times(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuatElement(self.alg, self.alg._mul_coords(self.coords, o.coords))
+        return self._times(o)
+
+    def _times(self, o):
+        alg = self.alg
+        return QuatElement(alg, tuple(alg._product(self.num, o.num, alg._terms)),
+                           self.den * o.den * alg._cden)
 
     def scale(self, c):
-        """Coordinatewise multiplication by a central element."""
-        return QuatElement(self.alg, tuple(c * x for x in self.coords))
+        """Multiplication by a central element."""
+        return self._times(self.alg.scalar(c))
 
     def conj(self):
-        x0, x1, x2, x3 = self.coords
-        return QuatElement(self.alg, (x0, -x1, -x2, -x3))
+        n, num = self.alg.base.degree, self.num
+        return QuatElement(self.alg, num[:n] + tuple(map(neg, num[n:])),
+                           self.den)
 
     def reduced_norm(self):
-        x0, x1, x2, x3 = self.coords
+        """The coordinate of 1 in x * conj(x)."""
         alg = self.alg
-        return x0 * x0 - alg.a * (x1 * x1) - alg.b * (x2 * x2) + alg.ab * (x3 * x3)
+        num = alg._product(self.num, self.conj().num, alg._terms[:1])
+        return FieldElement(alg.base, tuple(num),
+                            self.den * self.den * alg._cden)
 
     def inverse(self):
         n = self.reduced_norm()
         if n.is_zero():
             raise ZeroNormError("element has reduced norm zero")
-        ninv = n.inverse()
-        return QuatElement(self.alg,
-                           tuple(c * ninv for c in self.conj().coords))
+        return self.conj().scale(n.inverse())
 
     def __repr__(self):
         return 'QuatElement(%s @ %s)' % (
@@ -256,52 +353,35 @@ class QuatElement(RingElement):
 
     def q_vector(self):
         """Rational coordinate vector over Q, basis as in q_basis()."""
-        out = []
-        for c in self.coords:
-            out.extend(c.coords)
-        return out
+        return [Fraction(x, self.den) for x in self.num]
 
 
 def quat_from_q_vector(alg, vec):
-    d = alg.base.degree
-    return alg.element([alg.base.element(vec[u * d:(u + 1) * d])
-                        for u in range(4)])
+    vec = [Fraction(x) for x in vec]
+    den = lcm(*[x.denominator for x in vec])
+    return QuatElement(alg, tuple([x.numerator * (den // x.denominator)
+                                   for x in vec]), den)
 
 
 def extend_quaternion(x, big, emb):
     """Push a quaternion across a scalar extension of its center."""
-    return big.element([emb(c) for c in x.coords])
+    cols, den = emb._columns()
+    n = x.alg.base.degree
+    return QuatElement(big, tuple([sum(map(mul, x.num[u:u + n], row))
+                                   for u in range(0, 4 * n, n)
+                                   for row in zip(*cols)]), den * x.den)
+
+
+def q_matrix(images):
+    """(rows, den): an integer matrix over one denominator whose columns are
+    the q-vectors of the given quaternions."""
+    den = lcm(*[q.den for q in images])
+    return (tuple(zip(*[[x * (den // q.den) for x in q.num] for q in images])),
+            den)
 
 
 def reduced_norm(x):
     return x.reduced_norm()
-
-
-def matrix_embedding_norm(x):
-    """Independent determinant route to the reduced norm.
-
-    Works in the quadratic algebra h[y]/(y^2 - a): the element maps to the
-    2x2 matrix [[x0 + x1 y, b (x2 + x3 y)], [x2 - x3 y, x0 - x1 y]] and the
-    determinant must land back in h.
-    """
-    alg = x.alg
-    a, b = alg.a, alg.b
-    x0, x1, x2, x3 = x.coords
-
-    def qmul(u, v):
-        # (u0 + u1 y)(v0 + v1 y) with y^2 = a
-        return (u[0] * v[0] + a * (u[1] * v[1]), u[0] * v[1] + u[1] * v[0])
-
-    m00 = (x0, x1)
-    m01 = (b * x2, b * x3)
-    m10 = (x2, -x3)
-    m11 = (x0, -x1)
-    p = qmul(m00, m11)
-    q = qmul(m01, m10)
-    det = (p[0] - q[0], p[1] - q[1])
-    if not det[1].is_zero():
-        raise AssertionError("determinant left the center")
-    return det[0]
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +530,7 @@ class AlgebraAutomorphism(Immutable):
     """
 
     __slots__ = ('owner', 'image_i', 'image_j', 'center_action', '_powers',
-                 '_image_k', '_trivial')
+                 '_matrix', '_trivial')
 
     def __init__(self, owner, image_i, image_j, center_action):
         if image_i.alg != owner or image_j.alg != owner:
@@ -470,26 +550,34 @@ class AlgebraAutomorphism(Immutable):
         object.__setattr__(self, 'image_j', image_j)
         object.__setattr__(self, 'center_action', center_action)
         object.__setattr__(self, '_powers', {})
-        object.__setattr__(self, '_image_k', image_i * image_j)
+        object.__setattr__(self, '_matrix', None)
         object.__setattr__(self, '_trivial',
                            image_i == owner.i() and image_j == owner.j()
                            and center_action.is_identity())
 
+    def int_matrix(self):
+        """(rows, den) of the map on q-vectors, built on first use: column
+        u * deg + i is the image of gen^i e_u, center_action(gen^i) times
+        the image of e_u."""
+        if self._matrix is None:
+            owner = self.owner
+            object.__setattr__(self, '_matrix', q_matrix([
+                unit.scale(self.center_action(power))
+                for unit in (owner.one(), self.image_i, self.image_j,
+                             self.image_i * self.image_j)
+                for power in owner.base.basis()]))
+        return self._matrix
+
     def __call__(self, x):
-        if x.alg != self.owner:
+        if x.alg is not self.owner and x.alg != self.owner:
             raise ValueError("element of a different algebra")
         if self._trivial:
             return x
-        ca = self.center_action
-        x0, x1, x2, x3 = x.coords
-        out = self.owner.scalar(ca(x0))
-        if not x1.is_zero():
-            out = out + self.image_i.scale(ca(x1))
-        if not x2.is_zero():
-            out = out + self.image_j.scale(ca(x2))
-        if not x3.is_zero():
-            out = out + self._image_k.scale(ca(x3))
-        return out
+        rows, den = self.int_matrix()
+        num = x.num
+        return QuatElement(self.owner,
+                           tuple([sum(map(mul, row, num)) for row in rows]),
+                           den * x.den)
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraAutomorphism)
@@ -573,19 +661,13 @@ class StructureAlgebra(Immutable):
         dim = len(labels)
         if len(table) != dim or any(len(row) != dim for row in table):
             raise ValueError("structure constant table has the wrong shape")
-        norm = []
-        for row in table:
-            out_row = []
-            for vec in row:
-                if len(vec) != dim:
-                    raise ValueError("structure constant vector of wrong length")
-                out_row.append(tuple(
-                    c if isinstance(c, FieldElement) else field.scalar(c)
-                    for c in vec))
-            norm.append(tuple(out_row))
+        if any(len(vec) != dim for row in table for vec in row):
+            raise ValueError("structure constant vector of wrong length")
         object.__setattr__(self, 'field', field)
         object.__setattr__(self, 'labels', tuple(labels))
-        object.__setattr__(self, 'table', tuple(norm))
+        object.__setattr__(self, 'table', tuple(tuple(tuple(
+            c if isinstance(c, FieldElement) else field.scalar(c) for c in vec)
+            for vec in row) for row in table))
         object.__setattr__(self, 'dim', dim)
 
     def mul(self, x, y):

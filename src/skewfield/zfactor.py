@@ -59,6 +59,9 @@ def is_irreducible_over_q(int_coeffs):
         raise ValueError("degree above %d not supported" % MAX_DEGREE)
     if n == 1:
         return True
+    # a root at 0, 1 or -1 is a linear factor
+    if not f[0] or not sum(f) or sum(f[::2]) == sum(f[1::2]):
+        return False
     content = gcd(*f[:-1])
     if any(content % p == 0 and f[0] % (p * p) for p in _SMALL_PRIMES):
         return True

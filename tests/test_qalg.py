@@ -3,18 +3,21 @@ from fractions import Fraction
 
 import pytest
 
+import quat_unit_table_oracle as unit_table
 from skewfield.numfield import FieldMorphism, NumberField, automorphism_group
 from skewfield.qalg import (
-    AlgebraAutomorphism, QuaternionAlgebra, StructureAlgebra, ZeroNormError,
-    anisotropy, center_of_algebra, centralizer_in_algebra, inner_automorphism,
-    inner_order, matrix_embedding_norm, norm_form, quat_from_q_vector,
-    reduced_norm, scalar_extension)
+    AlgebraAutomorphism, QuatElement, QuaternionAlgebra, StructureAlgebra,
+    ZeroNormError, anisotropy, center_of_algebra, centralizer_in_algebra,
+    extend_quaternion, inner_automorphism, inner_order, norm_form,
+    quat_from_q_vector, reduced_norm, scalar_extension)
 
 Q = NumberField([0, 1], label='Q')
 Q_SQRT2 = NumberField([-2, 0, 1], label='Q(sqrt2)')
 Q_SQRT3 = NumberField([-3, 0, 1], label='Q(sqrt3)')
 Q_I = NumberField([1, 0, 1], label='Q(i)')
 Q_SQRTM2 = NumberField([2, 0, 1], label='Q(sqrt-2)')
+CYCLIC_QUARTIC = NumberField([2, 0, -4, 0, 1], label='Q(sqrt(2+sqrt2))')
+EIGHTH_ROOT_OF_2 = NumberField([-2, 0, 0, 0, 0, 0, 0, 0, 1])
 
 HAM_Q = QuaternionAlgebra(Q, -1, -1, label='(-1,-1/Q)')
 SPLIT_Q = QuaternionAlgebra(Q, 1, 1, label='(1,1/Q)')
@@ -69,9 +72,7 @@ def rnd_sparse_elem(rng, alg):
 
 def test_sparse_product_agrees_with_the_dense_formula():
     rng = random.Random(77)
-    cyclic_quartic = NumberField([2, 0, -4, 0, 1], label='Q(sqrt(2+sqrt2))')
-    eighth_root_of_2 = NumberField([-2, 0, 0, 0, 0, 0, 0, 0, 1])
-    for field in (Q, Q_SQRT2, cyclic_quartic, eighth_root_of_2):
+    for field in (Q, Q_SQRT2, CYCLIC_QUARTIC, EIGHTH_ROOT_OF_2):
         params = [(-1, -1), (1, 1), (Fraction(3, 2), Fraction(-5, 7))]
         while len(params) < 6:
             a, b = rnd_field_elem(rng, field), rnd_field_elem(rng, field)
@@ -81,7 +82,49 @@ def test_sparse_product_agrees_with_the_dense_formula():
             alg = QuaternionAlgebra(field, a, b)
             for _ in range(12):
                 x, y = rnd_sparse_elem(rng, alg), rnd_sparse_elem(rng, alg)
-                assert (x * y).coords == dense_product(alg, x, y)
+                assert (x * y).coords == dense_product(alg, x, y) \
+                    == unit_table.product_coords(alg, x, y)
+
+
+BIG = 2 ** 200
+
+
+def rnd_big_elem(rng, alg):
+    """Numerators up to 2^200 of either sign, over random denominators;
+    about one coordinate in four is zero and one element in six has every
+    numerator at +-2^200, the most a packed digit must hold."""
+    n = alg.base.degree
+    if rng.random() < 1 / 6:
+        sign = rng.choice((1, -1))
+        return QuatElement(alg, tuple([sign * BIG] * (4 * n)))
+    coords = []
+    for _ in range(4):
+        if rng.random() < 0.25:
+            coords.append(0)
+            continue
+        top = rng.choice((9, 2 ** 64, BIG))
+        den = rng.choice((1, 3, rng.randint(1, 2 ** 70)))
+        coords.append(alg.base.element([Fraction(rng.randint(-top, top), den)
+                                        for _ in range(n)]))
+    return alg.element(coords)
+
+
+def test_packed_product_agrees_with_the_unit_table_oracle():
+    rng = random.Random(8)
+    pairs = 0
+    for field in (Q, Q_SQRT2, CYCLIC_QUARTIC, EIGHTH_ROOT_OF_2):
+        g = field.gen() if field.degree > 1 else field.scalar(2)
+        params = [(-1, -1), (Fraction(1, 2), g * Fraction(-3, 5)),
+                  # constants of the full degree n - 1, products up to 3n - 3
+                  (g ** (field.degree - 1) - Fraction(1, 7),
+                   g * Fraction(5, 3) + 2)]
+        for a, b in params:
+            alg = QuaternionAlgebra(field, a, b)
+            for _ in range(26):
+                x, y = rnd_big_elem(rng, alg), rnd_big_elem(rng, alg)
+                assert (x * y).coords == unit_table.product_coords(alg, x, y)
+                pairs += 1
+    assert pairs >= 300
 
 
 def test_inverse_of_one_plus_i():
@@ -102,6 +145,27 @@ def test_norm_formula_and_identity():
     assert reduced_norm(HAM_Q.one()) == Q.one()
     x = HAM_Q.element([1, 2, 3, 4])
     assert reduced_norm(x) == Q.scalar(1 + 4 + 9 + 16)
+
+
+def matrix_embedding_norm(x):
+    """Independent determinant route to the reduced norm.
+
+    Works in the quadratic algebra h[y]/(y^2 - a): the element maps to the
+    2x2 matrix [[x0 + x1 y, b (x2 + x3 y)], [x2 - x3 y, x0 - x1 y]] and the
+    determinant must land back in h.
+    """
+    alg = x.alg
+    a, b = alg.a, alg.b
+    x0, x1, x2, x3 = x.coords
+
+    def qmul(u, v):
+        # (u0 + u1 y)(v0 + v1 y) with y^2 = a
+        return (u[0] * v[0] + a * (u[1] * v[1]), u[0] * v[1] + u[1] * v[0])
+
+    p = qmul((x0, x1), (x0, -x1))
+    q = qmul((b * x2, b * x3), (x2, -x3))
+    assert p[1] == q[1], "determinant left the center"
+    return p[0] - q[0]
 
 
 def test_norm_against_matrix_embedding():
@@ -274,6 +338,59 @@ def test_automorphism_powers_and_inverse():
     assert tau.power(0).is_identity()
     assert tau.power(3) == tau.compose(tau).compose(tau)
     assert tau.power(-1).compose(tau).is_identity()
+
+
+def twist_by_formula(auto, x):
+    """ca(x0) + ca(x1) i' + ca(x2) j' + ca(x3) k', ca the central action."""
+    alg, ca = auto.owner, auto.center_action
+    images = (alg.one(), auto.image_i, auto.image_j,
+              auto.image_i * auto.image_j)
+    out = alg.zero()
+    for c, image in zip(x.coords, images):
+        out = out + image * alg.scalar(ca(c))
+    return out
+
+
+def test_cached_twist_matrix_agrees_with_the_unit_formula():
+    rng = random.Random(9)
+    for field in (Q, Q_SQRT2, CYCLIC_QUARTIC):
+        alg = QuaternionAlgebra(field, -1, -1)
+        inner = inner_automorphism(alg.element([1, 1, 1, 1]))
+        autos = [alg.identity_automorphism(), inner, inner.power(-1)]
+        outer_gens = [a for a in field.automorphisms() if not a.is_identity()]
+        if outer_gens:
+            outer = AlgebraAutomorphism(alg, alg.i(), alg.j(),
+                                        max(outer_gens, key=lambda a: a.order()))
+            autos += [outer, outer.compose(inner), outer.compose(inner).power(-1)]
+        for auto in autos:
+            for _ in range(15):
+                x = rnd_sparse_elem(rng, alg)
+                assert auto(x) == twist_by_formula(auto, x)
+
+
+def test_extend_quaternion_is_the_coordinatewise_embedding():
+    rng = random.Random(10)
+    sqrt2 = FieldMorphism(Q_SQRT2, CYCLIC_QUARTIC,
+                          CYCLIC_QUARTIC.element([-2, 0, 1]))
+    # sqrt2 is half the generator of Q(sqrt8): columns over denominator 2
+    q_sqrt8 = NumberField([-8, 0, 1])
+    half = FieldMorphism(Q_SQRT2, q_sqrt8, q_sqrt8.element([0, Fraction(1, 2)]))
+    for emb in (embed_q(Q_SQRT2), sqrt2, half):
+        g = emb.source.gen() if emb.source.degree > 1 else emb.source.one()
+        alg = QuaternionAlgebra(emb.source, Fraction(1, 2), g * Fraction(-3, 5))
+        big = QuaternionAlgebra(emb.target, emb(alg.a), emb(alg.b))
+        for _ in range(30):
+            x = rnd_sparse_elem(rng, alg)
+            assert extend_quaternion(x, big, emb) == \
+                big.element([emb(c) for c in x.coords])
+
+
+def test_quaternion_elements_keep_only_their_integer_vector():
+    # bench/run.py keeps every item output of every pass, so its
+    # peak_rss_mb follows element size times the passes a run completes;
+    # caching the FieldElement coordinates on the element would grow the
+    # kept memory exactly when a faster core runs more passes
+    assert QuatElement.__slots__ == ('alg', 'num', 'den')
 
 
 def test_q_vector_round_trip():

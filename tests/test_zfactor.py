@@ -83,6 +83,23 @@ def test_irreducibility_of_a_repeated_factor_is_false():
     assert not is_irreducible_over_q([0, 0, 1])                   # x^2
 
 
+@pytest.mark.parametrize('coeffs', [
+    [0, 3, -2, 5, 1, 0, 1],     # x^6 + x^4 + 5x^3 - 2x^2 + 3x: root 0
+    [2, -1, 0, 0, 1, -3, 1],    # x^6 - 3x^5 + x^4 - x + 2: root 1
+    [5, 8, 3, 0, 1, 1],         # (x + 1)(x^4 + 3x + 5): root -1
+    [-1, 0, 1],                 # x^2 - 1: roots 1 and -1
+])
+def test_irreducibility_of_a_linear_factor_is_false(coeffs):
+    assert kronecker_oracle.is_irreducible(coeffs) is False
+    assert not is_irreducible_over_q(coeffs)
+
+
+def test_linear_polynomials_with_a_root_at_0_or_1_stay_irreducible():
+    assert is_irreducible_over_q([0, 1])
+    assert is_irreducible_over_q([-1, 1])
+    assert is_irreducible_over_q([1, 1])
+
+
 @pytest.mark.parametrize('coeffs', [[5], [1, 2], [1] + [0] * 8 + [1]])
 def test_irreducibility_rejects_out_of_range_input(coeffs):
     with pytest.raises(ValueError):
