@@ -25,15 +25,18 @@ scale, and the constructions this package verifies never need more.
 """
 
 from fractions import Fraction
-from itertools import product as _iproduct
+from itertools import count, islice, product as _iproduct
 from math import gcd, lcm
+from operator import mul
 
 from .linalg import (common_kernel, coordinates_in_span, eliminate, invert,
                      same_span)
-from .zfactor import MAX_DEGREE, is_irreducible_over_q
+from .zfactor import (MAX_DEGREE, is_irreducible_over_q, linear_part,
+                      lift_root, odd_primes, roots_mod)
 
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
+ROOT_PRIMES = 2  # primes roots_in_field compares; a third seldom pays
 
 
 # ---------------------------------------------------------------------------
@@ -663,48 +666,134 @@ class RealPlace(Immutable):
 # ---------------------------------------------------------------------------
 
 def roots_in_field(coeffs, field):
-    """All roots in ``field`` of a rational polynomial, exactly.
+    """All roots in ``field`` of a nonzero rational polynomial f, sorted.
 
-    The factorization over the field is delegated to sympy; every returned
-    root is re-verified here by exact evaluation, so the dependency sits
-    behind an independent certificate.
+    Of the first ROOT_PRIMES primes where m has a root and f and m stay
+    squarefree of their degree, the search takes the one where f has the
+    fewest roots.  The list is complete by the count certificate (every
+    root of f mod p gave a verified root) or by the bound certificate of
+    ``_roots_at_prime`` (there a failing candidate proves no root above).
     """
-    import sympy
-    from sympy import QQ as SQQ
-
     cs = poly_trim([Fraction(c) for c in coeffs])
     if poly_deg(cs) < 1:
         return []
-    x = sympy.Symbol('x')
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
-               for i, c in enumerate(cs))
-    if field.degree == 1:
-        dom = SQQ
-    else:
-        fp = sum(sympy.Integer(int(c)) * x ** i
-                 for i, c in enumerate(field.min_poly))
-        dom = SQQ.algebraic_field(sympy.CRootOf(fp, 0))
-    factors = sympy.Poly(expr, x, domain=dom).factor_list()[1]
-    roots = []
-    for fac, _mult in factors:
-        if fac.degree() != 1:
-            continue
-        c1, c0 = fac.rep.to_list()
-        roots.append((-_dom_to_element(c0, field)) / _dom_to_element(c1, field))
+    cs = poly_divmod(cs, poly_gcd(cs, poly_deriv(cs)))[0]
+    den = lcm(*[c.denominator for c in cs]) * (1 if cs[-1] > 0 else -1)
+    f = [c.numerator * (den // c.denominator) for c in cs]
+    m = [int(c) for c in field.min_poly]
+    good = ((len(g), p) for p in odd_primes()
+            if len(linear_part(m, p) or ()) > 1 and (g := linear_part(f, p)))
+    p = min(islice(good, ROOT_PRIMES))[1]
+    return _roots_at_prime(f, field, p)[0]
+
+
+def _roots_at_prime(f, field, p):
+    """The sorted roots in K of f (integer, leading coefficient c > 0) at p,
+    and the roots b of f mod p that the bound proves to lie below none.
+
+    alpha -> A, the root of m above a, embeds K in Q_p.  For a root beta,
+    w = m'(alpha) c beta lies in Z[alpha] (Euler), and t = (m'(A) c B, 0,
+    ..., 0), B the root of f above b, in w + L for the lattice L of u with
+    u(A) = 0 mod p^k.  Babai's nearest plane on an LLL basis rounds t to
+    the candidate, at most 2^(n/2) times as long as the shortest in t + L.
+    With Cauchy bounds R, R_f for m and f, w has conjugates below S =
+    (2R)^(n-1) c R_f, so coordinates below H = n^(n/2) R^(n(n-1)/2) S by
+    Cramer and Hadamard (the Vandermonde matrix of alpha has |det| >= 1).
+    A nonzero u in L has p^k <= |N(u(alpha))| <= (|u| sqrt(n) R^(n-1))^n:
+    past p^k = (n (2^(n/2) + 1) H R^(n-1))^n the candidate is w if w
+    exists.  A first try assumes |w| <= S, lambda_1(L) near p^(k/n).
+    """
+    def cauchy(g):  # the least power of two above the roots of g
+        return next(R for R in (2 ** e for e in count()) if abs(g[-1]) * R ** (
+            len(g) - 1) > sum(abs(x) * R ** i for i, x in enumerate(g[:-1])))
+    n, c = field.degree, f[-1]
+    m = [int(x) for x in field.min_poly]
+    delta = field.element(poly_deriv(field.min_poly)) * c
+    R, babai = cauchy(m), 2 ** ((n + 1) // 2)
+    S = (2 * R) ** (n - 1) * c * cauchy(f)
+    bound = (n * (babai + 1) * n ** ((n + 1) // 2)
+             * R ** ((n + 2) * (n - 1) // 2) * S) ** n
+    left, roots = roots_mod(f, p), []
+    for limit in sorted({min((2 * babai * S) ** n, bound), bound}):
+        if not left:
+            break
+        k = next(k for k in count(1) if p ** k > limit)
+        q = p ** k
+        A = lift_root(m, roots_mod(m, p)[0], p, k)
+        powers = [pow(A, i, q) for i in range(n)]
+        _, nearest = _lll([[-powers[i] if i else q]
+                           + [int(j == i) for j in range(1, n)] for i in range(n)])
+        scale, unresolved = sum(map(mul, delta.num, powers)), []
+        for b in left:
+            target = scale * lift_root(f, b, p, k) % q
+            u = nearest([target] + [0] * (n - 1))
+            if sum(map(mul, u, powers)) % q != target:
+                raise AssertionError("rounded candidate left its residue class")
+            beta = FieldElement(field, tuple(u)) / delta
+            if _eval_poly_at_element(f, beta).is_zero():
+                roots.append(beta)
+            else:
+                unresolved.append(b)
+        left = unresolved
     roots.sort(key=lambda r: r.coords)
-    for r in roots:
-        if not _eval_poly_at_element(cs, r).is_zero():
-            raise AssertionError("root candidate failed exact verification")
-    return roots
+    return roots, left
 
 
-def _dom_to_element(c, field):
-    if hasattr(c, 'to_list'):
-        rep = list(c.to_list())  # highest degree first, in the generator
-        rep.reverse()
-        return field.element([Fraction(int(q.numerator), int(q.denominator))
-                              for q in rep])
-    return field.scalar(Fraction(int(c.numerator), int(c.denominator)))
+def _lll(basis):
+    """LLL-reduce (delta = 3/4) independent integer rows; return them and
+    Babai's nearest plane on them.  Cohen, *A Course in Computational
+    Algebraic Number Theory*, Algorithm 2.6.7: d[i] is the Gram determinant
+    of the first i rows and lam[k][j] = d[j + 1] mu_kj, all integers."""
+    b, n = [list(row) for row in basis], len(basis)
+    d = [1, sum(map(mul, b[0], b[0]))] + [0] * (n - 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def coefficients(v, out, count):
+        # out is lam[k] itself when v is b[k]
+        for j in range(count):
+            u = sum(map(mul, v, b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - out[i] * lam[j][i]) // d[i]
+            out[j] = u
+        return out
+
+    def reduce(v, out, l):
+        q = (2 * out[l] + d[l + 1]) // (2 * d[l + 1])
+        if q:
+            v = [x - q * y for x, y in zip(v, b[l])]
+            out[l] -= q * d[l + 1]
+            for i in range(l):
+                out[i] -= q * lam[l][i]
+        return v
+
+    def nearest(t):
+        out = coefficients(t, [0] * n, n)
+        for i in range(n - 1, -1, -1):
+            t = reduce(t, out, i)
+        return t
+
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            d[k + 1] = coefficients(b[k], lam[k], k + 1)[k]
+        b[k] = reduce(b[k], lam[k], k - 1)
+        lk = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lk * lk:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            lam[k][:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lam[k][:k - 1]
+            B = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+                lam[i][k - 1] = (B * t + lk * lam[i][k]) // d[k + 1]
+            d[k] = B
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                b[k] = reduce(b[k], lam[k], l)
+            k += 1
+    return b, nearest
 
 
 # ---------------------------------------------------------------------------

@@ -176,9 +176,9 @@ class QuaternionAlgebra(Immutable):
                                           shift, n * len(out))
 
     def __eq__(self, other):
-        return (isinstance(other, QuaternionAlgebra)
-                and self.base == other.base
-                and self.a == other.a and self.b == other.b)
+        return self is other or (isinstance(other, QuaternionAlgebra)
+                                 and self.base == other.base
+                                 and self.a == other.a and self.b == other.b)
 
     def __hash__(self):
         return hash((self.base, self.a, self.b))
@@ -580,11 +580,11 @@ class AlgebraAutomorphism(Immutable):
                            den * x.den)
 
     def __eq__(self, other):
-        return (isinstance(other, AlgebraAutomorphism)
-                and self.owner == other.owner
-                and self.image_i == other.image_i
-                and self.image_j == other.image_j
-                and self.center_action == other.center_action)
+        return self is other or (isinstance(other, AlgebraAutomorphism)
+                                 and self.owner == other.owner
+                                 and self.image_i == other.image_i
+                                 and self.image_j == other.image_j
+                                 and self.center_action == other.center_action)
 
     def __hash__(self):
         return hash((self.owner, self.image_i, self.image_j,

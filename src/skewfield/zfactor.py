@@ -71,7 +71,7 @@ def is_irreducible_over_q(int_coeffs):
     bad_product = 1
     degrees = set(range(1, n // 2 + 1))
     good = []
-    for p in _odd_primes():
+    for p in odd_primes():
         if len(good) == SIEVE_PRIMES or (good and p > PRIME_CAP):
             break
         fp = _mod(f, p)
@@ -105,11 +105,42 @@ def is_irreducible_over_q(int_coeffs):
     return True
 
 
-def _odd_primes():
+def odd_primes():
     yield from _SMALL_PRIMES[1:]
     for q in count(PRIME_CAP + 1, 2):
         if all(q % r for r in range(3, isqrt(q) + 1, 2)):
             yield q
+
+
+def linear_part(f, p):
+    """The monic product of the linear factors of f modulo p, or None if f
+    does not stay squarefree of its degree there."""
+    fp = _mod(f, p)
+    deriv = _mod([k * c for k, c in enumerate(fp)][1:], p)
+    if len(fp) < len(f) or len(_gcd(fp, deriv, p)) > 1:
+        return None
+    return _gcd(fp, _add(_powmod([0, 1], p, fp, p), [0, 1], p, -1), p)
+
+
+def roots_mod(f, p):
+    """Sorted roots modulo the odd prime p of f, squarefree of its degree."""
+    g = linear_part(f, p)
+    split = _equal_degree(g, 1, p, random.Random(p)) if len(g) > 1 else []
+    return sorted(-h[0] % p for h in split)
+
+
+def lift_root(f, b, p, k):
+    """The root modulo p^k of f above its simple root b modulo p (Newton)."""
+    e = 1
+    while e < k:
+        e = min(2 * e, k)
+        q = p ** e
+        value = slope = 0
+        for c in reversed(f):
+            slope = (slope * b + value) % q
+            value = (value * b + c) % q
+        b = (b - value * pow(slope, -1, q)) % q
+    return b
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import sympy_roots_oracle
+from skewfield import numfield, regressions
+from skewfield.linalg import rank, solve
 from skewfield.numfield import (
     FieldMorphism, LevelVerdict, NumberField, automorphism_group,
     count_real_roots, field_level, fixed_field, is_galois,
@@ -21,6 +28,10 @@ Q_CBRT2 = NumberField([-2, 0, 0, 1], label='Q(cbrt2)')
 C4_FIELD = NumberField([2, 0, -4, 0, 1], label='Q(sqrt(2+sqrt2))')
 # generator sqrt2 + sqrt3; x^4 - 10x^2 + 1
 BIQUAD = NumberField([1, 0, -10, 0, 1], label='Q(sqrt2,sqrt3)')
+# the minimal polynomial of sqrt2 + sqrt3 + sqrt5, group C2^3
+C2_CUBED_OCTIC = [576, 0, -960, 0, 352, 0, -40, 0, 1]
+X8_PLUS_2 = [2, 0, 0, 0, 0, 0, 0, 0, 1]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def embed_q(field):
@@ -178,6 +189,125 @@ def test_roots_in_field_counts():
     assert len(roots_in_field([1, 0, 1], Q_I)) == 2
     assert len(roots_in_field([-2, 0, 1], C4_FIELD)) == 2
     assert len(roots_in_field([2, 0, -4, 0, 1], C4_FIELD)) == 4
+
+
+def _oracle_cases():
+    """(polynomial, field) pairs for the comparison with sympy."""
+    q2 = regressions.sqrt2_field()
+    fields = [regressions.hamilton().base, q2,
+              regressions.cyclic_quartic(q2).target,
+              regressions.biquadratic(q2).target]
+    fields += [NumberField(poly, label=name)
+               for name, poly, _, _ in regressions.DL2_MATRIX]
+    rng = random.Random(9)
+    for degree in range(2, 7):
+        drawn = 0
+        while drawn < 3:
+            coeffs = [rng.randint(-5, 5) for _ in range(degree)] + [1]
+            if is_irreducible_over_q(coeffs):
+                fields.append(NumberField(coeffs))
+                drawn += 1
+    fields += [NumberField(C2_CUBED_OCTIC), NumberField(X8_PLUS_2)]
+    cases = [(field.min_poly, field) for field in fields]
+    cases += [([-2, 0, 1], C4_FIELD), ([-2, 0, 1], Q_I),
+              ([Fraction(-1, 3), 0, Fraction(2, 3)], Q_SQRT2),
+              ([Fraction(-3, 2), Fraction(1, 4), 3], Q),
+              ([4, 0, -4, 0, 1], Q_SQRT2)]
+    return cases
+
+
+def test_roots_match_the_sympy_oracle():
+    for coeffs, field in _oracle_cases():
+        got = [r.coords for r in roots_in_field(coeffs, field)]
+        want = [r.coords for r in sympy_roots_oracle.roots_in_field(coeffs, field)]
+        assert got == want, (coeffs, field)
+
+
+def test_bound_certificate_refutes_residues(monkeypatch):
+    # x^3 - 2 splits modulo 31 (roots 4, 7, 20) while Q(cbrt2) holds one
+    # root; the first try leaves 7 and 20, and only the bound refutes them.
+    lattices = []
+    reduce_lattice = numfield._lll
+    monkeypatch.setattr(numfield, '_lll',
+                        lambda basis: lattices.append(basis[0][0])
+                        or reduce_lattice(basis))
+    roots, refuted = numfield._roots_at_prime([-2, 0, 0, 1], Q_CBRT2, 31)
+    assert roots == [Q_CBRT2.gen()]
+    assert refuted == [7, 20]
+    assert len(lattices) == 2 and lattices[0] < lattices[1]
+    # at the prime the search picks, the count certificate closes the list
+    lattices.clear()
+    assert roots_in_field([-2, 0, 0, 1], Q_CBRT2) == [Q_CBRT2.gen()]
+    assert len(lattices) == 1
+
+
+def test_corrupted_candidate_raises(monkeypatch):
+    reduce_lattice = numfield._lll
+
+    def corrupted(basis):
+        rows, nearest = reduce_lattice(basis)
+
+        def off_by_one(t):
+            u = nearest(t)
+            return [u[0] + 1] + u[1:]
+        return rows, off_by_one
+
+    monkeypatch.setattr(numfield, '_lll', corrupted)
+    with pytest.raises(AssertionError):
+        roots_in_field([2, 0, -4, 0, 1], C4_FIELD)
+
+
+def test_lll_reduces_and_keeps_the_lattice():
+    rng = random.Random(4)
+    for _ in range(20):
+        n = rng.randint(2, 6)
+        basis = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)]
+                 for _ in range(n)]
+        if rank(basis) < n:
+            continue
+        reduced, nearest = numfield._lll(basis)
+        # the same lattice: each basis writes the other with integer coordinates
+        for old, new in ((basis, reduced), (reduced, basis)):
+            for row in old:
+                coords = solve([list(col) for col in zip(*new)], row, n)
+                assert all(c.denominator == 1 for c in coords)
+        star, mu = [], {}
+        for i, row in enumerate(reduced):
+            v = [Fraction(x) for x in row]
+            for j, w in enumerate(star):
+                mu[i, j] = _dot(row, w) / _dot(w, w)
+                v = [x - mu[i, j] * y for x, y in zip(v, w)]
+            star.append(v)
+        assert all(abs(m) <= Fraction(1, 2) for m in mu.values())
+        for k in range(1, n):
+            assert _dot(star[k], star[k]) >= (Fraction(3, 4) - mu[k, k - 1] ** 2) \
+                * _dot(star[k - 1], star[k - 1])
+        # nearest plane: the same coset, Gram-Schmidt coordinates at most 1/2
+        t = [rng.randint(-10 ** 8, 10 ** 8) for _ in range(n)]
+        u = nearest(t)
+        shift = solve([list(col) for col in zip(*reduced)],
+                      [x - y for x, y in zip(t, u)], n)
+        assert all(c.denominator == 1 for c in shift)
+        assert all(abs(_dot(u, w) / _dot(w, w)) <= Fraction(1, 2) for w in star)
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def test_roots_in_field_imports_no_sympy():
+    script = (
+        "import sys\n"
+        "import skewfield\n"
+        "from skewfield import cli\n"
+        "assert len(skewfield.NumberField([1, 0, 0, 0, 1]).automorphisms()) == 4\n"
+        "assert cli.main(['run', 'scenarios/q8.scn']) == 0\n"
+        "assert 'sympy' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / 'src')] + sys.path))
+    done = subprocess.run([sys.executable, '-c', script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------
