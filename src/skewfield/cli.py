@@ -393,6 +393,8 @@ def check_field_level(ws, params):
     if verdict.kind == 'finite':
         details['s'] = str(verdict.s)
     details.update(_certificate(verdict))
+    if verdict.kind == 'unknown':
+        details['height_searched'] = str(verdict.bound)
     actual = verdict.kind if verdict.kind != 'finite' \
         else 'finite:%d' % verdict.s
     return CheckResult.from_expectation(

@@ -37,6 +37,7 @@ from .zfactor import (MAX_DEGREE, is_irreducible_over_q, linear_part,
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
 ROOT_PRIMES = 2  # primes roots_in_field compares; a third seldom pays
+LEVEL_ELEMENTS = 100_000  # elements field_level enumerates at one height
 
 
 # ---------------------------------------------------------------------------
@@ -812,10 +813,9 @@ def automorphism_group(ell, h_embedding=None):
         fixed = h_embedding.gen_image
         autos = [a for a in autos if a(fixed) == fixed]
     group = list(autos)
-    for a in group:
-        for b in group:
-            if a.compose(b) not in group:
-                raise AssertionError("automorphism set not closed")
+    images = {a.gen_image for a in group}  # a(b.gen_image) is a.b on gen
+    if any(a(b.gen_image) not in images for a in group for b in group):
+        raise AssertionError("automorphism set not closed")
     return group
 
 
@@ -959,26 +959,44 @@ def _integer_elements(field, height):
         yield FieldElement(field, combo)
 
 
+def _packed(values, terms):
+    """FieldElements of one field as ints, injective on sums of up to terms.
+
+    Over the common denominator, numerator i is the digit at 2^(shift * i).
+    A signed sum of up to ``terms`` values has digits of size at most
+    terms * max|numerator| < 2^shift, so it packs to 0 only when it is 0.
+    """
+    den = lcm(*[v.den for v in values])
+    rows = [[x * (den // v.den) for x in v.num] for v in values]
+    shift = (terms * max(max(map(abs, r)) for r in rows)).bit_length()
+    return [sum([x << (shift * i) for i, x in enumerate(r)]) for r in rows]
+
+
 def field_level(ell, height_bound):
     """Three-valued level verdict with exact certificates.
 
     A real place certifies infinite level.  Otherwise -1 is searched as a
     sum of 1, 2 or 4 nonzero squares with integer coordinates up to the
-    height bound; levels are powers of two, so s = 3 is never reported.
+    height bound, on squares packed into ints; levels are powers of two, so
+    s = 3 is never reported.  It stops before a height with more than
+    LEVEL_ELEMENTS elements and skips the four-square stage past 4_000_000
+    pairs of squares; ``bound`` is the last height all three stages ran.
     """
     if height_bound < 1:
         raise ValueError("height bound must be positive")
     places = ell.real_places()
     if places:
         return LevelVerdict('infinite', place=places[0])
-    minus_one = ell.scalar(-1)
     heights = sorted({min(h, height_bound) for h in (1, 2, 4, 8, 16, height_bound)})
+    searched = 0
     for h in heights:
+        if (2 * h + 1) ** ell.degree > LEVEL_ELEMENTS:
+            break
+        xs = [x for x in _integer_elements(ell, h) if not x.is_zero()]
+        # four squares and -1 meet in one comparison
+        minus_one, *keys = _packed([ell.scalar(-1)] + [x * x for x in xs], 5)
         squares = {}
-        for x in _integer_elements(ell, h):
-            if x.is_zero():
-                continue
-            sq = x * x
+        for x, sq in zip(xs, keys):
             if sq == minus_one:
                 return LevelVerdict('finite', s=1, witness=[x], bound=h)
             squares.setdefault(sq, x)
@@ -998,4 +1016,5 @@ def field_level(ell, height_bound):
                     x3, x4 = pair_sums[need]
                     return LevelVerdict('finite', s=4,
                                         witness=[x1, x2, x3, x4], bound=h)
-    return LevelVerdict('unknown', bound=height_bound)
+            searched = h
+    return LevelVerdict('unknown', bound=searched)

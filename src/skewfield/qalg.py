@@ -27,7 +27,7 @@ from struct import unpack
 
 from .linalg import common_kernel
 from .numfield import (FieldElement, Immutable, RingElement,
-                       _integer_elements, cyclic_powers)
+                       _integer_elements, _packed, cyclic_powers)
 
 
 class ZeroNormError(ArithmeticError):
@@ -464,7 +464,10 @@ def anisotropy(form, height_bound, pair_cap=2_000_000):
 
     Search order: real-place definiteness first, then a staged exhaustive
     hunt for a nontrivial zero with integer power-basis coordinates of
-    height up to the bound, meeting in the middle over coordinate pairs.
+    height up to the bound, meeting in the middle over coordinate pairs of
+    the values c_i x^2 packed into ints, one per distinct square.  It stops
+    before a height with more than pair_cap pairs; ``bound`` is the last
+    height searched.  The verdict re-checks the witness on field elements.
     """
     if height_bound < 1:
         raise ValueError("height bound must be positive")
@@ -473,7 +476,6 @@ def anisotropy(form, height_bound, pair_cap=2_000_000):
         signs = {place.sign(c) for c in form.coefficients}
         if signs == {1} or signs == {-1}:
             return AnisotropyVerdict('anisotropic', form, place=place)
-    c = form.coefficients
     heights = sorted({min(h, height_bound) for h in (1, 2, 3, 5, 8, 13, height_bound)})
     searched = 0
     for h in heights:
@@ -481,14 +483,20 @@ def anisotropy(form, height_bound, pair_cap=2_000_000):
         if count * count > pair_cap:
             break
         searched = h
-        scaled = [[(x, ci * x * x) for x in _integer_elements(target, h)]
-                  for ci in c]
+        # c_i x^2 = c_i y^2 exactly when x^2 = y^2, and only x = 0 gives 0:
+        # the first pair with a given sum is made of first occurrences
+        first = {}
+        for x in _integer_elements(target, h):
+            first.setdefault(x * x, x)
+        keys = _packed([ci * sq for sq in first for ci in form.coefficients], 4)
+        col1, col2, col3, col4 = [list(zip(first.values(), keys[i::4]))
+                                  for i in range(4)]
         halves = {}
-        for x1, v1 in scaled[0]:
-            for x2, v2 in scaled[1]:
+        for x1, v1 in col1:
+            for x2, v2 in col2:
                 halves.setdefault(v1 + v2, (x1, x2))
-        for x3, v3 in scaled[2]:
-            for x4, v4 in scaled[3]:
+        for x3, v3 in col3:
+            for x4, v4 in col4:
                 other = halves.get(-(v3 + v4))
                 if other is None:
                     continue

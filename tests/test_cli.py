@@ -266,6 +266,17 @@ def test_main_declares_a_field_with_a_30_digit_coefficient(tmp_path, capsys):
     assert 'status: unknown' in capsys.readouterr().out
 
 
+def test_main_reports_the_height_an_unknown_level_searched(tmp_path, capsys):
+    # x^8 + x^2 + 3 is totally imaginary; its height-1 elements already pass
+    # the four-square stage's pair cap, and height 2 the element cap
+    path = tmp_path / 'octic.scn'
+    path.write_text("[fields]\noct 3 0 1 0 0 0 0 0 1\n[checks]\n"
+                    "field_level field=oct\n")
+    assert main(['run', str(path)]) == 0
+    out = capsys.readouterr().out
+    assert 'kind: unknown' in out and 'height_searched: 0' in out
+
+
 @pytest.mark.parametrize('name', sorted(set(builtin_examples()) - {'all'}))
 def test_main_runs_each_builtin(capsys, name):
     code = main(['run', 'builtin:' + name, '--height-bound', '8'])

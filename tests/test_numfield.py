@@ -174,6 +174,16 @@ def test_group_size_divides_degree_and_closure():
                 assert a.compose(b) in group
 
 
+def test_automorphism_group_rejects_a_set_that_is_not_closed(monkeypatch):
+    zeta8 = NumberField([1, 0, 0, 0, 1], label='Q(zeta8)')
+    autos = zeta8.automorphisms()
+    assert len(autos) == 4
+    monkeypatch.setattr(NumberField, 'automorphisms',
+                        lambda self: autos[:-1])
+    with pytest.raises(AssertionError):
+        automorphism_group(zeta8)
+
+
 def test_relative_automorphism_group():
     # Gal(biquad / Q(sqrt2)) has order 2
     sqrt2_in = BIQUAD.element([0, Fraction(-9, 2), 0, Fraction(1, 2)])
