@@ -307,8 +307,7 @@ class Workspace:
                     assignments[gens[gen_label]] = 0
                 else:
                     fm = self.lookup('map', map_name)
-                    assignments[gens[gen_label]] = \
-                        gal.index_of(ext.from_center(fm))
+                    assignments[gens[gen_label]] = ext.index_of(fm)
         images = _extend_hom(G, assignments, gal.group)
         return EmbeddingProblem(G, ext, images, gal)
 

@@ -251,47 +251,33 @@ class GroupHom(Immutable):
 # ---------------------------------------------------------------------------
 
 class GalData(Immutable):
-    """The automorphism list of an extension, indexed as a table group."""
+    """The group of an extension as a table group, elements in index order."""
 
     __slots__ = ('ext', 'elements', 'group')
 
     def __init__(self, ext):
-        elements = list(ext.group)
-        if not elements[0].is_identity():
-            raise AssertionError("extension group does not lead with identity")
-        idx = {}
-        for n, e in enumerate(elements):
-            idx[e] = n
-        table = [[idx[a.compose(b)] for b in elements] for a in elements]
         object.__setattr__(self, 'ext', ext)
-        object.__setattr__(self, 'elements', tuple(elements))
-        object.__setattr__(self, 'group',
-                           FiniteGroup(table, ['s%d' % n
-                                               for n in range(len(elements))]))
-
-    def index_of(self, elem):
-        for n, e in enumerate(self.elements):
-            if e == elem:
-                return n
-        raise ValueError("element not in the Galois group")
+        object.__setattr__(self, 'elements', ext.group)
+        object.__setattr__(self, 'group', FiniteGroup(
+            ext.table, ['s%d' % n for n in range(len(ext.table))]))
 
 
 def images_by_powers(gal, image_of_power):
     """Images of a cyclic Galois group, listed by index.
 
-    The generator is the first element whose central action has the full
-    order; its k-th power is sent to image_of_power(k), for k = 1 .. order.
+    The generator is the first element of full order; its k-th power is
+    sent to image_of_power(k), for k = 1 .. order.
     """
-    order = gal.group.order
-    gen = next((n for n, e in enumerate(gal.elements)
-                if _center_action(e).order() == order), None)
+    G = gal.group
+    gen = next((n for n in range(G.order) if G.element_order(n) == G.order),
+               None)
     if gen is None:
         raise ValueError("the Galois group is not cyclic")
-    images = [None] * order
+    images = [None] * G.order
     cur = gen
-    for power in range(1, order + 1):
+    for power in range(1, G.order + 1):
         images[cur] = image_of_power(power)
-        cur = gal.group.op(gen, cur)
+        cur = G.op(gen, cur)
     return images
 
 
@@ -310,6 +296,8 @@ class EmbeddingProblem(Immutable):
 
     def __init__(self, G, ext, alpha_images, gal=None):
         gal = gal if gal is not None else GalData(ext)
+        if gal.ext is not ext:  # indices into gal index ext.group
+            raise ValueError("the Galois data belong to another extension")
         alpha = GroupHom(G, gal.group, alpha_images)
         if not alpha.is_surjective():
             raise ValueError("the problem map must be onto the Galois group")
@@ -336,6 +324,8 @@ class SolutionMap(Immutable):
         if kind not in ('weak', 'full'):
             raise ValueError("kind must be weak or full")
         gal_big = gal_big if gal_big is not None else GalData(ext_big)
+        if gal_big.ext is not ext_big:
+            raise ValueError("the Galois data belong to another extension")
         beta = GroupHom(gal_big.group, G, beta_images)
         object.__setattr__(self, 'ext_big', ext_big)
         object.__setattr__(self, 'gal_big', gal_big)
@@ -362,13 +352,6 @@ class SolutionReport(Immutable):
         return self.injective_ok and self.kind_ok and self.compatible_ok
 
 
-def restriction_index_table(sol, problem):
-    """Index table of the restriction from the solution's group to the
-    problem's."""
-    hom = restriction_between(sol.ext_big, problem.ext, sol.center_emb)
-    return [problem.gal.index_of(hom(e)) for e in sol.gal_big.elements]
-
-
 def verify_solution(problem, sol):
     """Re-verify every condition of a (weak) solution, reporting each."""
     injective_ok = sol.beta.is_injective()
@@ -377,7 +360,8 @@ def verify_solution(problem, sol):
     else:
         kind_ok = True
     try:
-        res = restriction_index_table(sol, problem)
+        res = restriction_between(sol.ext_big, problem.ext,
+                                  sol.center_emb).images
     except Exception as exc:  # restriction not even well-defined
         return SolutionReport(injective_ok, kind_ok, False,
                               "restriction failed: %s" % exc)
@@ -418,8 +402,7 @@ def is_split(problem):
 
 def _comm_shadow(ext):
     """The commutative extension under a division-ring one, index-aligned."""
-    return CommExtension(ext.center_field, ext.center_emb,
-                         [_center_action(g) for g in ext.group])
+    return CommExtension(ext.center_field, ext.center_emb, ext.center_group())
 
 
 def transport_down(problem):
@@ -443,12 +426,9 @@ def transport_up(problem, H, height_bound=8):
         raise ValueError("problem base field is not the center of H")
     ext = build_galois_extension(H, problem.ext.center_field, emb,
                                  height_bound)
-    gal = GalData(ext)
-    images = []
-    for g in range(problem.G.order):
-        fm = problem.gal.elements[problem.alpha(g)]
-        images.append(gal.index_of(ext.from_center(fm)))
-    return EmbeddingProblem(problem.G, ext, images, gal)
+    images = [ext.index_of(problem.ext.group[problem.alpha(g)])
+              for g in range(problem.G.order)]
+    return EmbeddingProblem(problem.G, ext, images)
 
 
 def sol_down(sol):
@@ -465,12 +445,11 @@ def sol_up(sol, H, height_bound=8):
         raise ValueError("solution base field is not the center of H")
     ext = build_galois_extension(H, sol.ext_big.center_field, emb,
                                  height_bound)
-    gal = GalData(ext)
-    images = [None] * gal.group.order
+    images = [None] * len(ext.group)
     for t, fm in enumerate(sol.ext_big.group):
-        images[gal.index_of(ext.from_center(fm))] = sol.beta(t)
+        images[ext.index_of(fm)] = sol.beta(t)
     return SolutionMap(ext, sol.center_emb, images, sol.kind,
-                       sol.beta.target, gal)
+                       sol.beta.target)
 
 
 def problems_agree(p1, p2):
@@ -481,8 +460,7 @@ def problems_agree(p1, p2):
         return False
     if p1.ext.center_emb != p2.ext.center_emb:
         return False
-    if [_center_action(a) for a in p1.ext.group] != \
-            [_center_action(b) for b in p2.ext.group]:
+    if p1.ext.center_group() != p2.ext.center_group():
         return False
     return p1.alpha.images == p2.alpha.images
 
@@ -490,8 +468,7 @@ def problems_agree(p1, p2):
 def solutions_agree(s1, s2):
     if s1.ext_big.center_field != s2.ext_big.center_field:
         return False
-    if [_center_action(a) for a in s1.ext_big.group] != \
-            [_center_action(b) for b in s2.ext_big.group]:
+    if s1.ext_big.center_group() != s2.ext_big.center_group():
         return False
     return s1.beta.images == s2.beta.images and s1.kind == s2.kind
 
@@ -539,8 +516,8 @@ def geometric_problem(problem, X, degree_bound=4):
     gal_e = automorphism_group(k_in_e.target, k_in_e)
     # restriction of the center group to the fixed field is a bijection
     restricted = []
-    for g in problem.ext.group:
-        fm = restrict_morphism(_center_action(g), e_emb)
+    for g in problem.ext.center_group():
+        fm = restrict_morphism(g, e_emb)
         if fm not in gal_e:
             raise AssertionError("restriction left the fixed-field group")
         restricted.append(fm)
@@ -590,8 +567,7 @@ class FiberReduction(Immutable):
         pi = [self.pairs[big_solution.beta(t)][0]
               for t in range(big_solution.gal_big.group.order)]
         kernel = [t for t, v in enumerate(pi) if v == 0]
-        kt = [_center_action(big_solution.gal_big.elements[t])
-              for t in kernel]
+        kt = [_center_action(big_solution.ext_big.group[t]) for t in kernel]
         f_big = big_solution.ext_big.center_field
         f_field, f_emb = fixed_field(f_big, kt)
         # base field of the original problem inside the fixed field
@@ -605,15 +581,13 @@ class FiberReduction(Immutable):
         else:
             ext_F = build_galois_extension(orig.ext.H, f_field, h_in_f,
                                            height_bound)
-        gal_F = GalData(ext_F)
         # restriction from the big extension down to the new one
-        hom = restriction_between(big_solution.ext_big, ext_F, f_emb)
-        res_idx = [gal_F.index_of(hom(e))
-                   for e in big_solution.gal_big.elements]
+        res_idx = restriction_between(big_solution.ext_big, ext_F,
+                                      f_emb).images
         if sorted(t for t, v in enumerate(res_idx) if v == 0) != \
                 sorted(kernel):
             raise AssertionError("projection kernel does not cut the fixed field")
-        beta = [None] * gal_F.group.order
+        beta = [None] * len(ext_F.group)
         for t, v in enumerate(res_idx):
             if beta[v] is None:
                 beta[v] = pi[t]
@@ -629,7 +603,7 @@ class FiberReduction(Immutable):
         if pre_ell is None:
             raise AssertionError("small center escaped the fixed field")
         ell_in_f = FieldMorphism(chain.source, f_field, pre_ell)
-        out = SolutionMap(ext_F, ell_in_f, beta, 'full', G, gal_F)
+        out = SolutionMap(ext_F, ell_in_f, beta, 'full', G)
         final = verify_solution(orig, out)
         if not final.passed():
             raise AssertionError("transported solution failed verification: %s"
@@ -650,7 +624,8 @@ def fiber_reduction(problem, weak):
         raise NotWeakSolution(report.details or "weak solution failed")
     G = problem.G
     galp = weak.gal_big.group
-    res_idx = restriction_index_table(weak, problem)
+    res_idx = restriction_between(weak.ext_big, problem.ext,
+                                  weak.center_emb).images
     pairs = [(a, r) for r in range(galp.order) for a in range(G.order)
              if problem.alpha(a) == res_idx[r]]
     pairs.sort(key=lambda p: (p != (0, 0), p[1], p[0]))

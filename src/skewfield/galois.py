@@ -2,18 +2,18 @@
 
 A finite Galois extension of a division ring finite-dimensional over its
 center is a scalar extension by a Galois extension of the center on which
-the reduced-norm form stays anisotropic; its automorphisms act as identity
-on the quaternion units and as the commutative Galois group on the center.
-Construction here refuses anything without an anisotropy certificate and
-re-verifies the Artin fixed-set property and outer-ness by exact linear
-algebra.
+the reduced-norm form stays anisotropic.  Its automorphisms fix the
+quaternion units and act on the center, which determines them, so each
+extension keeps its group as one verified index table on center actions.
+Construction refuses anything without an anisotropy certificate and
+re-verifies the Artin fixed-set property and outer-ness exactly.
 
 Restriction maps between such extensions are composed out of commutative
-restrictions through an auxiliary tower witness and post-verified
-pointwise.  The direct-product condition on the central twists governs
-when the twisted function fields form a Galois extension with the same
-group; the lifts acting coefficientwise are built and checked to a degree
-bound.
+restrictions through an auxiliary tower witness, checked on the two group
+tables and post-verified pointwise.  The direct-product condition on the
+central twists governs when the twisted function fields form a Galois
+extension with the same group; the lifts acting coefficientwise are built
+and checked to a degree bound.
 """
 
 from .linalg import common_kernel, same_span
@@ -64,15 +64,55 @@ def _center_action(g):
     return g.center_action if isinstance(g, AlgebraAutomorphism) else g
 
 
-class CommExtension(Immutable):
+class Extension(Immutable):
+    """Base of the extensions: the group with its verified index table.
+
+    An element is keyed by its center generator image; table[a][b] is the
+    index of center(a)(center(b).gen_image), the key of a after b.
+    """
+
+    __slots__ = ('group', 'table', '_index')
+
+    def _set_group(self, group):
+        group = tuple(group)
+        if not group[0].is_identity():
+            raise AssertionError("extension group does not lead with identity")
+        actions = [_center_action(g) for g in group]
+        index = {fm.gen_image: n for n, fm in enumerate(actions)}
+        if len(index) != len(group):
+            raise AssertionError("two group elements share a center action")
+        table = tuple(tuple(index.get(a(b.gen_image), -1) for b in actions)
+                      for a in actions)
+        if any(-1 in row for row in table):
+            raise AssertionError("extension group is not closed")
+        object.__setattr__(self, 'group', group)
+        object.__setattr__(self, 'table', table)
+        object.__setattr__(self, '_index', index)
+
+    def center_group(self):
+        return [_center_action(g) for g in self.group]
+
+    def index_of(self, elem):
+        """Index of a group element, or of the one with that center action."""
+        n = self._index.get(_center_action(elem).gen_image)
+        if n is None or elem not in (self.group[n],
+                                     _center_action(self.group[n])):
+            raise ValueError("not in the Galois group")
+        return n
+
+    def from_center(self, fm):
+        return self.group[self.index_of(fm)]
+
+
+class CommExtension(Extension):
     """Finite Galois extension of number fields with its full group."""
 
-    __slots__ = ('ell', 'k_emb', 'group')
+    __slots__ = ('ell', 'k_emb')
 
     def __init__(self, ell, k_emb, group):
         object.__setattr__(self, 'ell', ell)
         object.__setattr__(self, 'k_emb', k_emb)
-        object.__setattr__(self, 'group', tuple(group))
+        self._set_group(group)
 
     @property
     def center_field(self):
@@ -81,14 +121,6 @@ class CommExtension(Immutable):
     @property
     def center_emb(self):
         return self.k_emb
-
-    def center_group(self):
-        return list(self.group)
-
-    def from_center(self, fm):
-        if fm not in self.group:
-            raise ValueError("morphism is not in the Galois group")
-        return fm
 
     def degree(self):
         return self.ell.degree // self.k_emb.source.degree
@@ -106,24 +138,26 @@ def build_comm_extension(ell, k_emb):
     return CommExtension(ell, k_emb, group)
 
 
-class GaloisExtension(Immutable):
+class GaloisExtension(Extension):
     """L = H tensored with ell over the center h, with its Galois group.
 
-    Group elements act as the identity on the quaternion units and as the
-    commutative group on the center; that list is complete for these
-    extensions.  The Artin property (fixed set of the group equals the
-    embedded H) and outer-ness are verified at construction.
+    Group elements fix the quaternion units and act as the commutative
+    group on the center, which determines them; the list is complete.  The
+    Artin property (fixed set of the group equals the embedded H) and
+    outer-ness are verified at construction.
     """
 
-    __slots__ = ('H', 'ell', 'emb', 'L', 'group', 'verdict',
+    __slots__ = ('H', 'ell', 'emb', 'L', 'verdict',
                  'artin_verified', 'outer_verified')
 
     def __init__(self, H, ell, emb, L, group, verdict):
+        if any(a.image_i != L.i() or a.image_j != L.j() for a in group):
+            raise AssertionError("a group element moves i or j")
         object.__setattr__(self, 'H', H)
         object.__setattr__(self, 'ell', ell)
         object.__setattr__(self, 'emb', emb)
         object.__setattr__(self, 'L', L)
-        object.__setattr__(self, 'group', tuple(group))
+        self._set_group(group)
         object.__setattr__(self, 'verdict', verdict)
         object.__setattr__(self, 'artin_verified', self._check_artin())
         object.__setattr__(self, 'outer_verified', is_outer(self))
@@ -142,15 +176,6 @@ class GaloisExtension(Immutable):
     def center_emb(self):
         return self.emb
 
-    def center_group(self):
-        return [a.center_action for a in self.group]
-
-    def from_center(self, fm):
-        for a in self.group:
-            if a.center_action == fm:
-                return a
-        raise ValueError("no group element with that central action")
-
     def degree(self):
         return len(self.group)
 
@@ -159,7 +184,8 @@ class GaloisExtension(Immutable):
 
     def _check_artin(self):
         fixed = common_kernel(
-            [lambda x, a=a: a(x) - x for a in _generating_subset(self.group)],
+            [lambda x, a=self.group[n]: a(x) - x
+             for n in _generating_subset(self.table)],
             self.L.q_basis(), QuatElement.q_vector)
         base_img = [self.embed_base(x).q_vector() for x in self.H.q_basis()]
         return same_span(fixed, base_img)
@@ -196,12 +222,11 @@ def build_galois_extension(H, ell, emb, height_bound=8):
 # outer-ness by centralizer computation
 # ---------------------------------------------------------------------------
 
-def _generating_subset(group):
-    """A small subset generating the (finite) group, greedily."""
-    identity = next(g for g in group if g.is_identity())
+def _generating_subset(table):
+    """Indices of a small subset generating the table group, greedily."""
     gens = []
-    closure = {identity}
-    for g in group:
+    closure = {0}
+    for g in range(len(table)):
         if g in closure:
             continue
         gens.append(g)
@@ -210,12 +235,12 @@ def _generating_subset(group):
             nxt = []
             for f in frontier:
                 for x in gens:
-                    for h in (x.compose(f), f.compose(x)):
+                    for h in (table[x][f], table[f][x]):
                         if h not in closure:
                             closure.add(h)
                             nxt.append(h)
             frontier = nxt
-        if len(closure) == len(group):
+        if len(closure) == len(table):
             break
     return gens
 
@@ -295,17 +320,17 @@ class RestrictionWitness(Immutable):
 
 
 class RestrictionHom(Immutable):
-    """Verified group homomorphism from big.group to small.group."""
+    """Verified homomorphism big.group -> small.group, by small indices."""
 
-    __slots__ = ('big', 'small', 'table')
+    __slots__ = ('big', 'small', 'images')
 
-    def __init__(self, big, small, table):
+    def __init__(self, big, small, images):
         object.__setattr__(self, 'big', big)
         object.__setattr__(self, 'small', small)
-        object.__setattr__(self, 'table', dict(table))
+        object.__setattr__(self, 'images', tuple(images))
 
     def __call__(self, g):
-        return self.table[g]
+        return self.small.group[self.images[self.big.index_of(g)]]
 
 
 def restriction_map(big, small, witness, small_to_big=None):
@@ -316,34 +341,33 @@ def restriction_map(big, small, witness, small_to_big=None):
     basis element; a failure raises WitnessInvalid.
     """
     witness.validate(big, small)
-    small_group = small.center_group()
-    table = {}
-    for g in big.group:
+    small_res = [restrict_morphism(s, witness.emb_l0_small)
+                 for s in small.center_group()]
+    images = []
+    for fm in big.center_group():
         try:
-            rho0 = restrict_morphism(_center_action(g), witness.emb_l0_big)
+            rho0 = restrict_morphism(fm, witness.emb_l0_big)
         except ValueError as exc:
             raise WitnessInvalid('restriction', str(exc))
-        matches = [s for s in small_group
-                   if restrict_morphism(s, witness.emb_l0_small) == rho0]
+        matches = [n for n, rho in enumerate(small_res) if rho == rho0]
         if len(matches) != 1:
             raise WitnessInvalid('uniqueness',
                                  "%d matches on the small side" % len(matches))
-        table[g] = small.from_center(matches[0])
-    # homomorphism property on the full multiplication table
-    for g1 in big.group:
-        for g2 in big.group:
-            if table[g1.compose(g2)] != table[g1].compose(table[g2]):
+        images.append(matches[0])
+    # homomorphism property on the two multiplication tables
+    for a, row in enumerate(big.table):
+        for b, ab in enumerate(row):
+            if images[ab] != small.table[images[a]][images[b]]:
                 raise WitnessInvalid('homomorphism', "table not multiplicative")
-    hom = RestrictionHom(big, small, table)
     if small_to_big is not None:
         basis = (small.L.q_basis() if isinstance(small, GaloisExtension)
                  else small.ell.basis())
-        for g in big.group:
+        for g, t in zip(big.group, images):
             for x in basis:
-                if small_to_big(hom(g)(x)) != g(small_to_big(x)):
+                if small_to_big(small.group[t](x)) != g(small_to_big(x)):
                     raise WitnessInvalid('pointwise',
                                          "restriction disagrees on an element")
-    return hom
+    return RestrictionHom(big, small, images)
 
 
 def restriction_between(big_ext, small_ext, center_emb):
@@ -661,8 +685,7 @@ def build_special_case_3(K, ell, k_emb, n, height_bound=8):
         raise ValueError("embedding must map the center of K into ell")
     comm = build_comm_extension(ell, k_emb)
     gamma = comm.group
-    gal = GalData(comm)
-    G = gal.group
+    G = GalData(comm).group
     # by size, then by generator images: this order fixes which
     # decomposition is found first, and so the new base field
     subgroups = sorted(G.subgroups(), key=lambda sub: (

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from skewfield.fep import (
-    EmbeddingProblem, FiniteGroup, GroupHom, NotWeakSolution, SolutionMap,
+    EmbeddingProblem, FiniteGroup, GalData, GroupHom, NotWeakSolution, SolutionMap,
     cyclic_group, dihedral_group, direct_product, fiber_reduction,
     geometric_problem, hypothesis_report, is_split, quaternion_group,
     sol_down, sol_up, solutions_agree, transport_down, transport_up,
@@ -83,6 +83,18 @@ def test_group_hom_validation():
 def test_group_order_cap():
     with pytest.raises(ValueError):
         FiniteGroup([[(i + j) % 65 for j in range(65)] for i in range(65)])
+
+
+def test_galois_data_of_another_extension_is_refused():
+    ext = build_galois_extension(HAM_Q, Q_SQRT2, embed_q(Q_SQRT2))
+    twin = build_galois_extension(HAM_Q, Q_SQRT2, embed_q(Q_SQRT2))
+    shadow = transport_down(EmbeddingProblem(cyclic_group(2), ext, [0, 1]))
+    for other in (twin, shadow.ext):
+        with pytest.raises(ValueError, match='another extension'):
+            EmbeddingProblem(cyclic_group(2), ext, [0, 1], GalData(other))
+        with pytest.raises(ValueError, match='another extension'):
+            SolutionMap(ext, Q_SQRT2.identity_morphism(), [0, 1], 'full',
+                        cyclic_group(2), GalData(other))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +358,7 @@ def test_fiber_transport_through_octic_field():
                     found = (a, b)
         assert found is not None
         a, b = found
-        r = weak.gal_big.index_of(hom(elem))
+        r = weak.ext_big.index_of(hom(elem))
         images.append(pair_index[((a + 2 * b) % 4, r)])
     big = SolutionMap(ext_E, emb_c4_E, images, 'full', red.problem.G, gal_E)
     assert verify_solution(red.problem, big).passed()

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from skewfield.galois import (
-    CommExtension, NotAnisotropic, NotGalois, ProductConditionFailed,
-    RestrictionWitness, TwistedExtension, build_comm_extension,
+    CommExtension, GaloisExtension, NotAnisotropic, NotGalois,
+    ProductConditionFailed, RestrictionWitness, TwistedExtension,
+    WitnessInvalid, build_comm_extension,
     build_galois_extension, build_special_case_3, build_twisted_extension,
     check_product_conditions, commutative_centralizer_check, converse_check,
     eq_produit, is_outer, restriction_between, restriction_map)
@@ -81,6 +82,30 @@ def test_res_tilde_is_bijective():
     assert len(actions) == 4
     for a in ext.group:
         assert ext.from_center(a.center_action) == a
+
+
+def test_group_lists_refused_at_construction():
+    group = list(build_comm_extension(BIQUAD, embed_q(BIQUAD)).group)
+    for bad, reason in ((group[:-1], 'not closed'),
+                        (group[::-1], 'lead with identity'),
+                        (group + group[1:2], 'share a center action')):
+        with pytest.raises(AssertionError, match=reason):
+            CommExtension(BIQUAD, embed_q(BIQUAD), bad)
+    ext = ext_over(Q_SQRT2)
+    inner = inner_automorphism(ext.L.i())
+    with pytest.raises(AssertionError, match='moves i or j'):
+        GaloisExtension(HAM_Q, Q_SQRT2, ext.emb, ext.L,
+                        [ext.group[0], inner], ext.verdict)
+
+
+def test_index_of_takes_an_element_or_its_center_action():
+    ext = ext_over(C4_FIELD)
+    for n, a in enumerate(ext.group):
+        assert ext.index_of(a) == ext.index_of(a.center_action) == n
+    with pytest.raises(ValueError):
+        ext.index_of(inner_automorphism(ext.L.i()))
+    with pytest.raises(ValueError):
+        ext.index_of(Q_SQRT2.identity_morphism())
 
 
 def test_res_tilde_is_group_isomorphism():
@@ -164,6 +189,30 @@ def test_restriction_application_three_tower():
     assert set(hit.values()) == {2}  # onto with fibers of size [f : ell]
     gen4 = next(g for g in big.group if g.order() == 4)
     assert not hom(gen4).is_identity()
+
+
+def test_restriction_refuses_a_non_unique_match(monkeypatch):
+    # l0 = k0 = Q: every small element restricts to the identity
+    witness = RestrictionWitness(
+        ell0=Q, k0_emb=Q.identity_morphism(),
+        emb_l0_big=embed_q(BIQUAD), emb_l0_small=embed_q(Q_SQRT2),
+        emb_k0_big=Q.identity_morphism(), emb_k0_small=Q.identity_morphism())
+    monkeypatch.setattr(RestrictionWitness, 'validate',
+                        lambda self, big, small: None)
+    with pytest.raises(WitnessInvalid) as err:
+        restriction_map(comm_q(BIQUAD), comm_q(Q_SQRT2), witness)
+    assert err.value.condition == 'uniqueness'
+
+
+def test_restriction_refuses_a_broken_small_table():
+    small = comm_q(Q_SQRT2)
+    rows = [list(row) for row in small.table]
+    rows[1][0], rows[1][1] = rows[1][1], rows[1][0]
+    object.__setattr__(small, 'table', tuple(map(tuple, rows)))
+    emb = FieldMorphism(Q_SQRT2, BIQUAD, SQRT2_IN_BIQUAD)
+    with pytest.raises(WitnessInvalid) as err:
+        restriction_between(comm_q(BIQUAD), small, emb)
+    assert err.value.condition == 'homomorphism'
 
 
 # ---------------------------------------------------------------------------
