@@ -296,7 +296,7 @@ class EmbeddingProblem(Immutable):
 
     def __init__(self, G, ext, alpha_images, gal=None):
         gal = gal if gal is not None else GalData(ext)
-        if gal.ext is not ext:  # indices into gal index ext.group
+        if gal.ext is not ext:  # alpha indices are positions in ext.group
             raise ValueError("the Galois data belong to another extension")
         alpha = GroupHom(G, gal.group, alpha_images)
         if not alpha.is_surjective():
