@@ -7,12 +7,11 @@ all in certificate-grade exact rational arithmetic.
 """
 
 from .numfield import (FieldElement, FieldMorphism, LevelVerdict,
-                       NumberField, automorphism_group, field_level,
-                       fixed_field, is_galois, minimal_polynomial,
-                       roots_in_field)
+                       NumberField, OrderCapExceeded, automorphism_group,
+                       field_level, fixed_field, is_galois,
+                       minimal_polynomial, roots_in_field)
 from .qalg import (AlgebraAutomorphism, AnisotropyVerdict, NormForm,
-                   QuatElement, QuaternionAlgebra, StructureAlgebra,
-                   ZeroNormError, anisotropy, center_of_algebra,
+                   QuatElement, QuaternionAlgebra, ZeroNormError, anisotropy,
                    inner_automorphism, inner_order, norm_form, reduced_norm,
                    scalar_extension)
 from .ore import (HypothesisFailed, InsufficientPrecision,

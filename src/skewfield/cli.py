@@ -31,7 +31,8 @@ from .galois import (NoDirectDecomposition, NotAnisotropic, NotGalois,
                      build_special_case_3, build_twisted_extension,
                      converse_check, eq_produit, restriction_between)
 from .galois import check_product_conditions as product_conditions_report
-from .numfield import FieldMorphism, NumberField, field_level
+from .numfield import (FieldMorphism, NumberField, OrderCapExceeded,
+                       field_level)
 from .ore import (HypothesisFailed, InsufficientPrecision, SkewFraction,
                   SkewLaurent, SkewPoly, center_bounded, constant_poly,
                   detect_recurrence, is_central, series_expand, t_poly,
@@ -967,7 +968,8 @@ def _run_one(ws, lineno, op, params):
         result = CheckResult('hypothesis-failed', "operation hypothesis",
                              {'reason': str(exc)})
     except (NotAnisotropic, NotGalois, ProductConditionFailed,
-            NoDirectDecomposition, InsufficientPrecision) as exc:
+            NoDirectDecomposition, InsufficientPrecision,
+            OrderCapExceeded) as exc:
         result = CheckResult('fail', "operation guard rejected the input",
                              {'reason': str(exc)})
     elapsed = int((time.monotonic() - start) * 1000)

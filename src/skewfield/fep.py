@@ -339,14 +339,19 @@ class SolutionMap(Immutable):
 
 
 class SolutionReport(Immutable):
+    """The verified conditions, with the restriction images they were read
+    against (None when the restriction failed)."""
 
-    __slots__ = ('injective_ok', 'kind_ok', 'compatible_ok', 'details')
+    __slots__ = ('injective_ok', 'kind_ok', 'compatible_ok', 'details',
+                 'restriction')
 
-    def __init__(self, injective_ok, kind_ok, compatible_ok, details=''):
+    def __init__(self, injective_ok, kind_ok, compatible_ok, details='',
+                 restriction=None):
         object.__setattr__(self, 'injective_ok', injective_ok)
         object.__setattr__(self, 'kind_ok', kind_ok)
         object.__setattr__(self, 'compatible_ok', compatible_ok)
         object.__setattr__(self, 'details', details)
+        object.__setattr__(self, 'restriction', restriction)
 
     def passed(self):
         return self.injective_ok and self.kind_ok and self.compatible_ok
@@ -370,7 +375,7 @@ def verify_solution(problem, sol):
     compatible_ok = not bad
     details = '' if compatible_ok else (
         "composite disagrees with restriction at big element(s) %s" % bad)
-    return SolutionReport(injective_ok, kind_ok, compatible_ok, details)
+    return SolutionReport(injective_ok, kind_ok, compatible_ok, details, res)
 
 
 def is_split(problem):
@@ -624,8 +629,7 @@ def fiber_reduction(problem, weak):
         raise NotWeakSolution(report.details or "weak solution failed")
     G = problem.G
     galp = weak.gal_big.group
-    res_idx = restriction_between(weak.ext_big, problem.ext,
-                                  weak.center_emb).images
+    res_idx = report.restriction
     pairs = [(a, r) for r in range(galp.order) for a in range(G.order)
              if problem.alpha(a) == res_idx[r]]
     pairs.sort(key=lambda p: (p != (0, 0), p[1], p[0]))

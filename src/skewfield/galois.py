@@ -16,13 +16,13 @@ extension with the same group; the lifts acting coefficientwise are built
 and checked to a degree bound.
 """
 
-from .linalg import common_kernel, same_span
+from .linalg import difference_rows, identity, kernel_basis, same_span
 from .numfield import (FieldMorphism, Immutable, automorphism_group,
                        cyclic_powers, fixed_field, is_galois,
                        restrict_morphism, subfield_preimage)
 from .ore import HypothesisFailed, SkewPoly, _algebra_generators
-from .qalg import (AlgebraAutomorphism, QuaternionAlgebra, QuatElement,
-                   anisotropy, extend_quaternion, inner_order, norm_form)
+from .qalg import (AlgebraAutomorphism, QuaternionAlgebra, anisotropy,
+                   extend_quaternion, inner_order, mul_matrix, norm_form)
 
 
 class NotGalois(Exception):
@@ -183,10 +183,11 @@ class GaloisExtension(Extension):
         return extend_quaternion(x, self.L, self.emb)
 
     def _check_artin(self):
-        fixed = common_kernel(
-            [lambda x, a=self.group[n]: a(x) - x
-             for n in _generating_subset(self.table)],
-            self.L.q_basis(), QuatElement.q_vector)
+        dim = self.L.q_dim()
+        fixed = kernel_basis([
+            row for n in _generating_subset(self.table)
+            for row in difference_rows(self.group[n].int_matrix(),
+                                       identity(dim))], dim)
         base_img = [self.embed_base(x).q_vector() for x in self.H.q_basis()]
         return same_span(fixed, base_img)
 
@@ -245,27 +246,14 @@ def _generating_subset(table):
     return gens
 
 
-def _commutators(generators):
-    """The linear maps x -> g x - x g, one per generator."""
-    return [lambda x, g=g: g * x - x * g for g in generators]
-
-
 def is_outer(ext):
     """Centralizer of the base inside L compared with the center of L."""
     L = ext.L
     gens = [ext.embed_base(g) for g in _algebra_generators(ext.H)]
-    cent = common_kernel(_commutators(gens), L.q_basis(),
-                         QuatElement.q_vector)
+    cent = kernel_basis([row for g in gens for row in difference_rows(
+        mul_matrix(g, 'L'), mul_matrix(g, 'R'))], L.q_dim())
     center_vecs = [L.scalar(b).q_vector() for b in L.base.basis()]
     return same_span(cent, center_vecs)
-
-
-def commutative_centralizer_check(ell, k_emb):
-    """The commutative analogue through the same centralizer machinery."""
-    basis = ell.basis()
-    cent = common_kernel(_commutators([k_emb(k_emb.source.gen())]), basis,
-                         lambda x: x.coords)
-    return same_span(cent, [b.coords for b in basis])
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +422,7 @@ def eq_produit(X):
     """Whether the central twist generates a direct factor next to the group."""
     tau_t = X.tau_tilde
     gal = X.ext.center_group()
-    powers = cyclic_powers(tau_t, 96)
+    powers = cyclic_powers(tau_t)
     commutes = all(tau_t.compose(r) == r.compose(tau_t) for r in gal)
     overlap = [p for p in powers if p in gal]
     return commutes and len(overlap) == 1
@@ -482,7 +470,7 @@ def check_product_conditions(X):
     sigma, tau = X.sigma, X.tau
     gal = list(X.ext.group)
     ord_sigma, ord_tau = sigma.order(), tau.order()
-    tau_powers = cyclic_powers(tau, 96)
+    tau_powers = cyclic_powers(tau)
     # closure of gal and tau
     closure = set(gal)
     frontier = list(closure)

@@ -6,7 +6,9 @@ integers once, by the lcm of its denominators, and every later entry is an
 integer minor of the scaled matrix, so each division is exact.  Rationals
 are made only at the end, as entry over pivot, so results are exact values
 of the reduced echelon form: kernel vectors carry a 1 in their free column,
-and solutions set the free variables to 0.
+and solutions set the free variables to 0.  A linear map is a (rows, den)
+integer matrix over one denominator; ``difference_rows`` stacks the rows
+whose kernel is where two such maps agree.
 """
 
 from fractions import Fraction
@@ -117,14 +119,16 @@ def same_span(vs, ws):
     return rank(vs) == rank(ws) == rank(vs + ws)
 
 
-def common_kernel(maps, basis, vector_of):
-    """Coordinates over ``basis`` of the elements every linear map sends to 0.
+def identity(n):
+    """The n x n identity as a (rows, den) integer matrix."""
+    return tuple(tuple(int(c == r) for c in range(n)) for r in range(n)), 1
 
-    Each map takes an element to an element; ``vector_of`` gives the
-    rational coordinate vector of an image.  With no maps this is the
-    identity basis.
+
+def difference_rows(a, b):
+    """Integer rows of da*db*(A - B), for A = a[0]/da and B = b[0]/db.
+
+    a and b are (rows, den) matrices of one shape; the rows have the kernel
+    of A - B and go straight to ``kernel_basis``.
     """
-    rows = []
-    for f in maps:
-        rows.extend(zip(*[vector_of(f(e)) for e in basis]))
-    return kernel_basis(rows, len(basis))
+    (a, da), (b, db) = a, b
+    return [[x * db - y * da for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]

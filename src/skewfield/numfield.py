@@ -29,8 +29,8 @@ from itertools import count, islice, product as _iproduct
 from math import gcd, lcm
 from operator import mul
 
-from .linalg import (common_kernel, coordinates_in_span, eliminate, invert,
-                     same_span)
+from .linalg import (coordinates_in_span, difference_rows, eliminate,
+                     identity, invert, kernel_basis, same_span)
 from .zfactor import (MAX_DEGREE, is_irreducible_over_q, linear_part,
                       lift_root, odd_primes, roots_mod)
 
@@ -38,6 +38,8 @@ _Q0 = Fraction(0)
 _Q1 = Fraction(1)
 ROOT_PRIMES = 2  # primes roots_in_field compares; a third seldom pays
 LEVEL_ELEMENTS = 100_000  # elements field_level enumerates at one height
+ANISOTROPY_PAIRS = 2_000_000  # coordinate pairs anisotropy matches per height
+ORDER_CAP = 96  # largest order cyclic_powers follows
 
 
 # ---------------------------------------------------------------------------
@@ -576,19 +578,19 @@ class FieldMorphism(Immutable):
             raise ValueError("morphisms do not compose")
         return FieldMorphism(other.source, self.target, self(other.gen_image))
 
-    def matrix(self):
-        """Rational matrix of the map on power-basis coordinates (columns)."""
+    def int_matrix(self):
+        """(rows, den) of the map on power-basis coordinates, the shape of
+        ``AlgebraAutomorphism.int_matrix``: column k is gen_image^k."""
         cols, den = self._columns()
-        return [[Fraction(col[i], den) for col in cols]
-                for i in range(self.target.degree)]
+        return tuple(zip(*cols)), den
 
-    def order(self, cap=64):
+    def order(self):
         if self.source != self.target:
             raise ValueError("order of a non-endomorphism")
-        return len(cyclic_powers(self, cap))
+        return len(cyclic_powers(self))
 
     def inverse(self):
-        """Inverse automorphism: the integer columns are den * matrix()."""
+        """Inverse automorphism, from the integer columns of the map."""
         if self.source != self.target:
             raise ValueError("inverse of a non-automorphism")
         cols, den = self._columns()
@@ -605,16 +607,20 @@ class FieldMorphism(Immutable):
         return [[Fraction(x, den) for x in col] for col in cols]
 
 
-def cyclic_powers(g, cap):
-    """[id, g, g^2, ..., g^(n-1)] for the order n of g, at most cap.
+class OrderCapExceeded(ValueError):
+    """A map's order is above ORDER_CAP, or infinite."""
 
-    g is a map with compose() and is_identity(); an order above cap raises
-    ValueError.
+
+def cyclic_powers(g):
+    """[id, g, g^2, ..., g^(n-1)] for the order n of g, at most ORDER_CAP.
+
+    g is a map with compose() and is_identity(); an order above the cap
+    raises OrderCapExceeded.
     """
     powers = [g]
     while not powers[-1].is_identity():
-        if len(powers) == cap:
-            raise ValueError("order exceeds cap %d" % cap)
+        if len(powers) == ORDER_CAP:
+            raise OrderCapExceeded("order exceeds cap %d" % ORDER_CAP)
         powers.append(g.compose(powers[-1]))
     return powers[-1:] + powers[:-1]
 
@@ -826,8 +832,8 @@ def fixed_field(ell, autos):
     to an algebraic integer so its minimal polynomial has integer entries.
     """
     n = ell.degree
-    basis = common_kernel([lambda x, s=s: s(x) - x for s in autos],
-                          ell.basis(), lambda x: x.coords)
+    basis = kernel_basis([row for s in autos for row in
+                          difference_rows(s.int_matrix(), identity(n))], n)
     k = len(basis)
     if k == 0:
         raise AssertionError("fixed set lost the rationals")

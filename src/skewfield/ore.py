@@ -21,9 +21,10 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .linalg import kernel_basis, rank, same_span, solve
+from .linalg import (difference_rows, identity, kernel_basis, rank,
+                     same_span, solve)
 from .numfield import Immutable, RingElement, fixed_field
-from .qalg import (QuatElement, extend_quaternion, inner_order, q_matrix,
+from .qalg import (QuatElement, extend_quaternion, inner_order, mul_matrix,
                    quat_from_q_vector)
 
 
@@ -487,11 +488,10 @@ class RecurrenceCertificate(Immutable):
         return 'RecurrenceCertificate(order %d from %d)' % (self.order, self.start)
 
 
-def _mul_matrix(alg, c, side, cache):
-    """Cached q_matrix of left ('L') or right ('R') multiplication by c."""
+def _mul_matrix(c, side, cache):
+    """mul_matrix(c, side), kept in the caller's cache."""
     if (side, c) not in cache:
-        cache[side, c] = q_matrix([c * e if side == 'L' else e * c
-                                   for e in alg.q_basis()])
+        cache[side, c] = mul_matrix(c, side)
     return cache[side, c]
 
 
@@ -528,7 +528,7 @@ def detect_recurrence(series, max_order):
             for i in range(1, k + 1):
                 a = series.coefficient(n - i)
                 blocks.append(None if a.is_zero() else _mat_mul(
-                    _mul_matrix(alg, a, 'L', cache),
+                    _mul_matrix(a, 'L', cache),
                     twist.power(n - i).int_matrix()))
             target = series.coefficient(n)
             # one lcm per row block scales all its rows to integers
@@ -609,20 +609,16 @@ def center_bounded(algebra, twist, degree_bound):
     nvars = (degree_bound + 1) * dim
     cache = {}
     rows = []
-    tw_mat, tw_den = twist.int_matrix()
+    fixed = difference_rows(twist.int_matrix(), identity(dim))
     gens = _algebra_generators(algebra)
-    # integer rows: each constraint is scaled by its positive denominator
     for j in range(degree_bound + 1):
         pad, rest = [0] * (j * dim), [0] * (nvars - (j + 1) * dim)
-        # x_j fixed by the twist (commutation with t)
-        rows.extend(pad + [x - tw_den * (c == r) for c, x in enumerate(row)]
-                    + rest for r, row in enumerate(tw_mat))
+        # x_j fixed by the twist (commutation with t), and
         # g x_j = x_j sigma^j(g) for each generator
-        for g in gens:
-            left, dl = _mul_matrix(algebra, g, 'L', cache)
-            right, dr = _mul_matrix(algebra, twist.power(j)(g), 'R', cache)
-            rows.extend(pad + [x * dr - y * dl for x, y in zip(lrow, rrow)]
-                        + rest for lrow, rrow in zip(left, right))
+        blocks = [fixed] + [difference_rows(
+            _mul_matrix(g, 'L', cache),
+            _mul_matrix(twist.power(j)(g), 'R', cache)) for g in gens]
+        rows.extend(pad + row + rest for block in blocks for row in block)
     raw_basis = tuple(SkewPoly(twist, [
         quat_from_q_vector(algebra, vec[j * dim:(j + 1) * dim])
         for j in range(degree_bound + 1)]) for vec in kernel_basis(rows, nvars))

@@ -25,9 +25,8 @@ from math import gcd, lcm
 from operator import add, mul, neg
 from struct import unpack
 
-from .linalg import common_kernel
-from .numfield import (FieldElement, Immutable, RingElement,
-                       _integer_elements, _packed, cyclic_powers)
+from .numfield import (ANISOTROPY_PAIRS, FieldElement, Immutable,
+                       RingElement, _integer_elements, _packed, cyclic_powers)
 
 
 class ZeroNormError(ArithmeticError):
@@ -240,13 +239,6 @@ class QuaternionAlgebra(Immutable):
         return AlgebraAutomorphism(self, self.i(), self.j(),
                                    self.base.identity_morphism())
 
-    def structure_algebra(self):
-        """The same algebra as generic structure constants over the center."""
-        units = [self._unit(u) for u in range(4)]
-        return StructureAlgebra(self.base, ['1', 'i', 'j', 'k'],
-                                [[list((x * y).coords) for y in units]
-                                 for x in units])
-
 
 class QuatElement(RingElement):
     """Element of a quaternion algebra: integer numerators over one denominator.
@@ -365,11 +357,11 @@ def quat_from_q_vector(alg, vec):
 
 def extend_quaternion(x, big, emb):
     """Push a quaternion across a scalar extension of its center."""
-    cols, den = emb._columns()
+    rows, den = emb.int_matrix()
     n = x.alg.base.degree
     return QuatElement(big, tuple([sum(map(mul, x.num[u:u + n], row))
                                    for u in range(0, 4 * n, n)
-                                   for row in zip(*cols)]), den * x.den)
+                                   for row in rows]), den * x.den)
 
 
 def q_matrix(images):
@@ -378,6 +370,12 @@ def q_matrix(images):
     den = lcm(*[q.den for q in images])
     return (tuple(zip(*[[x * (den // q.den) for x in q.num] for q in images])),
             den)
+
+
+def mul_matrix(c, side):
+    """q_matrix of left ('L') or right ('R') multiplication by c."""
+    return q_matrix([c * e if side == 'L' else e * c
+                     for e in c.alg.q_basis()])
 
 
 def reduced_norm(x):
@@ -459,15 +457,16 @@ class AnisotropyVerdict(Immutable):
         return 'AnisotropyVerdict(%s)' % self.kind
 
 
-def anisotropy(form, height_bound, pair_cap=2_000_000):
+def anisotropy(form, height_bound):
     """Decide the form with certificates, or report unknown.
 
     Search order: real-place definiteness first, then a staged exhaustive
     hunt for a nontrivial zero with integer power-basis coordinates of
     height up to the bound, meeting in the middle over coordinate pairs of
     the values c_i x^2 packed into ints, one per distinct square.  It stops
-    before a height with more than pair_cap pairs; ``bound`` is the last
-    height searched.  The verdict re-checks the witness on field elements.
+    before a height with more than ANISOTROPY_PAIRS pairs; ``bound`` is the
+    last height searched.  The verdict re-checks the witness on field
+    elements.
     """
     if height_bound < 1:
         raise ValueError("height bound must be positive")
@@ -480,7 +479,7 @@ def anisotropy(form, height_bound, pair_cap=2_000_000):
     searched = 0
     for h in heights:
         count = (2 * h + 1) ** target.degree
-        if count * count > pair_cap:
+        if count * count > ANISOTROPY_PAIRS:
             break
         searched = h
         # c_i x^2 = c_i y^2 exactly when x^2 = y^2, and only x = 0 gives 0:
@@ -614,8 +613,8 @@ class AlgebraAutomorphism(Immutable):
                                    self(other.image_j),
                                    self.center_action.compose(other.center_action))
 
-    def order(self, cap=96):
-        return len(cyclic_powers(self, cap))
+    def order(self):
+        return len(cyclic_powers(self))
 
     def inverse(self):
         return self.power(self.order() - 1)
@@ -647,72 +646,3 @@ def inner_automorphism(y):
 def inner_order(auto):
     """Smallest n with auto^n inner: the order of the central action."""
     return auto.center_action.order()
-
-
-# ---------------------------------------------------------------------------
-# generic structure-constant algebras: centers and centralizers
-# ---------------------------------------------------------------------------
-
-class StructureAlgebra(Immutable):
-    """Finite-dimensional algebra over Q via structure constants.
-
-    table[p][q] is the coordinate vector of e_p * e_q.  The field must have
-    degree 1: the centers and centralizers are solved in rational linear
-    algebra.
-    """
-
-    __slots__ = ('field', 'labels', 'table', 'dim')
-
-    def __init__(self, field, labels, table):
-        if field.degree != 1:
-            raise ValueError("structure constants must lie in a field of degree 1")
-        dim = len(labels)
-        if len(table) != dim or any(len(row) != dim for row in table):
-            raise ValueError("structure constant table has the wrong shape")
-        if any(len(vec) != dim for row in table for vec in row):
-            raise ValueError("structure constant vector of wrong length")
-        object.__setattr__(self, 'field', field)
-        object.__setattr__(self, 'labels', tuple(labels))
-        object.__setattr__(self, 'table', tuple(tuple(tuple(
-            c if isinstance(c, FieldElement) else field.scalar(c) for c in vec)
-            for vec in row) for row in table))
-        object.__setattr__(self, 'dim', dim)
-
-    def mul(self, x, y):
-        zero = self.field.zero()
-        out = [zero] * self.dim
-        for p in range(self.dim):
-            if x[p].is_zero():
-                continue
-            for q in range(self.dim):
-                if y[q].is_zero():
-                    continue
-                c = x[p] * y[q]
-                for r, s in enumerate(self.table[p][q]):
-                    if not s.is_zero():
-                        out[r] = out[r] + c * s
-        return out
-
-    def basis_vector(self, p):
-        return [self.field.one() if r == p else self.field.zero()
-                for r in range(self.dim)]
-
-
-def centralizer_in_algebra(alg, generators):
-    """Basis of elements commuting with every given coordinate vector.
-
-    The kernel is solved over Q and its vectors mapped back to elements.
-    """
-    def commutator(g):
-        return lambda x: [u - v for u, v in zip(alg.mul(g, x), alg.mul(x, g))]
-
-    basis = common_kernel([commutator(g) for g in generators],
-                          [alg.basis_vector(p) for p in range(alg.dim)],
-                          lambda v: [c.coords[0] for c in v])
-    return [[alg.field.scalar(c) for c in vec] for vec in basis]
-
-
-def center_of_algebra(alg):
-    """Basis of the center: commutants of all basis elements at once."""
-    gens = [alg.basis_vector(p) for p in range(alg.dim)]
-    return centralizer_in_algebra(alg, gens)

@@ -258,6 +258,24 @@ def test_main_reports_missing_decomposition_as_fail(tmp_path, capsys):
             'factor of order 3 times a nontrivial complement') in out
 
 
+@pytest.mark.parametrize('text', [
+    DECLARED + "[twists]\nc algebra=H inner=1;2\n[checks]\n"
+               "center_bounded twist=c degree_bound=2\n",
+    DECLARED + "[checks]\nproduct_conditions algebra=H field=q2 "
+               "sigma_inner=1;2 tau_inner=1;2\n",
+], ids=['center_bounded', 'product_conditions'])
+def test_main_reports_a_twist_of_infinite_order_as_fail(tmp_path, capsys,
+                                                        text):
+    # conjugation by 1 + 2i has infinite order: no power of it is the identity
+    path = tmp_path / 'infinite_order.scn'
+    path.write_text(text)
+    assert main(['run', str(path)]) == 1
+    captured = capsys.readouterr()
+    assert 'status: fail' in captured.out
+    assert 'reason: order exceeds cap 96' in captured.out
+    assert 'Traceback' not in captured.err
+
+
 def test_main_declares_a_field_with_a_30_digit_coefficient(tmp_path, capsys):
     path = tmp_path / 'big.scn'
     path.write_text("[fields]\nbig %d 0 0 0 1\n[checks]\n"

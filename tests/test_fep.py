@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from skewfield import fep
 from skewfield.fep import (
     EmbeddingProblem, FiniteGroup, GalData, GroupHom, NotWeakSolution, SolutionMap,
     cyclic_group, dihedral_group, direct_product, fiber_reduction,
@@ -10,7 +11,7 @@ from skewfield.fep import (
     problems_agree, verify_solution)
 from skewfield.galois import (NotAnisotropic, ProductConditionFailed,
                               TwistedExtension, build_galois_extension,
-                              build_special_case_3)
+                              build_special_case_3, restriction_between)
 from skewfield.numfield import FieldMorphism, NumberField, automorphism_group
 from skewfield.regressions import (biquadratic, counterexample,
                                    cyclic_quartic, hamilton, q8_scenario,
@@ -174,6 +175,20 @@ def test_broken_solution_reports_offender():
     assert 'disagrees' in report.details
 
 
+def test_report_keeps_the_restriction_it_read():
+    problem = sqrt2_problem(cyclic_group(4), [0, 1, 0, 1])
+    weak = quartic_solution(problem)
+    report = verify_solution(problem, weak)
+    assert report.restriction == restriction_between(
+        weak.ext_big, problem.ext, weak.center_emb).images == (0, 1, 0, 1)
+    # a center embedding that does not start at the small center
+    bad = SolutionMap(weak.ext_big, C4_FIELD.identity_morphism(),
+                      list(weak.beta.images), 'weak', problem.G)
+    report = verify_solution(problem, bad)
+    assert report.details.startswith('restriction failed')
+    assert report.restriction is None
+
+
 # ---------------------------------------------------------------------------
 # transports and round trips
 # ---------------------------------------------------------------------------
@@ -268,6 +283,21 @@ def test_fiber_reduction_z4():
     assert len(red.kernel_iso) == 2  # kernel Z/2
     assert red.problem.G.order == \
         len(problem.alpha.kernel()) * weak.gal_big.group.order
+
+
+def test_fiber_reduction_restricts_once(monkeypatch):
+    problem = sqrt2_problem(cyclic_group(4), [0, 1, 0, 1])
+    weak = quartic_solution(problem)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return restriction_between(*args)
+
+    monkeypatch.setattr(fep, 'restriction_between', counted)
+    red = fiber_reduction(problem, weak)
+    assert len(calls) == 1  # the one verify_solution made
+    assert red.res_table == verify_solution(problem, weak).restriction
 
 
 def test_fiber_reduction_rejects_non_solution():

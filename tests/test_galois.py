@@ -7,8 +7,8 @@ from skewfield.galois import (
     ProductConditionFailed, RestrictionWitness, TwistedExtension,
     WitnessInvalid, build_comm_extension,
     build_galois_extension, build_special_case_3, build_twisted_extension,
-    check_product_conditions, commutative_centralizer_check, converse_check,
-    eq_produit, is_outer, restriction_between, restriction_map)
+    check_product_conditions, converse_check, eq_produit, is_outer,
+    restriction_between, restriction_map)
 from skewfield.numfield import (FieldMorphism, NumberField,
                                 automorphism_group, fixed_field)
 from skewfield.ore import HypothesisFailed, SkewPoly, t_poly
@@ -125,11 +125,6 @@ def test_rebuilds_are_deterministic():
     assert [g.center_action for g in a.group] == \
         [g.center_action for g in b.group]
     assert a.L == b.L
-
-
-def test_commutative_centralizer_path():
-    assert commutative_centralizer_check(Q_SQRT2, embed_q(Q_SQRT2))
-    assert commutative_centralizer_check(BIQUAD, embed_q(BIQUAD))
 
 
 def test_outer_for_intermediate_extension():

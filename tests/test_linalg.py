@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import fraction_linalg_oracle as oracle
-from skewfield.linalg import (common_kernel, coordinates_in_span, eliminate,
-                              in_span, invert, kernel_basis, rank, same_span,
-                              solve)
+from callable_kernel_oracle import common_kernel
+from skewfield.linalg import (coordinates_in_span, difference_rows,
+                              eliminate, identity, in_span, invert,
+                              kernel_basis, rank, same_span, solve)
 from skewfield.numfield import NumberField
-from skewfield.qalg import QuatElement, QuaternionAlgebra
+from skewfield.qalg import QuatElement, QuaternionAlgebra, mul_matrix
 
 Q0 = Fraction(0)
 
@@ -22,23 +23,35 @@ def test_kernel_basis_without_rows_is_the_identity_basis():
                                    vec(0, 0, 1)]
 
 
+def test_identity_and_difference_rows():
+    assert identity(2) == (((1, 0), (0, 1)), 1)
+    # A = [[1, 1/2]], B = [[1/3, 0]]: 6 (A - B) = [[4, 3]]
+    assert difference_rows((((2, 1),), 2), (((1, 0),), 3)) == [[4, 3]]
+
+
+# The matrix route against the callable oracle that it replaced: the
+# kernels must be equal, not only span the same space.
+
 def test_common_kernel_is_the_fixed_space_of_conjugation():
     field = NumberField([-2, 0, 1])
     conj = next(a for a in field.automorphisms() if not a.is_identity())
-    fixed = common_kernel([lambda x: conj(x) - x], field.basis(),
-                          lambda x: x.coords)
+    fixed = kernel_basis(difference_rows(conj.int_matrix(), identity(2)), 2)
     assert same_span(fixed, [vec(1, 0)])
-    assert common_kernel([], field.basis(), lambda x: x.coords) == \
-        [vec(1, 0), vec(0, 1)]
+    assert fixed == common_kernel([lambda x: conj(x) - x], field.basis(),
+                                  lambda x: x.coords)
+    assert kernel_basis([], 2) == [vec(1, 0), vec(0, 1)] == \
+        common_kernel([], field.basis(), lambda x: x.coords)
 
 
 def test_common_kernel_is_the_centralizer_of_i():
     alg = QuaternionAlgebra(NumberField([0, 1]), -1, -1)
     i = alg.i()
-    cent = common_kernel([lambda x: i * x - x * i], alg.q_basis(),
-                         QuatElement.q_vector)
+    cent = kernel_basis(difference_rows(mul_matrix(i, 'L'),
+                                        mul_matrix(i, 'R')), 4)
     assert len(cent) == 2
     assert same_span(cent, [alg.one().q_vector(), i.q_vector()])
+    assert cent == common_kernel([lambda x: i * x - x * i], alg.q_basis(),
+                                 QuatElement.q_vector)
 
 
 def test_same_span():

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 import quat_unit_table_oracle as unit_table
-from skewfield.numfield import FieldMorphism, NumberField, automorphism_group
+from skewfield.linalg import difference_rows, kernel_basis, same_span
+from skewfield.numfield import (ORDER_CAP, FieldMorphism, NumberField,
+                                OrderCapExceeded, automorphism_group,
+                                cyclic_powers)
 from skewfield.qalg import (
-    AlgebraAutomorphism, QuatElement, QuaternionAlgebra, StructureAlgebra,
-    ZeroNormError, anisotropy, center_of_algebra, centralizer_in_algebra,
-    extend_quaternion, inner_automorphism, inner_order, norm_form,
-    quat_from_q_vector, reduced_norm, scalar_extension)
+    AlgebraAutomorphism, QuatElement, QuaternionAlgebra, ZeroNormError,
+    anisotropy, extend_quaternion, inner_automorphism, inner_order,
+    mul_matrix, norm_form, quat_from_q_vector, reduced_norm, scalar_extension)
 
 Q = NumberField([0, 1], label='Q')
 Q_SQRT2 = NumberField([-2, 0, 1], label='Q(sqrt2)')
@@ -308,6 +310,17 @@ def test_inner_automorphism_one_plus_i_order_4():
     assert sigma.compose(sigma) == inner_automorphism(HAM_Q.i())
 
 
+def test_an_order_past_the_cap_raises_order_cap_exceeded():
+    # conjugation by 1 + 2i turns by an angle that is no rational multiple
+    # of pi, so no power of it is the identity
+    sigma = inner_automorphism(HAM_Q.element([1, 2]))
+    with pytest.raises(OrderCapExceeded, match='order exceeds cap %d'
+                       % ORDER_CAP):
+        sigma.order()
+    assert issubclass(OrderCapExceeded, ValueError)
+    assert len(cyclic_powers(inner_automorphism(HAM_Q.element([1, 1])))) == 4
+
+
 def test_inner_automorphism_scaling_invariance():
     y = HAM_Q.element([1, 2, 0, 1])
     assert inner_automorphism(y) == inner_automorphism(y * 3)
@@ -401,41 +414,37 @@ def test_q_vector_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# structure algebras, centers, centralizers
+# centers and centralizers from the multiplication matrices
 # ---------------------------------------------------------------------------
 
+def centralizer(alg, gens):
+    """q-vectors spanning the elements that commute with every generator."""
+    return kernel_basis([row for g in gens for row in difference_rows(
+        mul_matrix(g, 'L'), mul_matrix(g, 'R'))], alg.q_dim())
+
+
 def test_center_of_hamilton_quaternions():
-    basis = center_of_algebra(HAM_Q.structure_algebra())
-    assert len(basis) == 1
-    assert basis[0][0] == Q.one()
-    assert all(c.is_zero() for c in basis[0][1:])
+    assert centralizer(HAM_Q, HAM_Q.q_basis()) == [HAM_Q.one().q_vector()]
 
 
 def test_center_of_split_algebra_is_scalars():
     # (1,1/Q) is the 2x2 matrix algebra; its center is the scalars
-    basis = center_of_algebra(SPLIT_Q.structure_algebra())
-    assert len(basis) == 1
-
-
-def test_center_of_commutative_toy_algebra():
-    # Q[x]/(x^2): e0 = 1, e1 = x with x^2 = 0
-    toy = StructureAlgebra(Q, ['1', 'x'],
-                           [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
-    basis = center_of_algebra(toy)
-    assert len(basis) == 2
-
-
-def test_structure_algebra_refuses_a_field_of_degree_above_one():
-    with pytest.raises(ValueError):
-        StructureAlgebra(Q_SQRT2, ['1', 'x'],
-                         [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
-    with pytest.raises(ValueError):
-        HAM_SQRT2.structure_algebra()
+    assert centralizer(SPLIT_Q, SPLIT_Q.q_basis()) == \
+        [SPLIT_Q.one().q_vector()]
 
 
 def test_centralizer_of_i():
-    alg = HAM_Q.structure_algebra()
-    i_vec = alg.basis_vector(1)
-    cent = centralizer_in_algebra(alg, [i_vec])
+    cent = centralizer(HAM_Q, [HAM_Q.i()])
     # centralizer of i in the quaternions is Q(i): span{1, i}
     assert len(cent) == 2
+    assert same_span(cent, [HAM_Q.one().q_vector(), HAM_Q.i().q_vector()])
+
+
+def test_multiplication_matrices_apply_as_products():
+    rng = random.Random(12)
+    for alg in (HAM_SQRT2, SPLIT_Q):
+        c, x = rnd_elem(rng, alg), rnd_elem(rng, alg)
+        for side, want in (('L', c * x), ('R', x * c)):
+            rows, den = mul_matrix(c, side)
+            assert [Fraction(sum(a * b for a, b in zip(row, x.q_vector())),
+                             den) for row in rows] == want.q_vector()
