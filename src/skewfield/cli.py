@@ -509,7 +509,7 @@ def check_recurrence_geometric(ws, params):
 
 def check_recurrence_squares(ws, params):
     twist = ws.ref(params, 'twist')
-    n = _param(params, 'precision', 20, int)
+    n = _param(params, 'precision', 20, _positive)
     max_order = _param(params, 'max_order', 3, _positive)
     alg = twist.owner
     coeffs = [alg.one() if k in (0, 1, 4, 9, 16) else alg.zero()

@@ -20,7 +20,7 @@ from .linalg import difference_rows, identity, kernel_basis, same_span
 from .numfield import (FieldMorphism, Immutable, automorphism_group,
                        cyclic_powers, fixed_field, is_galois,
                        restrict_morphism, subfield_preimage)
-from .ore import HypothesisFailed, SkewPoly, _algebra_generators
+from .ore import HypothesisFailed, SkewPoly, _algebra_generators, _Report
 from .qalg import (AlgebraAutomorphism, QuaternionAlgebra, anisotropy,
                    extend_quaternion, inner_order, mul_matrix, norm_form)
 
@@ -209,13 +209,7 @@ def build_galois_extension(H, ell, emb, height_bound=8):
     L = QuaternionAlgebra(ell, emb(H.a), emb(H.b),
                           label='%s(x)%s' % (H.label, ell.label),
                           division_certified=True, extension_of=(H, emb))
-    group = []
-    for s in center_group:
-        a = AlgebraAutomorphism(L, L.i(), L.j(), s)
-        for x in ell.basis():
-            if a(L.scalar(x)) != L.scalar(s(x)):
-                raise AssertionError("central action mismatch")
-        group.append(a)
+    group = [AlgebraAutomorphism(L, L.i(), L.j(), s) for s in center_group]
     return GaloisExtension(H, ell, emb, L, group, verdict)
 
 
@@ -422,10 +416,8 @@ def eq_produit(X):
     """Whether the central twist generates a direct factor next to the group."""
     tau_t = X.tau_tilde
     gal = X.ext.center_group()
-    powers = cyclic_powers(tau_t)
-    commutes = all(tau_t.compose(r) == r.compose(tau_t) for r in gal)
-    overlap = [p for p in powers if p in gal]
-    return commutes and len(overlap) == 1
+    commutes = all(tau_t(r.gen_image) == r(tau_t.gen_image) for r in gal)
+    return commutes and sum(p in gal for p in cyclic_powers(tau_t)) == 1
 
 
 class ProductReport(Immutable):
@@ -469,6 +461,7 @@ def check_product_conditions(X):
     """Exact evaluation of the product conditions on the finite groups."""
     sigma, tau = X.sigma, X.tau
     gal = list(X.ext.group)
+    gal_set = set(gal)
     ord_sigma, ord_tau = sigma.order(), tau.order()
     tau_powers = cyclic_powers(tau)
     # closure of gal and tau
@@ -487,14 +480,13 @@ def check_product_conditions(X):
         if len(closure) > 4 * len(gal) * ord_tau:
             raise AssertionError("closure exploded; inputs are inconsistent")
     product_set = {g.compose(p) for g in gal for p in tau_powers}
-    gal_normal = all(
-        c.compose(g).compose(c.power(c.order() - 1)) in set(gal)
-        for c in closure for g in gal)
+    inverses = {c: c.inverse() for c in closure}
+    gal_normal = all(c.compose(g).compose(inverses[c]) in gal_set
+                     for c in closure for g in gal)
     triv1_i = (closure == product_set
                and len(closure) == len(gal) * len(tau_powers)
                and gal_normal)
-    overlap = [p for p in tau_powers if p in gal]
-    triv1_ii = (len(overlap) == 1)
+    triv1_ii = sum(p in gal_set for p in tau_powers) == 1
     triv1_iii = (ord_tau == ord_sigma)
 
     sig_t, tau_t = X.sigma_tilde, X.tau_tilde
@@ -530,16 +522,6 @@ class PolyLift(Immutable):
             raise ValueError("polynomial has a different twist")
         return p.map_coefficients(self.rho)
 
-    def __eq__(self, other):
-        return (isinstance(other, PolyLift) and self.rho == other.rho
-                and self.twist == other.twist)
-
-    def __hash__(self):
-        return hash((self.rho, self.twist))
-
-    def compose(self, other):
-        return PolyLift(self.rho.compose(other.rho), self.twist)
-
 
 class TwistedFunctionExtension(Immutable):
     """Verified group of lifts on L[t,tau] fixing H[t,sigma] pointwise."""
@@ -555,10 +537,8 @@ class TwistedFunctionExtension(Immutable):
         return lift.rho
 
     def lift_of(self, rho):
-        for lf in self.lifts:
-            if lf.rho == rho:
-                return lf
-        raise ValueError("no lift for that group element")
+        """The lift of rho; the lifts follow the order of the group."""
+        return self.lifts[self.twisted.ext.index_of(rho)]
 
     def group_order(self):
         return len(self.lifts)
@@ -568,8 +548,9 @@ def build_twisted_extension(X, degree_bound=4):
     """Lift the Galois group coefficientwise and verify it to a degree bound.
 
     Requires the direct-product condition; each group element must commute
-    with the twist, fix the base polynomials, and act multiplicatively on
-    spanning monomial pairs up to the bound.
+    with the twist, which makes its lift multiplicative on monomials x t^i
+    of every degree, and fix the base quaternions, which makes its lift fix
+    every base polynomial.  A sample of full products is checked literally.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
@@ -584,21 +565,12 @@ def build_twisted_extension(X, degree_bound=4):
             raise ProductConditionFailed(
                 "group element does not commute with the twist")
         lift = PolyLift(rho, tau)
-        # fixes the base polynomials
+        # the lift acts coefficientwise: x t^j is fixed exactly when x is
         for x in X.ext.H.q_basis():
-            for j in range(degree_bound + 1):
-                mono = SkewPoly(tau, [L.zero()] * j + [X.ext.embed_base(x)])
-                if lift(mono) != mono:
-                    raise AssertionError("lift moves a base polynomial")
-        # multiplicativity on monomial pairs x t^i * y t^j reduces to the
-        # commutation of rho with every twist power, since rho is already
-        # multiplicative on the algebra
-        for i in range(degree_bound + 1):
-            tw = tau.power(i)
-            for y in basis:
-                if rho(tw(y)) != tw(rho(y)):
-                    raise AssertionError("lift is not multiplicative")
-        # and literally on a sample of full products
+            mono = SkewPoly(tau, [X.ext.embed_base(x)])
+            if lift(mono) != mono:
+                raise AssertionError("lift moves a base polynomial")
+        # multiplicative literally on a sample of full products
         for x in basis[:3]:
             for y in basis[:3]:
                 for i in range(min(degree_bound, 2) + 1):
@@ -618,14 +590,9 @@ def build_twisted_extension(X, degree_bound=4):
 # converse check
 # ---------------------------------------------------------------------------
 
-class ConverseReport(Immutable):
+class ConverseReport(_Report):
 
     __slots__ = ('eq_produit', 'lift_group_order', 'consistent')
-
-    def __init__(self, eq_produit_, lift_group_order, consistent):
-        object.__setattr__(self, 'eq_produit', eq_produit_)
-        object.__setattr__(self, 'lift_group_order', lift_group_order)
-        object.__setattr__(self, 'consistent', consistent)
 
 
 def converse_check(X, degree_bound=4):

@@ -507,10 +507,12 @@ class FieldMorphism(Immutable):
     """Ring morphism between number fields, pinned by the generator image.
 
     Construction verifies the morphism certificate: the source minimal
-    polynomial vanishes at gen_image inside the target.
+    polynomial vanishes at gen_image inside the target.  A composite of
+    verified morphisms is a morphism, so ``compose`` skips the certificate.
     """
 
-    __slots__ = ('source', 'target', 'gen_image', '_trivial', '_matrix')
+    __slots__ = ('source', 'target', 'gen_image', '_trivial', '_matrix',
+                 '_order')
 
     def __init__(self, source, target, gen_image):
         if gen_image.field != target:
@@ -518,12 +520,16 @@ class FieldMorphism(Immutable):
         val = _eval_poly_at_element(source.min_poly, gen_image)
         if not val.is_zero():
             raise ValueError("not a morphism: minimal polynomial does not vanish")
+        self._fill(source, target, gen_image)
+
+    def _fill(self, source, target, gen_image):
         object.__setattr__(self, 'source', source)
         object.__setattr__(self, 'target', target)
         object.__setattr__(self, 'gen_image', gen_image)
         object.__setattr__(self, '_trivial',
                            source == target and gen_image == source.gen())
         object.__setattr__(self, '_matrix', None)
+        object.__setattr__(self, '_order', None)
 
     def _columns(self):
         """Integer columns of image_basis() and their one denominator.
@@ -576,7 +582,9 @@ class FieldMorphism(Immutable):
         """self after other."""
         if other.target != self.source:
             raise ValueError("morphisms do not compose")
-        return FieldMorphism(other.source, self.target, self(other.gen_image))
+        out = object.__new__(FieldMorphism)
+        out._fill(other.source, self.target, self(other.gen_image))
+        return out
 
     def int_matrix(self):
         """(rows, den) of the map on power-basis coordinates, the shape of
@@ -587,7 +595,9 @@ class FieldMorphism(Immutable):
     def order(self):
         if self.source != self.target:
             raise ValueError("order of a non-endomorphism")
-        return len(cyclic_powers(self))
+        if self._order is None:
+            object.__setattr__(self, '_order', len(cyclic_powers(self)))
+        return self._order
 
     def inverse(self):
         """Inverse automorphism, from the integer columns of the map."""

@@ -25,6 +25,7 @@ from math import gcd, lcm
 from operator import add, mul, neg
 from struct import unpack
 
+from .linalg import invert
 from .numfield import (ANISOTROPY_PAIRS, FieldElement, Immutable,
                        RingElement, _integer_elements, _packed, cyclic_powers)
 
@@ -533,11 +534,13 @@ class AlgebraAutomorphism(Immutable):
     """Automorphism of a quaternion algebra: images of i, j plus the center map.
 
     The defining relations are re-verified at construction; multiplicativity
-    on the whole algebra then follows from linear extension.
+    on the whole algebra then follows from linear extension.  A composite
+    of verified automorphisms is an automorphism, so ``compose`` skips the
+    check.
     """
 
     __slots__ = ('owner', 'image_i', 'image_j', 'center_action', '_powers',
-                 '_matrix', '_trivial')
+                 '_matrix', '_trivial', '_order')
 
     def __init__(self, owner, image_i, image_j, center_action):
         if image_i.alg != owner or image_j.alg != owner:
@@ -552,6 +555,9 @@ class AlgebraAutomorphism(Immutable):
             raise ValueError("image of j violates j^2 = b")
         if image_i * image_j != -(image_j * image_i):
             raise ValueError("images violate anticommutation")
+        self._fill(owner, image_i, image_j, center_action)
+
+    def _fill(self, owner, image_i, image_j, center_action):
         object.__setattr__(self, 'owner', owner)
         object.__setattr__(self, 'image_i', image_i)
         object.__setattr__(self, 'image_j', image_j)
@@ -561,6 +567,7 @@ class AlgebraAutomorphism(Immutable):
         object.__setattr__(self, '_trivial',
                            image_i == owner.i() and image_j == owner.j()
                            and center_action.is_identity())
+        object.__setattr__(self, '_order', None)
 
     def int_matrix(self):
         """(rows, den) of the map on q-vectors, built on first use: column
@@ -609,22 +616,34 @@ class AlgebraAutomorphism(Immutable):
         """self after other."""
         if other.owner != self.owner:
             raise ValueError("automorphisms of different algebras")
-        return AlgebraAutomorphism(self.owner, self(other.image_i),
-                                   self(other.image_j),
-                                   self.center_action.compose(other.center_action))
+        out = object.__new__(AlgebraAutomorphism)
+        out._fill(self.owner, self(other.image_i), self(other.image_j),
+                  self.center_action.compose(other.center_action))
+        return out
 
     def order(self):
-        return len(cyclic_powers(self))
+        if self._order is None:
+            object.__setattr__(self, '_order', len(cyclic_powers(self)))
+        return self._order
 
     def inverse(self):
-        return self.power(self.order() - 1)
+        """Inverse automorphism from the inverted integer matrix, so a twist
+        of infinite order has one too: column u * deg is the image of e_u."""
+        rows, den = self.int_matrix()
+        m, n = invert(rows), self.owner.base.degree
+        image_i, image_j = [quat_from_q_vector(
+            self.owner, [den * row[u * n] for row in m]) for u in (1, 2)]
+        return AlgebraAutomorphism(self.owner, image_i, image_j,
+                                   self.center_action.inverse())
 
     def power(self, k):
         """k-th compositional power, negative k through the inverse."""
         if k in self._powers:
             return self._powers[k]
-        if k < 0:
-            out = self.inverse().power(-k)
+        if k == -1:
+            out = self.inverse()
+        elif k < 0:
+            out = self.power(-1).compose(self.power(k + 1))
         elif k == 0:
             out = self.owner.identity_automorphism()
         else:

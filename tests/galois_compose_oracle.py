@@ -7,10 +7,21 @@ lookup is a dictionary on, or a scan over, the composed objects.  The
 restriction map returns its dictionary from big-side elements to
 small-side elements; the homomorphism check runs on the full table of
 composites.
+
+The product conditions, the direct-product test and the lift builder as
+they ran before composites were trusted: normality conjugates by
+c^(order - 1), the central twist is compared with each group element as
+composed maps, and the lifts re-check every base polynomial up to the
+degree bound and rho against every twist power.
 """
 
-from skewfield.galois import GaloisExtension, WitnessInvalid, _center_action
-from skewfield.numfield import restrict_morphism
+from skewfield.galois import (GaloisExtension, PolyLift,
+                              ProductConditionFailed, ProductReport,
+                              TwistedFunctionExtension, WitnessInvalid,
+                              _center_action, fixed_center_tower)
+from skewfield.numfield import cyclic_powers, is_galois, restrict_morphism
+from skewfield.ore import SkewPoly
+from skewfield.qalg import inner_order
 
 
 def group_table(ext):
@@ -79,3 +90,110 @@ def generating_subset(group):
         if len(closure) == len(group):
             break
     return gens
+
+
+def eq_produit(X):
+    """Whether the central twist generates a direct factor next to the group."""
+    tau_t = X.tau_tilde
+    gal = X.ext.center_group()
+    powers = cyclic_powers(tau_t)
+    commutes = all(tau_t.compose(r) == r.compose(tau_t) for r in gal)
+    overlap = [p for p in powers if p in gal]
+    return commutes and len(overlap) == 1
+
+
+def check_product_conditions(X):
+    """Exact evaluation of the product conditions on the finite groups."""
+    sigma, tau = X.sigma, X.tau
+    gal = list(X.ext.group)
+    ord_sigma, ord_tau = sigma.order(), tau.order()
+    tau_powers = cyclic_powers(tau)
+    # closure of gal and tau
+    closure = set(gal)
+    frontier = list(closure)
+    gens = gal + [tau]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for g in gens:
+                h = g.compose(f)
+                if h not in closure:
+                    closure.add(h)
+                    nxt.append(h)
+        frontier = nxt
+        if len(closure) > 4 * len(gal) * ord_tau:
+            raise AssertionError("closure exploded; inputs are inconsistent")
+    product_set = {g.compose(p) for g in gal for p in tau_powers}
+    gal_normal = all(
+        c.compose(g).compose(c.power(c.order() - 1)) in set(gal)
+        for c in closure for g in gal)
+    triv1_i = (closure == product_set
+               and len(closure) == len(gal) * len(tau_powers)
+               and gal_normal)
+    overlap = [p for p in tau_powers if p in gal]
+    triv1_ii = (len(overlap) == 1)
+    triv1_iii = (ord_tau == ord_sigma)
+
+    sig_t, tau_t = X.sigma_tilde, X.tau_tilde
+    triv2_i = eq_produit(X)
+    tower = fixed_center_tower(X)
+    fixed_tower_galois = (tower is not None
+                          and is_galois(tower[1].target, tower[1]))
+    triv2_ii = (tau_t.order() == sig_t.order()) and fixed_tower_galois
+
+    return ProductReport(
+        triv1_i=triv1_i, triv1_ii=triv1_ii, triv1_iii=triv1_iii,
+        triv2_i=triv2_i, triv2_ii=triv2_ii, eq_produit=triv2_i,
+        sigma_order=ord_sigma, tau_order=ord_tau,
+        sigma_tilde_order=sig_t.order(), tau_tilde_order=tau_t.order(),
+        inner_order_sigma=inner_order(sigma), inner_order_tau=inner_order(tau))
+
+
+def build_twisted_extension(X, degree_bound=4):
+    """Lift the Galois group coefficientwise and verify it to a degree bound.
+
+    Requires the direct-product condition; each group element must commute
+    with the twist, fix the base polynomials, and act multiplicatively on
+    spanning monomial pairs up to the bound.
+    """
+    if degree_bound < 0:
+        raise ValueError("degree bound must be non-negative")
+    if not eq_produit(X):
+        raise ProductConditionFailed("central twists do not form a direct product")
+    tau = X.tau
+    L = X.ext.L
+    basis = L.q_basis()
+    lifts = []
+    for rho in X.ext.group:
+        if rho.compose(tau) != tau.compose(rho):
+            raise ProductConditionFailed(
+                "group element does not commute with the twist")
+        lift = PolyLift(rho, tau)
+        # fixes the base polynomials
+        for x in X.ext.H.q_basis():
+            for j in range(degree_bound + 1):
+                mono = SkewPoly(tau, [L.zero()] * j + [X.ext.embed_base(x)])
+                if lift(mono) != mono:
+                    raise AssertionError("lift moves a base polynomial")
+        # multiplicativity on monomial pairs x t^i * y t^j reduces to the
+        # commutation of rho with every twist power, since rho is already
+        # multiplicative on the algebra
+        for i in range(degree_bound + 1):
+            tw = tau.power(i)
+            for y in basis:
+                if rho(tw(y)) != tw(rho(y)):
+                    raise AssertionError("lift is not multiplicative")
+        # and literally on a sample of full products
+        for x in basis[:3]:
+            for y in basis[:3]:
+                for i in range(min(degree_bound, 2) + 1):
+                    px = SkewPoly(tau, [L.zero()] * i + [x])
+                    py = SkewPoly(tau, [y, y])
+                    if lift(px * py) != lift(px) * lift(py):
+                        raise AssertionError("lift is not multiplicative")
+        # restriction to constants is the group element itself
+        for x in basis:
+            if lift(SkewPoly(tau, [x])).coefficient(0) != rho(x):
+                raise AssertionError("lift does not restrict to the element")
+        lifts.append(lift)
+    return TwistedFunctionExtension(X, lifts, degree_bound)

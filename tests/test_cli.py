@@ -197,9 +197,16 @@ BIQUAD_H = "[fields]\nq 0 1\nbiquad 1 0 -10 0 1\n[algebras]\nH q a=-1 b=-1\n"
     (DECLARED + "[twists]\ns algebra=H\n[checks]\n"
                 "recurrence_geometric twist=s max_order=0\n",
      "error: line 11: parameter max_order=0: must be an integer >= 1"),
+    (DECLARED + "[twists]\ns algebra=H\n[checks]\n"
+                "recurrence_squares twist=s precision=0\n",
+     "error: line 11: parameter precision=0: must be an integer >= 1"),
+    (DECLARED + "[twists]\ns algebra=H\n[checks]\n"
+                "recurrence_squares twist=s precision=-5\n",
+     "error: line 11: parameter precision=-5: must be an integer >= 1"),
 ], ids=['field_level_height_zero', 'anisotropy_height_zero',
         'build_extension_height_negative', 'special_case_3_n_one',
-        'recurrence_max_order_zero'])
+        'recurrence_max_order_zero', 'squares_precision_zero',
+        'squares_precision_negative'])
 def test_main_rejects_out_of_range_parameter(tmp_path, capsys, text, error):
     path = tmp_path / 'bad.scn'
     path.write_text(text)

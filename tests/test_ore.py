@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from skewfield.numfield import FieldMorphism, NumberField, automorphism_group
+from skewfield.numfield import (FieldMorphism, NumberField, OrderCapExceeded,
+                                automorphism_group)
 from skewfield.ore import (
     HypothesisFailed, InsufficientPrecision, SkewFraction, SkewLaurent,
     SkewPoly, center_bounded, constant_poly, detect_recurrence, is_central,
@@ -134,6 +135,33 @@ def test_ore_lcm_divisor_case():
     m, u, v = ore_right_lcm(a, b)
     assert m.degree() == b.degree()
     assert a * u == m and b * v == m
+
+
+def test_a_twist_of_infinite_order_divides_and_expands():
+    # conjugation by 1 + 2i has no finite order, but it has an inverse
+    twist = inner_automorphism(HAM_Q.element([1, 2]))
+    with pytest.raises(OrderCapExceeded):
+        twist.order()
+    assert twist.inverse().compose(twist).is_identity()
+    assert twist.compose(twist.inverse()).is_identity()
+    rng = random.Random(21)
+    for _ in range(10):
+        a = rnd_nonzero_poly(rng, twist, 3)
+        b = rnd_nonzero_poly(rng, twist, 2)
+        q, r = left_divide(a, b)
+        assert b * q + r == a
+        assert r.is_zero() or r.degree() < b.degree()
+        m, u, v = ore_right_lcm(a, b)
+        assert a * u == m == b * v
+        t = t_poly(twist)
+        f = SkewFraction(a, t)
+        g = SkewFraction(constant_poly(twist, 1), b)
+        assert (f + g) - g == f
+        assert series_expand(f + g, 6).agrees_with(
+            series_expand(f, 6) + series_expand(g, 6))
+        s = series_expand(f, 6)
+        assert all(s.coefficient(n - 1) == a.coefficient(n)
+                   for n in range(s.ord + 1, s.limit + 1))
 
 
 # ---------------------------------------------------------------------------
