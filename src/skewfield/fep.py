@@ -12,12 +12,20 @@ The weak-to-split reduction realizes the classical fiber product: pairs of
 a group element and a big Galois element agreeing downstairs, with the
 weak solution furnishing the section.  A full solution of the reduced
 problem pushes back to a full solution of the original through the fixed
-field of the projection kernel; everything is re-verified on full tables.
+field of the projection kernel.
+
+Everything is re-verified, each check on a certificate that suffices: a
+group table by its identity, its Latin square and Light's associativity
+test on one generating set; a homomorphism on the source generators;
+solutions and their restrictions on the full tables.
 """
 
-from .galois import (CommExtension, _center_action, build_comm_extension,
-                     build_galois_extension, build_twisted_extension,
-                     eq_produit, fixed_center_tower, restriction_between)
+from itertools import combinations
+
+from .galois import (CommExtension, _center_action, _generating_subset,
+                     build_comm_extension, build_galois_extension,
+                     build_twisted_extension, eq_produit, fixed_center_tower,
+                     restriction_between)
 from .numfield import (FieldMorphism, Immutable, automorphism_group,
                        fixed_field, restrict_morphism, subfield_preimage)
 
@@ -33,37 +41,53 @@ class NotWeakSolution(Exception):
 # ---------------------------------------------------------------------------
 
 class FiniteGroup(Immutable):
-    """Multiplication table with identity at index 0, order at most 64."""
+    """Multiplication table with identity at index 0, order 1 to 64.
 
-    __slots__ = ('table', 'labels', 'order', '_inverse', '_subgroups')
+    The table is certified a group at construction: index 0 is a two-sided
+    identity, every row and column is a permutation of the elements, and
+    associativity holds by Light's test, (x*g)*y = x*(g*y) for all x, y and
+    each g of ``generators``, a generating set.  The elements g passing
+    that test are closed under products, so passing on generators proves
+    the whole table associative.
+    """
+
+    __slots__ = ('table', 'labels', 'order', 'generators', '_inverse',
+                 '_subgroups')
 
     def __init__(self, table, labels=None):
         order = len(table)
+        if order == 0:
+            raise ValueError("empty multiplication table")
         if order > MAX_GROUP_ORDER:
             raise ValueError("group order above %d" % MAX_GROUP_ORDER)
+        table = tuple(tuple(row) for row in table)
         if any(len(row) != order for row in table):
             raise ValueError("multiplication table is not square")
         if labels is None:
             labels = ['g%d' % k for k in range(order)]
-        for j in range(order):
-            if table[0][j] != j or table[j][0] != j:
-                raise ValueError("index 0 is not an identity")
-        inverse = [None] * order
-        for i in range(order):
-            for j in range(order):
-                if table[i][j] == 0:
-                    inverse[i] = j
-        if any(v is None for v in inverse):
+        elif len(labels) != order:
+            raise ValueError("%d labels for a group of order %d"
+                             % (len(labels), order))
+        if any(table[0][j] != j or table[j][0] != j for j in range(order)):
+            raise ValueError("index 0 is not an identity")
+        if any(0 not in row for row in table):
             raise ValueError("some element has no inverse")
-        for i in range(order):
-            for j in range(order):
-                for k in range(order):
-                    if table[table[i][j]][k] != table[i][table[j][k]]:
-                        raise ValueError("table is not associative")
-        object.__setattr__(self, 'table', tuple(tuple(r) for r in table))
+        elements = set(range(order))
+        if any(set(line) != elements
+               for line in table + tuple(zip(*table))):
+            raise ValueError("table is not a Latin square")
+        generators = tuple(_generating_subset(table))
+        for g in generators:
+            row_g = table[g]
+            for row_x in table:
+                if table[row_x[g]] != tuple(map(row_x.__getitem__, row_g)):
+                    raise ValueError("table is not associative")
+        object.__setattr__(self, 'table', table)
         object.__setattr__(self, 'labels', tuple(labels))
         object.__setattr__(self, 'order', order)
-        object.__setattr__(self, '_inverse', tuple(inverse))
+        object.__setattr__(self, 'generators', generators)
+        object.__setattr__(self, '_inverse',
+                           tuple(row.index(0) for row in table))
         object.__setattr__(self, '_subgroups', None)
 
     def __repr__(self):
@@ -83,50 +107,77 @@ class FiniteGroup(Immutable):
         return n
 
     def is_abelian(self):
+        """Commuting generators make the whole group commute."""
         return all(self.op(a, b) == self.op(b, a)
-                   for a in range(self.order) for b in range(self.order))
+                   for a, b in combinations(self.generators, 2))
+
+    def extend(self, members, mask, gens, g, limit=MAX_GROUP_ORDER):
+        """<H, g> for the subgroup H generated by gens, g outside it.
+
+        H is given as its member list and as the int whose bit h is set for
+        each member h.  The result grows as a union of right cosets H*r
+        (Dimino's algorithm): a coset is added whenever r*s falls outside,
+        for a coset representative r and s in gens or g.  Returns the same
+        pair for <H, g>, or None once it holds more than limit elements.
+        """
+        table = self.table
+        gens = gens + (g,)
+        out = list(members)
+        reps = [0]
+        for r in reps:
+            row = table[r]
+            for s in gens:
+                x = row[s]
+                if mask >> x & 1:
+                    continue
+                for h in members:
+                    y = table[h][x]
+                    out.append(y)
+                    mask |= 1 << y
+                if len(out) > limit:
+                    return None
+                reps.append(x)
+        return out, mask
 
     def closure(self, gens):
-        out = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for f in frontier:
-                for g in gens:
-                    h = self.op(g, f)
-                    if h not in out:
-                        out.add(h)
-                        nxt.append(h)
-            frontier = nxt
-        return frozenset(out)
+        """The subgroup generated by gens, extended by one at a time."""
+        members, mask, used = [0], 1, ()
+        for g in gens:
+            if not mask >> g & 1:
+                members, mask = self.extend(members, mask, used, g)
+                used += (g,)
+        return frozenset(members)
 
     def subgroups(self):
         """All subgroups, each grown from a smaller one by one new generator.
 
         A subgroup H is extended by one element g of each coset gH outside
-        it, since <H, g> = <H, gh> for h in H, and the closure starts from
-        the generators H was found with, plus g.
+        it, since <H, g> = <H, gh> for h in H, starting from the generators
+        H was found with.  Subgroups are keyed by their member bitmask; the
+        list is sorted by size, then by sorted members.
         """
         if self._subgroups is None:
-            trivial = frozenset([0])
-            gens = {trivial: ()}
-            frontier = [trivial]
+            found = {1: ([0], ())}
+            frontier = [1]
             while frontier:
                 nxt = []
-                for sub in frontier:
-                    covered = set(sub)
+                for mask in frontier:
+                    members, gens = found[mask]
+                    covered = mask
                     for g in range(self.order):
-                        if g in covered:
+                        if covered >> g & 1:
                             continue
-                        covered.update(self.op(g, h) for h in sub)
-                        gen = gens[sub] + (g,)
-                        bigger = self.closure(gen)
-                        if bigger not in gens:
-                            gens[bigger] = gen
-                            nxt.append(bigger)
+                        row = self.table[g]
+                        for h in members:
+                            covered |= 1 << row[h]
+                        bigger, big_mask = self.extend(members, mask, gens, g)
+                        if big_mask not in found:
+                            found[big_mask] = (bigger, gens + (g,))
+                            nxt.append(big_mask)
                 frontier = nxt
-            object.__setattr__(self, '_subgroups',
-                               sorted(gens, key=lambda s: (len(s), sorted(s))))
+            object.__setattr__(self, '_subgroups', sorted(
+                (frozenset(members) for members, _ in found.values()),
+                key=lambda s: (len(s), sorted(s))))
         return list(self._subgroups)
 
     def is_cyclic(self):
@@ -199,7 +250,14 @@ def direct_product(a, b):
 
 
 class GroupHom(Immutable):
-    """Homomorphism between table groups, verified on the full table."""
+    """Homomorphism between table groups.
+
+    Verified at construction on the source generators: images[g*x] =
+    images[g]*images[x] for each generator g and every x, and the identity
+    goes to the identity.  The elements g satisfying the first for all x
+    are closed under products, so passing on generators proves it for
+    every pair.
+    """
 
     __slots__ = ('source', 'target', 'images')
 
@@ -208,10 +266,13 @@ class GroupHom(Immutable):
             raise ValueError("one image per source element required")
         if any(not 0 <= v < target.order for v in images):
             raise ValueError("image out of range")
-        for i in range(source.order):
-            for j in range(source.order):
-                if images[source.op(i, j)] != target.op(images[i], images[j]):
-                    raise ValueError("not a homomorphism at (%d, %d)" % (i, j))
+        if images[0] != 0:
+            raise ValueError("not a homomorphism at (0, 0)")
+        for g in source.generators:
+            row_g, image_row = source.table[g], target.table[images[g]]
+            for x in range(source.order):
+                if images[row_g[x]] != image_row[images[x]]:
+                    raise ValueError("not a homomorphism at (%d, %d)" % (g, x))
         object.__setattr__(self, 'source', source)
         object.__setattr__(self, 'target', target)
         object.__setattr__(self, 'images', tuple(images))
@@ -379,26 +440,42 @@ def verify_solution(problem, sol):
 
 
 def is_split(problem):
-    """Brute force over subgroups; returns (split?, section images or None).
+    """Search for a complement of ker alpha; returns (split?, section or None).
 
-    The section, when found, maps each Galois index to the group element
-    of the bijective subgroup above it.
+    A complement maps bijectively onto the Galois group, so one preimage of
+    each Galois generator generates it.  Conversely, preimages generating a
+    subgroup of the Galois order give a complement, since its image holds
+    every Galois generator.  The search picks preimages generator by
+    generator, grows the subgroup by coset extension and drops a choice
+    once the subgroup passes the Galois order.  When the subgroup already
+    meets a generator's fibre, that element is the only possible preimage.
+    The complement with the least sorted member list is returned, the first
+    one in the sorted subgroup list; the section maps each Galois index to
+    the complement's element above it.
     """
-    G = problem.G
-    gal_order = problem.gal.group.order
-    for sub in G.subgroups():
-        if len(sub) != gal_order:
-            continue
-        members = sorted(sub)
-        images = [problem.alpha(a) for a in members]
-        if len(set(images)) != gal_order:
-            continue
-        section = [None] * gal_order
-        for a, v in zip(members, images):
-            section[v] = a
-        sec_hom = GroupHom(problem.gal.group, G, section)
-        return True, sec_hom
-    return False, None
+    G, gal = problem.G, problem.gal.group
+    fibres = [[a for a in range(G.order) if problem.alpha(a) == v]
+              for v in gal.generators]
+    complements = []
+    stack = [([0], 1, (), 0)]
+    while stack:
+        members, mask, gens, k = stack.pop()
+        if k == len(fibres):
+            if len(members) == gal.order:
+                complements.append(sorted(members))
+        elif any(mask >> a & 1 for a in fibres[k]):
+            stack.append((members, mask, gens, k + 1))
+        else:
+            for a in fibres[k]:
+                grown = G.extend(members, mask, gens, a, gal.order)
+                if grown is not None:
+                    stack.append(grown + (gens + (a,), k + 1))
+    if not complements:
+        return False, None
+    section = [None] * gal.order
+    for a in min(complements):
+        section[problem.alpha(a)] = a
+    return True, GroupHom(gal, G, section)
 
 
 # ---------------------------------------------------------------------------

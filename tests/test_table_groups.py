@@ -1,0 +1,296 @@
+"""Table groups on cheap certificates against the exhaustive oracle.
+
+``FiniteGroup`` tests associativity by Light's test on one generating set,
+``GroupHom`` checks its images on the source generators, ``subgroups``
+grows each subgroup by Dimino's coset extension and ``is_split`` closes
+choices of preimages of the Galois generators.  Each must agree with the
+n^3 table check, the full n^2 homomorphism check, the breadth-first
+lattice and the lattice walk of ``table_group_oracle``: on every bench and
+catalog group, direct products, fiber-reduction tables and seeded
+corruptions of them, and on every bench, catalog, shipped and bundled
+embedding problem.
+"""
+
+import importlib.util
+import random
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+import table_group_oracle as oracle
+from skewfield import cli, fep, galois
+from skewfield.fep import (EmbeddingProblem, FiniteGroup, GalData, GroupHom,
+                           cyclic_group, dihedral_group, direct_product,
+                           fiber_reduction, quaternion_group)
+from skewfield.galois import _generating_subset
+from skewfield.numfield import NumberField
+from skewfield.regressions import (hamilton, hamilton_over, q8_scenario,
+                                   quartic_solution, sqrt2_field)
+
+WORKLOADS = Path(__file__).resolve().parents[1] / 'bench' / 'workloads.py'
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location('bench_workloads',
+                                                  WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH = _load_workloads()
+BENCH_GROUPS = {label: make() for label, make, _, _ in BENCH.GROUPS}
+CATALOG = {name: make() for name, (make, _) in cli.GROUP_CATALOG.items()}
+PRODUCTS = {
+    'D16xZ2': direct_product(dihedral_group(8), cyclic_group(2)),
+    'Q8xZ2^2': direct_product(quaternion_group(), CATALOG['z2xz2']),
+    'Z4^3': direct_product(cyclic_group(4), BENCH_GROUPS['Z4xZ4']),
+    'Q8xQ8': direct_product(quaternion_group(), quaternion_group()),
+    'D8xZ8': direct_product(dihedral_group(4), cyclic_group(8)),
+    'Z3xD8': direct_product(cyclic_group(3), dihedral_group(4)),
+}
+TRIVIAL = FiniteGroup([[0]])
+
+
+def _accepts(check, *args):
+    try:
+        check(*args)
+    except ValueError:
+        return False
+    return True
+
+
+def _rejection(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# splitness problems: bench, catalog, shipped and bundled
+# ---------------------------------------------------------------------------
+
+def _bench_split_problems(monkeypatch):
+    """The problems of the bench's is_split items, caught as they are posed."""
+    H = hamilton()
+    exts = {}
+    for label, poly in (('q2', BENCH.DL2_FIELDS['q2']),
+                        ('quartic', BENCH.DL2_FIELDS['quartic']),
+                        ('biquad', BENCH.BIQUAD)):
+        K = NumberField(poly, label=label)
+        ext = galois.build_galois_extension(H, K, BENCH._embed_q(K))
+        exts[label] = (ext, GalData(ext))
+    stub = SimpleNamespace(exts=exts, items=[])
+    BENCH.Search._split_items(stub)
+    posed = []
+    real = fep.is_split
+    monkeypatch.setattr(fep, 'is_split',
+                        lambda problem: posed.append(problem) or real(problem))
+    for item in stub.items:
+        item.run()
+    assert len(posed) == len(stub.items) == 10
+    return posed, exts
+
+
+def _catalog_problems(exts):
+    """Every assignment of Galois elements to a catalog group's generators,
+    posed as a problem; those that are no surjective homomorphism are
+    returned apart, with their images."""
+    problems, refused = [], []
+    for name, (_, gens) in sorted(cli.GROUP_CATALOG.items()):
+        G = CATALOG[name]
+        for ext, gal in exts.values():
+            n = gal.group.order
+            for choice in range(n ** len(gens)):
+                assignment = {g: choice // n ** k % n
+                              for k, g in enumerate(gens.values())}
+                images = cli._extend_hom(G, assignment, gal.group)
+                try:
+                    problems.append(EmbeddingProblem(G, ext, images, gal))
+                except ValueError:
+                    refused.append((G, gal.group, images))
+    return problems, refused
+
+
+def _bundled_problems():
+    """The problems of the q8 scenario, the fiber regression and the round
+    trips, with their fiber reductions."""
+    report = q8_scenario()
+    ext = hamilton_over(hamilton(), sqrt2_field())
+    c4 = EmbeddingProblem(cyclic_group(4), ext, [0, 1, 0, 1])
+    problems = [report.problem, report.reduction.problem, c4,
+                fiber_reduction(c4, quartic_solution(c4)).problem,
+                EmbeddingProblem(cyclic_group(2), ext, [0, 1])]
+    with open(Path(__file__).resolve().parents[1] / 'scenarios'
+              / 'q8.scn') as handle:
+        ws = cli.Workspace(cli.parse_scenario(handle.read()),
+                           {'height_bound': 20, 'degree_bound': 4,
+                            'precision': 30})
+    problems += ws.named['problem'].values()
+    return problems
+
+
+@pytest.fixture(scope='module')
+def split_problems():
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        bench, exts = _bench_split_problems(monkeypatch)
+    catalog, refused = _catalog_problems(exts)
+    return SimpleNamespace(bench=bench, catalog=catalog, refused=refused,
+                           bundled=_bundled_problems())
+
+
+# ---------------------------------------------------------------------------
+# table check
+# ---------------------------------------------------------------------------
+
+def _valid_groups(split_problems):
+    groups = [TRIVIAL, *BENCH_GROUPS.values(), *CATALOG.values(),
+              *PRODUCTS.values()]
+    groups += [p.G for p in split_problems.bundled]
+    return groups
+
+
+def test_table_check_agrees_on_valid_tables(split_problems):
+    for G in _valid_groups(split_problems):
+        oracle.check_table(G.table)
+        rebuilt = FiniteGroup(G.table)
+        assert rebuilt.generators == tuple(_generating_subset(G.table))
+        assert all(G.op(a, G.inv(a)) == 0 for a in range(G.order))
+        assert G.is_abelian() == all(
+            G.op(a, b) == G.op(b, a)
+            for a in range(G.order) for b in range(G.order))
+
+
+def _relabel(table, perm):
+    """The same group with element a renamed perm[a]."""
+    out = [[None] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, c in enumerate(row):
+            out[perm[a]][perm[b]] = perm[c]
+    return out
+
+
+def _corruptions(G, rng):
+    """(kind, table) pairs: one swapped entry, a missing inverse, the
+    identity moved off index 0, and an intercalate swap, which keeps the
+    Latin square and the identity."""
+    n = G.order
+    table = [list(row) for row in G.table]
+    (i, j), (k, m) = [(rng.randrange(1, n), rng.randrange(1, n))
+                      for _ in range(2)]
+    swapped = [row[:] for row in table]
+    swapped[i][j], swapped[k][m] = swapped[k][m], swapped[i][j]
+    yield 'swap', swapped
+    a = rng.randrange(1, n)
+    missing = [row[:] for row in table]
+    missing[a][G.inv(a)] = G.op(a, a) if G.op(a, a) else a
+    yield 'inverse', missing
+    perm = list(range(n))
+    rng.shuffle(perm)
+    if perm[0] == 0:
+        perm[0], perm[1] = perm[1], perm[0]
+    yield 'identity', _relabel(table, perm)
+    # rows a, b and columns c, d with a*c = b*d and a*d = b*c, sought
+    # among a hundred seeded triples
+    for _ in range(100):
+        a, b, c = (rng.randrange(1, n) for _ in range(3))
+        d = table[G.inv(b)][table[a][c]]
+        if a != b and d not in (0, c) and table[a][d] == table[b][c]:
+            latin = [row[:] for row in table]
+            latin[a][c], latin[a][d] = latin[a][d], latin[a][c]
+            latin[b][c], latin[b][d] = latin[b][d], latin[b][c]
+            yield 'latin', latin
+            break
+
+
+def test_table_check_rejects_what_the_oracle_rejects(split_problems):
+    rng = random.Random(7)
+    seen = {}
+    for G in _valid_groups(split_problems)[1:]:
+        for _ in range(3):
+            for kind, table in _corruptions(G, rng):
+                new = _rejection(FiniteGroup, table)
+                old = _rejection(oracle.check_table, table)
+                assert (new is None) == (old is None), (G, kind, new, old)
+                if kind in ('inverse', 'identity'):
+                    assert new == old, (G, kind)
+                seen.setdefault(kind, set()).add(old)
+    # every kind was met, and some intercalate swaps leave a non-group
+    assert set(seen) == {'swap', 'inverse', 'identity', 'latin'}
+    assert "table is not associative" in seen['latin']
+    assert "table is not associative" in seen['swap']
+
+
+def test_empty_tables_and_wrong_label_counts_are_refused():
+    with pytest.raises(ValueError, match='empty'):
+        FiniteGroup([])
+    with pytest.raises(ValueError, match='labels'):
+        FiniteGroup([[0, 1], [1, 0]], labels=['a'])
+    with pytest.raises(ValueError, match='labels'):
+        FiniteGroup([[0]], labels=['a', 'b'])
+
+
+# ---------------------------------------------------------------------------
+# homomorphisms
+# ---------------------------------------------------------------------------
+
+def test_group_hom_rejects_exactly_what_the_full_check_rejects(
+        split_problems):
+    rng = random.Random(11)
+    cases = list(split_problems.refused)
+    for p in split_problems.catalog + split_problems.bench:
+        source, target, images = p.G, p.gal.group, list(p.alpha.images)
+        cases.append((source, target, images))
+        for _ in range(2):
+            bent = images[:]
+            bent[rng.randrange(source.order)] = rng.randrange(target.order)
+            cases.append((source, target, bent))
+        cases.append((source, target,
+                      [rng.randrange(target.order) for _ in images]))
+    groups = [TRIVIAL, CATALOG['z2'], CATALOG['q8'], CATALOG['d4']]
+    for source in groups:
+        for target in groups:
+            for _ in range(4):
+                cases.append((source, target, [rng.randrange(target.order)
+                                               for _ in range(source.order)]))
+    cases.append((TRIVIAL, CATALOG['z2'], [1]))
+    verdicts = [_accepts(GroupHom, *case) for case in cases]
+    assert verdicts == [_accepts(oracle.check_hom, *case) for case in cases]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+# ---------------------------------------------------------------------------
+# subgroups and splitness
+# ---------------------------------------------------------------------------
+
+def test_subgroup_lattice_agrees_on_every_bench_group():
+    for label, make, _, count in BENCH.GROUPS:
+        G = make()
+        lattice = G.subgroups()
+        assert len(lattice) == count, label
+        assert lattice == oracle.subgroups(G), label
+
+
+def test_closure_agrees_with_the_breadth_first_closure():
+    rng = random.Random(5)
+    for G in [*BENCH_GROUPS.values(), *PRODUCTS.values()]:
+        for size in (1, 2, 3):
+            gens = [rng.randrange(G.order) for _ in range(size)]
+            assert G.closure(gens) == oracle.closure(G, gens), (G, gens)
+
+
+def test_is_split_agrees_with_the_lattice_walk(split_problems):
+    problems = (split_problems.bench + split_problems.catalog
+                + split_problems.bundled)
+    verdicts = set()
+    for problem in problems:
+        split, section = fep.is_split(problem)
+        old_split, old_section = oracle.is_split(problem)
+        assert split == old_split, problem
+        assert (section and section.images) == \
+            (old_section and old_section.images), problem
+        verdicts.add(split)
+    assert verdicts == {True, False}
