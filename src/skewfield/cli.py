@@ -9,7 +9,8 @@ and certificates and never contain floating point.
 Exit codes: 0 when every check passes (unknown verdicts do not fail a
 run on their own), 1 when any check fails or hits an unexpected failed
 hypothesis, 2 on usage or parse errors (a height bound or precision
-flag below 1 or a degree bound below 0 among them), on a declaration that
+flag below 1, a degree bound below 0, a key a declaration does not read
+and a key given twice on one line among them), on a declaration that
 cannot be built, and on a check parameter that is missing, malformed, out
 of range or names nothing declared (reported with the check's line).  A
 guard that rejects a well-formed input is a failed check with its reason.
@@ -81,12 +82,19 @@ def _parse_felem(tok, lineno):
     return [_parse_rational(t, lineno) for t in tok.split(',')]
 
 
-def _parse_kv(tokens, lineno):
+def _parse_kv(tokens, lineno, keys=None):
+    """key=value tokens as a dict; a repeated key, or a key outside keys
+    when they are given, is a parse error."""
     params = {}
     for tok in tokens:
         if '=' not in tok:
             raise ScenarioParseError(lineno, "expected key=value, got %r" % tok)
         key, val = tok.split('=', 1)
+        if key in params:
+            raise ScenarioParseError(lineno, "key %s= given twice" % key)
+        if keys is not None and key not in keys:
+            raise ScenarioParseError(lineno, "unknown key %s= (takes %s)" % (
+                key, ', '.join(k + '=' for k in keys)))
         params[key] = val
     return params
 
@@ -119,7 +127,7 @@ def parse_scenario(text):
             coords = [_parse_rational(t, lineno) for t in tokens[3:]]
             scenario.maps[name] = (tokens[1], tokens[2], coords)
         elif section == 'algebras':
-            rest = _parse_kv(tokens[2:], lineno)
+            rest = _parse_kv(tokens[2:], lineno, ('a', 'b'))
             if len(tokens) < 2 or 'a' not in rest or 'b' not in rest:
                 raise ScenarioParseError(
                     lineno, "algebra needs a base and a=..., b=...")
@@ -127,12 +135,14 @@ def parse_scenario(text):
                                        _parse_felem(rest['a'], lineno),
                                        _parse_felem(rest['b'], lineno))
         elif section == 'twists':
-            params = _parse_kv(tokens[1:], lineno)
+            params = _parse_kv(tokens[1:], lineno,
+                               ('algebra', 'center', 'inner'))
             if 'algebra' not in params:
                 raise ScenarioParseError(lineno, "twist needs algebra=")
             scenario.twists[name] = params
         elif section == 'problems':
-            params = _parse_kv(tokens[1:], lineno)
+            params = _parse_kv(tokens[1:], lineno, (
+                'group', 'algebra', 'field', 'emb', 'alpha'))
             for needed in ('group', 'algebra', 'field'):
                 if needed not in params:
                     raise ScenarioParseError(lineno,

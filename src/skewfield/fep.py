@@ -82,13 +82,8 @@ class FiniteGroup(Immutable):
             for row_x in table:
                 if table[row_x[g]] != tuple(map(row_x.__getitem__, row_g)):
                     raise ValueError("table is not associative")
-        object.__setattr__(self, 'table', table)
-        object.__setattr__(self, 'labels', tuple(labels))
-        object.__setattr__(self, 'order', order)
-        object.__setattr__(self, 'generators', generators)
-        object.__setattr__(self, '_inverse',
-                           tuple(row.index(0) for row in table))
-        object.__setattr__(self, '_subgroups', None)
+        super().__init__(table, tuple(labels), order, generators,
+                         tuple(row.index(0) for row in table), None)
 
     def __repr__(self):
         return 'FiniteGroup(order %d)' % self.order
@@ -273,9 +268,7 @@ class GroupHom(Immutable):
             for x in range(source.order):
                 if images[row_g[x]] != image_row[images[x]]:
                     raise ValueError("not a homomorphism at (%d, %d)" % (g, x))
-        object.__setattr__(self, 'source', source)
-        object.__setattr__(self, 'target', target)
-        object.__setattr__(self, 'images', tuple(images))
+        super().__init__(source, target, tuple(images))
 
     def __call__(self, a):
         return self.images[a]
@@ -317,9 +310,7 @@ class GalData(Immutable):
     __slots__ = ('ext', 'elements', 'group')
 
     def __init__(self, ext):
-        object.__setattr__(self, 'ext', ext)
-        object.__setattr__(self, 'elements', ext.group)
-        object.__setattr__(self, 'group', FiniteGroup(
+        super().__init__(ext, ext.group, FiniteGroup(
             ext.table, ['s%d' % n for n in range(len(ext.table))]))
 
 
@@ -362,10 +353,7 @@ class EmbeddingProblem(Immutable):
         alpha = GroupHom(G, gal.group, alpha_images)
         if not alpha.is_surjective():
             raise ValueError("the problem map must be onto the Galois group")
-        object.__setattr__(self, 'G', G)
-        object.__setattr__(self, 'ext', ext)
-        object.__setattr__(self, 'gal', gal)
-        object.__setattr__(self, 'alpha', alpha)
+        super().__init__(G, ext, gal, alpha)
 
     def is_commutative(self):
         return isinstance(self.ext, CommExtension)
@@ -387,12 +375,8 @@ class SolutionMap(Immutable):
         gal_big = gal_big if gal_big is not None else GalData(ext_big)
         if gal_big.ext is not ext_big:
             raise ValueError("the Galois data belong to another extension")
-        beta = GroupHom(gal_big.group, G, beta_images)
-        object.__setattr__(self, 'ext_big', ext_big)
-        object.__setattr__(self, 'gal_big', gal_big)
-        object.__setattr__(self, 'center_emb', center_emb)
-        object.__setattr__(self, 'beta', beta)
-        object.__setattr__(self, 'kind', kind)
+        super().__init__(ext_big, gal_big, center_emb,
+                         GroupHom(gal_big.group, G, beta_images), kind)
 
     def __repr__(self):
         return 'SolutionMap(%s, order %d into |G|=%d)' % (
@@ -405,14 +389,6 @@ class SolutionReport(Immutable):
 
     __slots__ = ('injective_ok', 'kind_ok', 'compatible_ok', 'details',
                  'restriction')
-
-    def __init__(self, injective_ok, kind_ok, compatible_ok, details='',
-                 restriction=None):
-        object.__setattr__(self, 'injective_ok', injective_ok)
-        object.__setattr__(self, 'kind_ok', kind_ok)
-        object.__setattr__(self, 'compatible_ok', compatible_ok)
-        object.__setattr__(self, 'details', details)
-        object.__setattr__(self, 'restriction', restriction)
 
     def passed(self):
         return self.injective_ok and self.kind_ok and self.compatible_ok
@@ -430,7 +406,7 @@ def verify_solution(problem, sol):
                                   sol.center_emb).images
     except Exception as exc:  # restriction not even well-defined
         return SolutionReport(injective_ok, kind_ok, False,
-                              "restriction failed: %s" % exc)
+                              "restriction failed: %s" % exc, None)
     bad = [t for t in range(sol.gal_big.group.order)
            if problem.alpha(sol.beta(t)) != res[t]]
     compatible_ok = not bad
@@ -570,14 +546,6 @@ class GeometricReport(Immutable):
     __slots__ = ('fn_ext', 'alpha_geo', 'fixed_field_ext', 'alpha_bar',
                  'link_identity')
 
-    def __init__(self, fn_ext, alpha_geo, fixed_field_ext, alpha_bar,
-                 link_identity):
-        object.__setattr__(self, 'fn_ext', fn_ext)
-        object.__setattr__(self, 'alpha_geo', tuple(alpha_geo))
-        object.__setattr__(self, 'fixed_field_ext', fixed_field_ext)
-        object.__setattr__(self, 'alpha_bar', tuple(alpha_bar))
-        object.__setattr__(self, 'link_identity', link_identity)
-
 
 def geometric_problem(problem, X, degree_bound=4):
     """Build the function-field problem and the fixed-center shadow.
@@ -614,7 +582,8 @@ def geometric_problem(problem, X, degree_bound=4):
         if via_lift != alpha_bar[g]:
             link = False
     fixed_ext = CommExtension(k_in_e.target, k_in_e, gal_e)
-    return GeometricReport(fn_ext, alpha_geo, fixed_ext, alpha_bar, link)
+    return GeometricReport(fn_ext, tuple(alpha_geo), fixed_ext,
+                           tuple(alpha_bar), link)
 
 
 # ---------------------------------------------------------------------------
@@ -626,16 +595,6 @@ class FiberReduction(Immutable):
 
     __slots__ = ('problem', 'original', 'weak', 'section', 'pairs',
                  'kernel_iso', 'res_table')
-
-    def __init__(self, problem, original, weak, section, pairs, kernel_iso,
-                 res_table):
-        object.__setattr__(self, 'problem', problem)
-        object.__setattr__(self, 'original', original)
-        object.__setattr__(self, 'weak', weak)
-        object.__setattr__(self, 'section', section)
-        object.__setattr__(self, 'pairs', tuple(pairs))
-        object.__setattr__(self, 'kernel_iso', tuple(kernel_iso))
-        object.__setattr__(self, 'res_table', tuple(res_table))
 
     def transport(self, big_solution, height_bound=8):
         """Turn a full solution of the reduced problem into one of the
@@ -739,8 +698,8 @@ def fiber_reduction(problem, weak):
         for b in ker_orig:
             if iso_map[G.op(a, b)] != G_prime.op(iso_map[a], iso_map[b]):
                 raise AssertionError("kernel isomorphism is not multiplicative")
-    return FiberReduction(reduced, problem, weak, section, pairs, kernel_iso,
-                          res_idx)
+    return FiberReduction(reduced, problem, weak, section, tuple(pairs),
+                          tuple(kernel_iso), tuple(res_idx))
 
 
 # ---------------------------------------------------------------------------

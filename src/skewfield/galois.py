@@ -20,7 +20,7 @@ from .linalg import difference_rows, identity, kernel_basis, same_span
 from .numfield import (FieldMorphism, Immutable, automorphism_group,
                        cyclic_powers, fixed_field, is_galois,
                        restrict_morphism, subfield_preimage)
-from .ore import HypothesisFailed, SkewPoly, _algebra_generators, _Report
+from .ore import HypothesisFailed, SkewPoly, _algebra_generators
 from .qalg import (AlgebraAutomorphism, QuaternionAlgebra, anisotropy,
                    extend_quaternion, inner_order, mul_matrix, norm_form)
 
@@ -68,10 +68,20 @@ class Extension(Immutable):
     """Base of the extensions: the group with its verified index table.
 
     An element is keyed by its center generator image; table[a][b] is the
-    index of center(a)(center(b).gen_image), the key of a after b.
+    index of center(a)(center(b).gen_image), the key of a after b.  Each
+    subclass keeps its center field as ``ell`` and the embedding of the
+    base center into it as ``emb``.
     """
 
     __slots__ = ('group', 'table', '_index')
+
+    @property
+    def center_field(self):
+        return self.ell
+
+    @property
+    def center_emb(self):
+        return self.emb
 
     def _set_group(self, group):
         group = tuple(group)
@@ -107,27 +117,18 @@ class Extension(Immutable):
 class CommExtension(Extension):
     """Finite Galois extension of number fields with its full group."""
 
-    __slots__ = ('ell', 'k_emb')
+    __slots__ = ('ell', 'emb')
 
-    def __init__(self, ell, k_emb, group):
-        object.__setattr__(self, 'ell', ell)
-        object.__setattr__(self, 'k_emb', k_emb)
+    def __init__(self, ell, emb, group):
+        super().__init__(ell, emb)
         self._set_group(group)
 
-    @property
-    def center_field(self):
-        return self.ell
-
-    @property
-    def center_emb(self):
-        return self.k_emb
-
     def degree(self):
-        return self.ell.degree // self.k_emb.source.degree
+        return self.ell.degree // self.emb.source.degree
 
     def __repr__(self):
         return 'CommExtension(%s / %s, order %d)' % (
-            self.ell.label, self.k_emb.source.label, len(self.group))
+            self.ell.label, self.emb.source.label, len(self.group))
 
 
 def build_comm_extension(ell, k_emb):
@@ -167,14 +168,6 @@ class GaloisExtension(Extension):
     def __repr__(self):
         return 'GaloisExtension(%s / %s, order %d)' % (
             self.L.label, self.H.label, len(self.group))
-
-    @property
-    def center_field(self):
-        return self.ell
-
-    @property
-    def center_emb(self):
-        return self.emb
 
     def degree(self):
         return len(self.group)
@@ -270,15 +263,6 @@ class RestrictionWitness(Immutable):
     __slots__ = ('ell0', 'k0_emb', 'emb_l0_big', 'emb_l0_small',
                  'emb_k0_big', 'emb_k0_small')
 
-    def __init__(self, ell0, k0_emb, emb_l0_big, emb_l0_small,
-                 emb_k0_big, emb_k0_small):
-        object.__setattr__(self, 'ell0', ell0)
-        object.__setattr__(self, 'k0_emb', k0_emb)
-        object.__setattr__(self, 'emb_l0_big', emb_l0_big)
-        object.__setattr__(self, 'emb_l0_small', emb_l0_small)
-        object.__setattr__(self, 'emb_k0_big', emb_k0_big)
-        object.__setattr__(self, 'emb_k0_small', emb_k0_small)
-
     def validate(self, big, small):
         k0 = self.k0_emb.source
         if self.ell0.degree % k0.degree:
@@ -310,11 +294,6 @@ class RestrictionHom(Immutable):
     """Verified homomorphism big.group -> small.group, by small indices."""
 
     __slots__ = ('big', 'small', 'images')
-
-    def __init__(self, big, small, images):
-        object.__setattr__(self, 'big', big)
-        object.__setattr__(self, 'small', small)
-        object.__setattr__(self, 'images', tuple(images))
 
     def __call__(self, g):
         return self.small.group[self.images[self.big.index_of(g)]]
@@ -354,7 +333,7 @@ def restriction_map(big, small, witness, small_to_big=None):
                 if small_to_big(small.group[t](x)) != g(small_to_big(x)):
                     raise WitnessInvalid('pointwise',
                                          "restriction disagrees on an element")
-    return RestrictionHom(big, small, images)
+    return RestrictionHom(big, small, tuple(images))
 
 
 def restriction_between(big_ext, small_ext, center_emb):
@@ -401,9 +380,7 @@ class TwistedExtension(Immutable):
         for x in ext.H.q_basis():
             if tau(ext.embed_base(x)) != ext.embed_base(sigma(x)):
                 raise ValueError("tau does not extend sigma")
-        object.__setattr__(self, 'ext', ext)
-        object.__setattr__(self, 'sigma', sigma)
-        object.__setattr__(self, 'tau', tau)
+        super().__init__(ext, sigma, tau)
 
     @property
     def sigma_tilde(self):
@@ -431,10 +408,6 @@ class ProductReport(Immutable):
                  'eq_produit', 'sigma_order', 'tau_order',
                  'sigma_tilde_order', 'tau_tilde_order',
                  'inner_order_sigma', 'inner_order_tau')
-
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            object.__setattr__(self, name, kw[name])
 
     def triv1_consistent(self):
         return self.triv1_i == self.triv1_ii == self.triv1_iii
@@ -502,10 +475,6 @@ class PolyLift(Immutable):
 
     __slots__ = ('rho', 'twist')
 
-    def __init__(self, rho, twist):
-        object.__setattr__(self, 'rho', rho)
-        object.__setattr__(self, 'twist', twist)
-
     def __call__(self, p):
         if p.twist != self.twist:
             raise ValueError("polynomial has a different twist")
@@ -518,9 +487,7 @@ class TwistedFunctionExtension(Immutable):
     __slots__ = ('twisted', 'lifts', 'degree_bound')
 
     def __init__(self, twisted, lifts, degree_bound):
-        object.__setattr__(self, 'twisted', twisted)
-        object.__setattr__(self, 'lifts', tuple(lifts))
-        object.__setattr__(self, 'degree_bound', degree_bound)
+        super().__init__(twisted, tuple(lifts), degree_bound)
 
     def restriction(self, lift):
         return lift.rho
@@ -579,7 +546,7 @@ def build_twisted_extension(X, degree_bound=4):
 # converse check
 # ---------------------------------------------------------------------------
 
-class ConverseReport(_Report):
+class ConverseReport(Immutable):
 
     __slots__ = ('eq_produit', 'lift_group_order', 'consistent')
 

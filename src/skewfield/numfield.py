@@ -203,13 +203,32 @@ def refine_root_interval(p, lo, hi):
 # ---------------------------------------------------------------------------
 
 class Immutable:
-    """Base of the value classes: attributes are set once, in __init__.
+    """Base of the value classes: attributes are set once, at construction.
 
-    Constructors and lazy caches write through object.__setattr__; any
-    other assignment raises.
+    The one constructor fills the class's own __slots__ in declaration
+    order, first from the positional values and then by name; every slot
+    takes exactly one value.  The element classes, trusted composites and
+    lazy caches write through object.__setattr__; any other assignment
+    raises.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        slots = type(self).__slots__
+        if len(values) > len(slots):
+            raise TypeError("%s takes %d values, got %d"
+                            % (type(self).__name__, len(slots), len(values)))
+        for name, value in zip(slots, values):
+            object.__setattr__(self, name, value)
+        for name in slots[len(values):]:
+            if name not in named:
+                raise TypeError("%s needs a value for %s"
+                                % (type(self).__name__, name))
+            object.__setattr__(self, name, named.pop(name))
+        if named:
+            raise TypeError("%s got unknown or repeated values %s"
+                            % (type(self).__name__, ', '.join(sorted(named))))
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -281,12 +300,6 @@ class NumberField(Immutable):
             raise ValueError("degree above %d not supported" % MAX_DEGREE)
         if not is_irreducible_over_q(coeffs):
             raise ValueError("minimal polynomial is reducible over Q")
-        object.__setattr__(self, 'min_poly', tuple(coeffs))
-        object.__setattr__(self, 'degree', len(coeffs) - 1)
-        object.__setattr__(self, 'label', label or 'K')
-        object.__setattr__(self, '_autos', None)
-        object.__setattr__(self, '_places', None)
-        object.__setattr__(self, '_hash', hash(self.min_poly))
         # integer coordinates of gen^k for k = degree .. 2*degree - 2
         n = len(coeffs) - 1
         rows = []
@@ -297,9 +310,11 @@ class NumberField(Immutable):
             top = prev[-1]
             prev = [shifted[i] + top * rows[0][i] for i in range(n)]
             rows.append(tuple(prev))
-        object.__setattr__(self, '_red_rows', tuple(rows))
-        object.__setattr__(self, '_zero', FieldElement(self, (0,) * n))
-        object.__setattr__(self, '_one', FieldElement(self, (1,) + (0,) * (n - 1)))
+        min_poly = tuple(coeffs)
+        super().__init__(min_poly, n, label or 'K', None, None, tuple(rows),
+                         FieldElement(self, (0,) * n),
+                         FieldElement(self, (1,) + (0,) * (n - 1)),
+                         hash(min_poly))
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.min_poly == other.min_poly
@@ -647,12 +662,6 @@ class RealPlace(Immutable):
 
     __slots__ = ('field', 'index', 'lo', 'hi')
 
-    def __init__(self, field, index, lo, hi):
-        object.__setattr__(self, 'field', field)
-        object.__setattr__(self, 'index', index)
-        object.__setattr__(self, 'lo', lo)
-        object.__setattr__(self, 'hi', hi)
-
     def __repr__(self):
         return 'RealPlace(#%d of %s in (%s, %s])' % (
             self.index, self.field.label, self.lo, self.hi)
@@ -955,11 +964,8 @@ class LevelVerdict(Immutable):
                 raise ValueError("witness does not sum to -1")
         if kind == 'infinite' and place is None:
             raise ValueError("infinite verdict needs a real place")
-        object.__setattr__(self, 'kind', kind)
-        object.__setattr__(self, 's', s)
-        object.__setattr__(self, 'witness', tuple(witness) if witness else None)
-        object.__setattr__(self, 'place', place)
-        object.__setattr__(self, 'bound', bound)
+        super().__init__(kind, s, tuple(witness) if witness else None, place,
+                         bound)
 
     def __repr__(self):
         if self.kind == 'finite':
@@ -1023,8 +1029,10 @@ def field_level(ell, height_bound):
                                     bound=h)
         if len(squares) ** 2 <= 4_000_000:
             pair_sums = {}
-            for s1, x1 in squares.items():
-                for s2, x2 in squares.items():
+            # pairs i <= j: the first pair found for each sum has i <= j
+            items = list(squares.items())
+            for i, (s1, x1) in enumerate(items):
+                for s2, x2 in items[i:]:
                     pair_sums.setdefault(s1 + s2, (x1, x2))
             for val, (x1, x2) in pair_sums.items():
                 need = minus_one - val

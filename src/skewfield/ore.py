@@ -466,10 +466,7 @@ class RecurrenceCertificate(Immutable):
     def __init__(self, twist, order, ys, start, series=None):
         if len(ys) != order:
             raise ValueError("order does not match the number of y's")
-        object.__setattr__(self, 'twist', twist)
-        object.__setattr__(self, 'order', order)
-        object.__setattr__(self, 'ys', tuple(ys))
-        object.__setattr__(self, 'start', start)
+        super().__init__(twist, order, tuple(ys), start)
         if series is not None and not self.verify(series):
             raise ValueError("certificate fails on the stored coefficients")
 
@@ -555,18 +552,6 @@ def detect_recurrence(series, max_order):
 # centrality
 # ---------------------------------------------------------------------------
 
-class _Report(Immutable):
-    """A record of results, given in the order of its __slots__."""
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        if len(values) != len(self.__slots__):
-            raise TypeError("wrong number of values for the report")
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-
 def _algebra_generators(alg):
     gens = [alg.i(), alg.j()]
     if alg.base.degree > 1:
@@ -583,7 +568,7 @@ def is_central(x):
     return all(x * g == g * x for g in gens + [t_poly(x.twist)])
 
 
-class CenterReport(_Report):
+class CenterReport(Immutable):
     """Bounded-degree central elements, with the closed-form comparison.
 
     raw_basis spans the degree-bounded center of the twisted polynomial
@@ -644,7 +629,7 @@ def center_bounded(algebra, twist, degree_bound):
 # bounded tensor-decomposition verification
 # ---------------------------------------------------------------------------
 
-class TensorReport(_Report):
+class TensorReport(Immutable):
 
     __slots__ = ('injective', 'surjective', 'multiplicative', 'rank',
                  'spanning_count', 'ambient_dim', 'twist_order',

@@ -89,16 +89,10 @@ class QuaternionAlgebra(Immutable):
             raise ValueError("parameters must lie in the base field")
         if a.is_zero() or b.is_zero():
             raise ValueError("parameters must be nonzero")
-        object.__setattr__(self, 'base', base)
-        object.__setattr__(self, 'a', a)
-        object.__setattr__(self, 'b', b)
-        object.__setattr__(self, 'ab', a * b)
-        object.__setattr__(self, 'label', label or 'H')
-        object.__setattr__(self, 'division_certified', division_certified)
-        object.__setattr__(self, 'extension_of', extension_of)
-        n, den = base.degree, lcm(a.den, b.den, self.ab.den)
+        ab = a * b
+        n, den = base.degree, lcm(a.den, b.den, ab.den)
         nums = []
-        for c in (base.one(), a, b, self.ab):
+        for c in (base.one(), a, b, ab):
             nums.append([x * (den // c.den) for x in c.num])
             while len(nums[-1]) > 1 and not nums[-1][-1]:
                 nums[-1].pop()
@@ -123,12 +117,8 @@ class QuaternionAlgebra(Immutable):
             rows.append(tuple([s + rows[-1][-1] * r for s, r in
                                zip((0,) + rows[-1][:-1], base._red_rows[0])]))
         grow = max(map(sum, zip(*[map(abs, row) for row in rows])))
-        object.__setattr__(self, '_terms', tuple(terms))
-        object.__setattr__(self, '_cden', den)
-        object.__setattr__(self, '_cbits', max(abs(x) for c in nums for x in c)
-                           .bit_length() + (4 * n * n).bit_length()
-                           + grow.bit_length() + 2)
-        object.__setattr__(self, '_moduli', {})
+        cbits = (max(abs(x) for c in nums for x in c).bit_length()
+                 + (4 * n * n).bit_length() + grow.bit_length() + 2)
         # associativity of the terms on all unit triples, in the center;
         # the product is bilinear over the commutative center, so these
         # decide it
@@ -140,6 +130,8 @@ class QuaternionAlgebra(Immutable):
         if any(unit[p, q] * unit[p ^ q, s] != unit[q, s] * unit[p, q ^ s]
                for p in range(4) for q in range(4) for s in range(4)):
             raise AssertionError("structure constants not associative")
+        super().__init__(base, a, b, ab, label or 'H', division_certified,
+                         extension_of, tuple(terms), den, cbits, {})
 
     def _product(self, xn, yn, terms):
         """Numerators of the product over x.den * y.den * _cden.
@@ -397,11 +389,8 @@ class NormForm(Immutable):
             raise ValueError("embedding must map the center into the target")
         a = embedding(algebra.a)
         b = embedding(algebra.b)
-        coeffs = (target.one(), -a, -b, a * b)
-        object.__setattr__(self, 'algebra', algebra)
-        object.__setattr__(self, 'target', target)
-        object.__setattr__(self, 'embedding', embedding)
-        object.__setattr__(self, 'coefficients', coeffs)
+        super().__init__(algebra, target, embedding,
+                         (target.one(), -a, -b, a * b))
 
     def __repr__(self):
         return 'NormForm(<%s> over %s)' % (
@@ -448,11 +437,8 @@ class AnisotropyVerdict(Immutable):
                 raise ValueError("isotropy witness must be nonzero")
             if not form.evaluate(witness).is_zero():
                 raise ValueError("witness does not evaluate to zero")
-        object.__setattr__(self, 'kind', kind)
-        object.__setattr__(self, 'form', form)
-        object.__setattr__(self, 'place', place)
-        object.__setattr__(self, 'witness', tuple(witness) if witness else None)
-        object.__setattr__(self, 'bound', bound)
+        super().__init__(kind, form, place,
+                         tuple(witness) if witness else None, bound)
 
     def __repr__(self):
         return 'AnisotropyVerdict(%s)' % self.kind

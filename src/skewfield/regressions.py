@@ -111,10 +111,6 @@ class Q8Report(Immutable):
                  'quartic_level', 'kernel_order', 'reduced_order',
                  'reduced_split', 'reduced_kernel_order', 'base_note')
 
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            object.__setattr__(self, name, kw[name])
-
     def passed(self):
         return (not self.split and self.weak_report.passed()
                 and self.quartic_group_cyclic

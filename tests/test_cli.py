@@ -170,9 +170,16 @@ DECLARED = ("[fields]\nq 0 1\nq2 -2 0 1\n[maps]\nconj2 q2 q2 0 -1\n"
     (DECLARED + "[checks]\n"
                 "product_conditions algebra=H field=q2 sigma_inner=0;1;0;0\n",
      "error: line 9: tau does not extend sigma"),
+    (DECLARED + "[twists]\ns algebra=H centre=conj2\n"
+                "[checks]\nfield_level field=q\n",
+     "error: line 9: unknown key centre= (takes algebra=, center=, inner=)"),
+    (DECLARED + "[checks]\n"
+                "field_level field=q height_bound=1 height_bound=2\n",
+     "error: line 9: key height_bound= given twice"),
 ], ids=['twist_inner_zero', 'check_inner_zero', 'check_center_not_auto',
         'alpha_without_map', 'missing_field', 'height_not_int',
-        'problem_isotropic', 'bad_quaternion', 'tau_not_extending_sigma'])
+        'problem_isotropic', 'bad_quaternion', 'tau_not_extending_sigma',
+        'twist_unknown_key', 'repeated_key'])
 def test_main_rejects_bad_declaration_or_parameter(tmp_path, capsys, text,
                                                    error):
     path = tmp_path / 'bad.scn'

@@ -1,13 +1,17 @@
-"""Value objects refuse attribute assignment; lazy caches stay stable."""
+"""Value objects refuse attribute assignment; lazy caches stay stable;
+records fill their slots through the one base constructor."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from skewfield.fep import cyclic_group
+from skewfield.fep import SolutionReport, cyclic_group
+from skewfield.galois import PolyLift, ProductReport, RestrictionWitness
 from skewfield.numfield import NumberField, field_level
-from skewfield.ore import SkewPoly
-from skewfield.qalg import QuaternionAlgebra
+from skewfield.ore import SkewPoly, center_bounded
+from skewfield.qalg import QuaternionAlgebra, norm_form
 
 Q = NumberField([0, 1], label='Q')
 Q_SQRT2 = NumberField([-2, 0, 1], label='Q(sqrt2)')
@@ -22,6 +26,16 @@ CASES = [
      'coeffs'),
     ('FiniteGroup', cyclic_group(4), 'table'),
     ('LevelVerdict', field_level(Q_SQRT2, 2), 'kind'),
+    ('RealPlace', Q_SQRT2.real_places()[0], 'lo'),
+    ('NormForm', norm_form(HAM_Q, Q), 'coefficients'),
+    ('CenterReport', center_bounded(HAM_Q, HAM_Q.identity_automorphism(), 1),
+     'raw_basis'),
+    ('RestrictionWitness', RestrictionWitness(
+        Q, *[Q.identity_morphism()] * 5), 'ell0'),
+    ('ProductReport', ProductReport(
+        **dict.fromkeys(ProductReport.__slots__, True)), 'eq_produit'),
+    ('SolutionReport', SolutionReport(True, True, True, '', None),
+     'details'),
 ]
 
 
@@ -47,3 +61,58 @@ def test_field_element_integer_form_is_immutable(attr):
     with pytest.raises(AttributeError, match='FieldElement is immutable'):
         setattr(x, attr, None)
     assert (x.num, x.den) == ((1, 6), 2)
+
+
+def test_record_fills_slots_in_order_then_by_name():
+    lift = PolyLift('rho', twist='tau')
+    assert (lift.rho, lift.twist) == ('rho', 'tau')
+
+
+@pytest.mark.parametrize('values, named', [
+    (('rho',), {}),
+    (('rho', 'tau', 'extra'), {}),
+    (('rho',), {'twist': 'tau', 'sign': 1}),
+    (('rho', 'tau'), {'rho': 'again'}),
+], ids=['missing', 'extra', 'unknown', 'repeated'])
+def test_record_needs_one_value_per_slot(values, named):
+    with pytest.raises(TypeError, match='PolyLift'):
+        PolyLift(*values, **named)
+
+
+SRC = Path(__file__).resolve().parent.parent / 'src' / 'skewfield'
+
+# The writers of their own slots: the base constructor, the element
+# classes built on every arithmetic operation, the trusted composites,
+# the group table and GaloisExtension, whose certificates read the object
+# between its writes.  Lazy caches write private slots outside __init__.
+SLOT_WRITERS = {('Immutable', '__init__'), ('FieldElement', '__init__'),
+                ('QuatElement', '__init__'), ('SkewPoly', '__init__'),
+                ('SkewFraction', '__init__'), ('SkewLaurent', '__init__'),
+                ('FieldMorphism', '_fill'), ('AlgebraAutomorphism', '_fill'),
+                ('Extension', '_set_group'), ('GaloisExtension', '__init__')}
+
+
+def _slot_writes(tree):
+    """(class, function, slot name or None) of each object.__setattr__."""
+    for top in tree.body:
+        funcs = [(top.name, f) for f in top.body
+                 if isinstance(f, ast.FunctionDef)] \
+            if isinstance(top, ast.ClassDef) else [(None, top)]
+        for cls, func in funcs:
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call)
+                        and ast.unparse(node.func) == 'object.__setattr__'):
+                    slot = node.args[1] if len(node.args) > 1 else None
+                    yield (cls, getattr(func, 'name', None),
+                           getattr(slot, 'value', None))
+
+
+def test_constructors_fill_slots_through_the_base():
+    stray = []
+    for path in sorted(SRC.glob('*.py')):
+        for cls, func, slot in _slot_writes(ast.parse(path.read_text())):
+            lazy_cache = (cls is not None and func != '__init__'
+                          and isinstance(slot, str) and slot.startswith('_'))
+            if (cls, func) not in SLOT_WRITERS and not lazy_cache:
+                stray.append('%s %s.%s writes %s' % (path.name, cls, func, slot))
+    assert stray == []
