@@ -25,7 +25,7 @@ from .galois import (CommExtension, GaloisExtension, NoDirectDecomposition,
                      build_comm_extension, build_galois_extension,
                      build_special_case_3, build_twisted_extension,
                      check_product_conditions, converse_check, eq_produit,
-                     is_outer, restriction_map)
+                     restriction_map)
 from .fep import (EmbeddingProblem, FiniteGroup, GroupHom, NotWeakSolution,
                   SolutionMap, cyclic_group, dihedral_group,
                   fiber_reduction, geometric_problem, hypothesis_report,

@@ -14,7 +14,8 @@ multiplications are rational-linear on coordinates, so commutation
 constraints vectorize over Q.  Their matrices are cached as integer
 matrices over one denominator and multiplied in integers, and the assembled
 systems go to the integer echelon of ``linalg`` as integer rows, each row
-block scaled by one lcm; rationals appear only in the solutions.
+block scaled by one lcm; rationals appear only in the solutions.  Both
+systems split by the power of t, so each is solved one degree at a time.
 """
 
 from fractions import Fraction
@@ -580,40 +581,45 @@ class CenterReport(Immutable):
                  'closed_form_matches', 'twist_order', 'inner_order')
 
 
+def _center_basis(algebra, twist, degree_bound):
+    """The raw basis of center_bounded, one degree at a time: the equations
+    on x_j involve x_j alone, and the unique reduced echelon form makes the
+    kernels joined in degree order those of the whole system."""
+    dim = algebra.q_dim()
+    zero = algebra.zero()
+    cache = {}
+    fixed = difference_rows(twist.int_matrix(), identity(dim))
+    gens = _algebra_generators(algebra)
+    raw_basis = []
+    for j in range(degree_bound + 1):
+        # x_j fixed by the twist (commutation with t), and
+        # g x_j = x_j sigma^j(g) for each generator
+        rows = fixed + [row for g in gens for row in difference_rows(
+            _mul_matrix(g, 'L', cache),
+            _mul_matrix(twist.power(j)(g), 'R', cache))]
+        raw_basis.extend(
+            SkewPoly(twist, [zero] * j + [quat_from_q_vector(algebra, vec)])
+            for vec in kernel_basis(rows, dim))
+    return tuple(raw_basis)
+
+
 def center_bounded(algebra, twist, degree_bound):
     """Basis of central elements of t-degree at most the bound.
 
     Solves the rational commutator system against t and the algebra
-    generators on the coefficient space.
+    generators on the coefficient space, one degree block at a time.
     """
     if twist.owner != algebra:
         raise ValueError("twist does not act on the algebra")
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
-    dim = algebra.q_dim()
-    nvars = (degree_bound + 1) * dim
-    cache = {}
-    rows = []
-    fixed = difference_rows(twist.int_matrix(), identity(dim))
-    gens = _algebra_generators(algebra)
-    for j in range(degree_bound + 1):
-        pad, rest = [0] * (j * dim), [0] * (nvars - (j + 1) * dim)
-        # x_j fixed by the twist (commutation with t), and
-        # g x_j = x_j sigma^j(g) for each generator
-        blocks = [fixed] + [difference_rows(
-            _mul_matrix(g, 'L', cache),
-            _mul_matrix(twist.power(j)(g), 'R', cache)) for g in gens]
-        rows.extend(pad + row + rest for block in blocks for row in block)
-    raw_basis = tuple(SkewPoly(twist, [
-        quat_from_q_vector(algebra, vec[j * dim:(j + 1) * dim])
-        for j in range(degree_bound + 1)]) for vec in kernel_basis(rows, nvars))
+    raw_basis = _center_basis(algebra, twist, degree_bound)
     m = twist.order()
     io = inner_order(twist)
     hypothesis = (io == m)
     closed_form_matches = None
     if hypothesis:
-        sub, emb = fixed_field(algebra.base,
-                               [twist.center_action])
+        sub, emb = fixed_field(algebra.base, [twist.center_action])
         expected = [SkewPoly(twist, [algebra.zero()] * (m * p)
                              + [algebra.scalar(emb(c))])
                     for p in range(0, degree_bound // m + 1)
@@ -645,7 +651,10 @@ def tensor_decomposition_check(H, sigma, L, tau, emb, degree_bound):
 
     The multiplication map from the tensor product is checked on a spanning
     family up to the degree bound: multiplicative on spanning pairs,
-    injective by exact rank, surjective by dimension count.  Requires the
+    injective by exact rank, surjective by dimension count.  Each spanning
+    product (e t^j)(f t^(mp)) is a monomial, so the rank is the sum over
+    degrees of the rank of that degree's coefficients; a product with other
+    than one nonzero coefficient raises AssertionError.  Requires the
     central restrictions of the two twists to have equal orders; raises
     HypothesisFailed otherwise.
     """
@@ -684,8 +693,13 @@ def tensor_decomposition_check(H, sigma, L, tau, emb, degree_bound):
     spanning = [prod for prod in (y * z for y in left_factors
                                   for z in right_factors)
                 if prod.degree() <= degree_bound]
-    vecs = [s.q_vector(degree_bound) for s in spanning]
-    rk = rank(vecs)
+    by_degree = {}
+    for prod in spanning:
+        if sum(not c.is_zero() for c in prod.coeffs) != 1:
+            raise AssertionError("a spanning product is not a monomial")
+        by_degree.setdefault(prod.degree(), []).append(
+            prod.leading().q_vector())
+    rk = sum(rank(vecs) for vecs in by_degree.values())
     ambient = (degree_bound + 1) * L.q_dim()
     injective = (rk == len(spanning))
     surjective = (rk == ambient)

@@ -13,15 +13,22 @@ they ran before composites were trusted: normality conjugates by
 c^(order - 1), the central twist is compared with each group element as
 composed maps, and the lifts re-check every base polynomial up to the
 degree bound and rho against every twist power.
+
+The Artin fixed set, outer-ness and the normality of Gal in <Gal, tau> as
+they ran before they were certified by theorem: the fixed set of a
+generating subset and the centralizer of the embedded base generators as
+integer kernels of width 4 [ell:Q], and normality as tau Gal = Gal tau.
 """
 
 from skewfield.galois import (GaloisExtension, PolyLift,
                               ProductConditionFailed, ProductReport,
                               TwistedFunctionExtension, WitnessInvalid,
-                              _center_action, fixed_center_tower)
+                              _center_action, _generating_subset,
+                              fixed_center_tower)
+from skewfield.linalg import difference_rows, identity, kernel_basis, same_span
 from skewfield.numfield import cyclic_powers, is_galois, restrict_morphism
-from skewfield.ore import SkewPoly
-from skewfield.qalg import inner_order
+from skewfield.ore import SkewPoly, _algebra_generators
+from skewfield.qalg import inner_order, mul_matrix
 
 
 def group_table(ext):
@@ -197,3 +204,31 @@ def build_twisted_extension(X, degree_bound=4):
                 raise AssertionError("lift does not restrict to the element")
         lifts.append(lift)
     return TwistedFunctionExtension(X, lifts, degree_bound)
+
+
+def check_artin(ext):
+    """Fixed set of the group compared with the embedded base."""
+    dim = ext.L.q_dim()
+    fixed = kernel_basis([
+        row for n in _generating_subset(ext.table)
+        for row in difference_rows(ext.group[n].int_matrix(),
+                                   identity(dim))], dim)
+    base_img = [ext.embed_base(x).q_vector() for x in ext.H.q_basis()]
+    return same_span(fixed, base_img)
+
+
+def is_outer(ext):
+    """Centralizer of the base inside L compared with the center of L."""
+    L = ext.L
+    gens = [ext.embed_base(g) for g in _algebra_generators(ext.H)]
+    cent = kernel_basis([row for g in gens for row in difference_rows(
+        mul_matrix(g, 'L'), mul_matrix(g, 'R'))], L.q_dim())
+    center_vecs = [L.scalar(b).q_vector() for b in L.base.basis()]
+    return same_span(cent, center_vecs)
+
+
+def gal_normal(X):
+    """Whether tau Gal = Gal tau, tau being of finite order."""
+    tau = X.tau
+    gal = list(X.ext.group)
+    return {tau.compose(g) for g in gal} == {g.compose(tau) for g in gal}

@@ -10,7 +10,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from skewfield import galois, linalg, numfield, ore
+from skewfield import linalg, numfield, ore
 
 SPANS = Path(__file__).resolve().parents[1] / 'bench' / 'spans.py'
 
@@ -37,7 +37,7 @@ def test_every_span_target_resolves():
 
 
 def test_importers_share_the_wrapped_functions():
-    # the Artin, outer-ness, fixed-field and center kernels are timed as
-    # linalg.elim only while their modules call linalg's own kernel_basis
-    for module in (galois, numfield, ore):
+    # the fixed-field and center kernels are timed as linalg.elim only
+    # while their modules call linalg's own kernel_basis
+    for module in (numfield, ore):
         assert module.kernel_basis is linalg.kernel_basis, module

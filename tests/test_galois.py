@@ -7,7 +7,7 @@ from skewfield.galois import (
     ProductConditionFailed, RestrictionWitness, TwistedExtension,
     WitnessInvalid, build_comm_extension,
     build_galois_extension, build_special_case_3, build_twisted_extension,
-    check_product_conditions, converse_check, eq_produit, is_outer,
+    check_product_conditions, converse_check, eq_produit,
     restriction_between, restriction_map)
 from skewfield.numfield import (FieldMorphism, NumberField,
                                 automorphism_group, fixed_field)
@@ -16,6 +16,7 @@ from skewfield.qalg import (AlgebraAutomorphism, QuaternionAlgebra,
                             extend_quaternion, inner_automorphism,
                             inner_order)
 from skewfield.linalg import rank
+from galois_compose_oracle import is_outer
 
 Q = NumberField([0, 1], label='Q')
 Q_SQRT2 = NumberField([-2, 0, 1], label='Q(sqrt2)')
@@ -96,6 +97,41 @@ def test_group_lists_refused_at_construction():
     with pytest.raises(AssertionError, match='moves i or j'):
         GaloisExtension(HAM_Q, Q_SQRT2, ext.emb, ext.L,
                         [ext.group[0], inner], ext.verdict)
+
+
+def test_galois_extension_refuses_what_its_theorems_need():
+    # the Artin and outer-ness flags are theorems on these hypotheses
+    ext = ext_over(BIQUAD)
+    L, group = ext.L, list(ext.group)
+
+    def refuse(reason, H, emb, alg, elements):
+        with pytest.raises(AssertionError, match=reason):
+            GaloisExtension(H, BIQUAD, emb, alg, elements, ext.verdict)
+
+    # every proper subgroup of Gal(biquad/Q) fails the degree count
+    for sub in ([group[0]], [group[0], group[1]], [group[0], group[2]],
+                [group[0], group[3]]):
+        assert all(a.compose(b) in sub for a in sub for b in sub)
+        refuse(r'\[h:Q\] is not \[ell:Q\]', HAM_Q, ext.emb, L, sub)
+    refuse('moves i or j', HAM_Q, ext.emb, L,
+           [group[0], inner_automorphism(L.i())])
+    refuse('not closed', HAM_Q, ext.emb, L, group[:-1])
+    refuse('share a center action', HAM_Q, ext.emb, L, group + group[1:2])
+    # over Q(sqrt2), the element fixing sqrt3 and moving sqrt2 passes the
+    # degree count and moves the base center
+    to_biquad = FieldMorphism(Q_SQRT2, BIQUAD, SQRT2_IN_BIQUAD)
+    L2 = QuaternionAlgebra(BIQUAD, -1, -1)
+    moves_sqrt2 = [AlgebraAutomorphism(L2, L2.i(), L2.j(), s)
+                   for s in ext.center_group()
+                   if s(SQRT3_IN_BIQUAD) == SQRT3_IN_BIQUAD]
+    assert len(moves_sqrt2) == 2
+    assert moves_sqrt2[1].center_action(SQRT2_IN_BIQUAD) == -SQRT2_IN_BIQUAD
+    refuse('moves the base center', H2, to_biquad, L2, moves_sqrt2)
+    # an L that is not H tensored with the field along emb
+    wrong = QuaternionAlgebra(BIQUAD, -1, -3)
+    refuse('not H tensored', HAM_Q, ext.emb, wrong,
+           [AlgebraAutomorphism(wrong, wrong.i(), wrong.j(), s)
+            for s in ext.center_group()])
 
 
 def test_index_of_takes_an_element_or_its_center_action():

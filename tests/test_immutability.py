@@ -82,14 +82,13 @@ def test_record_needs_one_value_per_slot(values, named):
 SRC = Path(__file__).resolve().parent.parent / 'src' / 'skewfield'
 
 # The writers of their own slots: the base constructor, the element
-# classes built on every arithmetic operation, the trusted composites,
-# the group table and GaloisExtension, whose certificates read the object
-# between its writes.  Lazy caches write private slots outside __init__.
+# classes built on every arithmetic operation, the trusted composites
+# and the group table.  Lazy caches write private slots outside __init__.
 SLOT_WRITERS = {('Immutable', '__init__'), ('FieldElement', '__init__'),
                 ('QuatElement', '__init__'), ('SkewPoly', '__init__'),
                 ('SkewFraction', '__init__'), ('SkewLaurent', '__init__'),
                 ('FieldMorphism', '_fill'), ('AlgebraAutomorphism', '_fill'),
-                ('Extension', '_set_group'), ('GaloisExtension', '__init__')}
+                ('Extension', '_set_group')}
 
 
 def _slot_writes(tree):

@@ -6,7 +6,8 @@ through the checking constructors, and the Galois group elements, no
 longer re-checked one by one at construction, must act on the center as
 their center action.  The product conditions, the direct-product test and
 the lift groups must match the composing oracle (``galois_compose_oracle``)
-on the shipped scenarios, the bundled regressions and seeded twist pairs.
+on the shipped scenarios, the bundled regressions and seeded twist pairs,
+and Gal must be normal in <Gal, tau> there, as the library now assumes.
 """
 
 import os
@@ -162,6 +163,8 @@ def _assert_agrees_with_oracle(X):
             (_lift_order(build_twisted_extension),
              _lift_order(oracle.build_twisted_extension))):
         assert _outcome(new, X) == _outcome(old, X), X
+    # check_product_conditions takes this normality as a theorem
+    assert oracle.gal_normal(X), X
 
 
 def scenario_instances():
