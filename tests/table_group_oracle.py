@@ -6,6 +6,11 @@ triples, each subgroup extension is closed by a breadth-first walk over
 all elements times all generators, and ``is_split`` walks the whole sorted
 lattice for the first subgroup mapping bijectively onto the Galois group.
 A homomorphism is checked on the full n^2 table.
+
+``subgroups_by_cosets`` is the lattice as it ran before each subgroup was
+built from one canonical parent: Dimino's coset extension on member lists
+and int bitmasks (``extend_by_mask``) from every subgroup and coset that
+reaches a subgroup, duplicates dropped by their mask.
 """
 
 from skewfield.fep import GroupHom
@@ -78,11 +83,14 @@ def subgroups(G):
     return sorted(gens, key=lambda s: (len(s), sorted(s)))
 
 
-def is_split(problem):
-    """Brute force over subgroups; returns (split?, section images or None)."""
+def is_split(problem, lattice=None):
+    """Brute force over subgroups; returns (split?, section images or None).
+
+    lattice is subgroups(problem.G) when the caller has it already.
+    """
     G = problem.G
     gal_order = problem.gal.group.order
-    for sub in subgroups(G):
+    for sub in lattice or subgroups(G):
         if len(sub) != gal_order:
             continue
         members = sorted(sub)
@@ -95,3 +103,62 @@ def is_split(problem):
         sec_hom = GroupHom(problem.gal.group, G, section)
         return True, sec_hom
     return False, None
+
+
+def extend_by_mask(G, members, mask, gens, g, limit=64):
+    """<H, g> for the subgroup H generated by gens, g outside it.
+
+    H is given as its member list and as the int whose bit h is set for
+    each member h.  The result grows as a union of right cosets H*r
+    (Dimino's algorithm): a coset is added whenever r*s falls outside, for
+    a coset representative r and s in gens or g.  Returns the same pair for
+    <H, g>, or None once it holds more than limit elements.
+    """
+    table = G.table
+    gens = gens + (g,)
+    out = list(members)
+    reps = [0]
+    for r in reps:
+        row = table[r]
+        for s in gens:
+            x = row[s]
+            if mask >> x & 1:
+                continue
+            for h in members:
+                y = table[h][x]
+                out.append(y)
+                mask |= 1 << y
+            if len(out) > limit:
+                return None
+            reps.append(x)
+    return out, mask
+
+
+def subgroups_by_cosets(G):
+    """All subgroups, each grown from a smaller one by one new generator.
+
+    A subgroup H is extended by one element g of each coset gH outside
+    it, since <H, g> = <H, gh> for h in H, starting from the generators
+    H was found with.  Subgroups are keyed by their member bitmask; the
+    list is sorted by size, then by sorted members.
+    """
+    found = {1: ([0], ())}
+    frontier = [1]
+    while frontier:
+        nxt = []
+        for mask in frontier:
+            members, gens = found[mask]
+            covered = mask
+            for g in range(G.order):
+                if covered >> g & 1:
+                    continue
+                row = G.table[g]
+                for h in members:
+                    covered |= 1 << row[h]
+                bigger, big_mask = extend_by_mask(G, members, mask, gens, g)
+                if big_mask not in found:
+                    found[big_mask] = (bigger, gens + (g,))
+                    nxt.append(big_mask)
+        frontier = nxt
+    return sorted((frozenset(members) for members, _ in found.values()),
+                  key=lambda s: (len(s), sorted(s)))

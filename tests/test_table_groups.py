@@ -2,13 +2,15 @@
 
 ``FiniteGroup`` tests associativity by Light's test on one generating set,
 ``GroupHom`` checks its images on the source generators, ``subgroups``
-grows each subgroup by Dimino's coset extension and ``is_split`` closes
-choices of preimages of the Galois generators.  Each must agree with the
-n^3 table check, the full n^2 homomorphism check, the breadth-first
-lattice and the lattice walk of ``table_group_oracle``: on every bench and
-catalog group, direct products, fiber-reduction tables and seeded
-corruptions of them, and on every bench, catalog, shipped and bundled
-embedding problem.
+builds each subgroup once from its canonical parent by Dimino's coset
+extension and ``is_split`` closes choices of preimages of the Galois
+generators.  Each must agree with the n^3 table check, the full n^2
+homomorphism check, the breadth-first lattice, the coset lattice with
+duplicates and the lattice walk of ``table_group_oracle``: on every bench
+and catalog group, direct products, fiber-reduction tables and seeded
+corruptions of them, on seeded relabellings of the bench and catalog
+groups and three non-abelian groups of order 64, and on every bench,
+catalog, shipped and bundled embedding problem.
 """
 
 import importlib.util
@@ -139,7 +141,7 @@ def split_problems():
         bench, exts = _bench_split_problems(monkeypatch)
     catalog, refused = _catalog_problems(exts)
     return SimpleNamespace(bench=bench, catalog=catalog, refused=refused,
-                           bundled=_bundled_problems())
+                           bundled=_bundled_problems(), exts=exts)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +226,17 @@ def test_table_check_rejects_what_the_oracle_rejects(split_problems):
     assert "table is not associative" in seen['swap']
 
 
+def test_table_entries_that_are_no_element_indices_are_refused():
+    cyclic = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    for a, b, value in ((2, 2, 1.0), (1, 1, 2.0), (0, 0, 0.0), (1, 2, -3),
+                        (2, 2, 3), (2, 1, 300), (1, 1, '2'), (2, 2, None)):
+        table = [row[:] for row in cyclic]
+        table[a][b] = value
+        with pytest.raises(ValueError, match=r'integers in range\(3\)'):
+            FiniteGroup(table)
+    assert FiniteGroup(cyclic).table == cyclic_group(3).table
+
+
 def test_empty_tables_and_wrong_label_counts_are_refused():
     with pytest.raises(ValueError, match='empty'):
         FiniteGroup([])
@@ -272,6 +285,85 @@ def test_subgroup_lattice_agrees_on_every_bench_group():
         lattice = G.subgroups()
         assert len(lattice) == count, label
         assert lattice == oracle.subgroups(G), label
+        assert lattice == oracle.subgroups_by_cosets(G), label
+
+
+def _counting_extends(monkeypatch):
+    """Count the closures FiniteGroup.extend makes."""
+    calls = []
+    real = FiniteGroup.extend
+    monkeypatch.setattr(FiniteGroup, 'extend', lambda *args, **kw: (
+        calls.append(None) or real(*args, **kw)))
+    return calls
+
+
+def test_subgroups_close_each_subgroup_once_under_xor_labels(monkeypatch):
+    """On Z2^k, labelled by XOR, the least element of <H, g> outside H is
+    the least of gH, so every closure the search makes is kept."""
+    G = BENCH._z2_power(6)
+    calls = _counting_extends(monkeypatch)
+    assert len(G.subgroups()) == 2825
+    assert len(calls) == 2824
+
+
+def _relabelled_and_non_abelian(rng):
+    """Each bench and catalog group relabelled with 0 kept as the identity,
+    and three non-abelian groups of order 64."""
+    groups = {}
+    for label, G in [*BENCH_GROUPS.items(), *CATALOG.items()]:
+        perm = [0] + rng.sample(range(1, G.order), G.order - 1)
+        groups['relabelled ' + label] = FiniteGroup(_relabel(G.table, perm))
+    z2_cubed = BENCH._z2_power(3)
+    groups['D8xZ2^3'] = direct_product(dihedral_group(4), z2_cubed)
+    groups['Q8xZ2^3'] = direct_product(quaternion_group(), z2_cubed)
+    groups['D16xZ4'] = direct_product(dihedral_group(8), cyclic_group(4))
+    return groups
+
+
+def _problems_on(G, exts, rng, tries=8):
+    """Problems from G onto each Galois group, its generators sent to
+    seeded images; those that are no surjective homomorphism are dropped."""
+    problems = []
+    for ext, gal in exts.values():
+        n = gal.group.order
+        for _ in range(tries):
+            assignment = {g: rng.randrange(n) for g in G.generators}
+            images = cli._extend_hom(G, assignment, gal.group)
+            try:
+                problems.append(EmbeddingProblem(G, ext, images, gal))
+            except ValueError:
+                pass
+    return problems
+
+
+def test_relabelled_and_non_abelian_groups_agree_with_the_oracles(
+        split_problems, monkeypatch):
+    """The canonical parent depends on the labels: on relabelled tables
+    the search closes over some g and drops <H, g>, since a smaller
+    element of it lies outside H."""
+    rng = random.Random(17)
+    calls = _counting_extends(monkeypatch)
+    built = closed = 0
+    verdicts = set()
+    for label, G in _relabelled_and_non_abelian(rng).items():
+        del calls[:]
+        lattice = G.subgroups()
+        built, closed = built + len(lattice) - 1, closed + len(calls)
+        old_lattice = oracle.subgroups(G)
+        assert lattice == old_lattice, label
+        assert lattice == oracle.subgroups_by_cosets(G), label
+        for size in (1, 2, 3):
+            gens = [rng.randrange(G.order) for _ in range(size)]
+            assert G.closure(gens) == oracle.closure(G, gens), (label, gens)
+        for problem in _problems_on(G, split_problems.exts, rng):
+            split, section = fep.is_split(problem)
+            old_split, old_section = oracle.is_split(problem, old_lattice)
+            assert split == old_split, (label, problem.alpha.images)
+            assert (section and section.images) == \
+                (old_section and old_section.images), label
+            verdicts.add(split)
+    assert verdicts == {True, False}
+    assert closed > built
 
 
 def test_closure_agrees_with_the_breadth_first_closure():
