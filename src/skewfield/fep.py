@@ -40,6 +40,17 @@ class NotWeakSolution(Exception):
 # finite groups as multiplication tables
 # ---------------------------------------------------------------------------
 
+def _indices(rows, order, what):
+    """The non-empty rows as bytes, each value an int in range(order)."""
+    try:  # 1.0 == 1 would pass every later check, then fail as an index
+        out = tuple(map(bytes, rows))
+    except (TypeError, ValueError):
+        out = None
+    if out is None or max(map(max, out)) >= order:
+        raise ValueError("%s must be integers in range(%d)" % (what, order))
+    return out
+
+
 class FiniteGroup(Immutable):
     """Multiplication table with identity at index 0, order 1 to 64.
 
@@ -73,13 +84,7 @@ class FiniteGroup(Immutable):
         table = tuple(tuple(row) for row in table)
         if any(len(row) != order for row in table):
             raise ValueError("multiplication table is not square")
-        try:  # 1.0 == 1 would pass every check below, then fail as an index
-            rows = tuple(map(bytes, table))
-        except (TypeError, ValueError):
-            rows = None
-        if rows is None or max(map(max, rows)) >= order:
-            raise ValueError("table entries must be integers in range(%d)"
-                             % order)
+        rows = _indices(table, order, "table entries")
         table = tuple(map(tuple, rows))
         if labels is None:
             labels = ['g%d' % k for k in range(order)]
@@ -288,8 +293,7 @@ class GroupHom(Immutable):
     def __init__(self, source, target, images):
         if len(images) != source.order:
             raise ValueError("one image per source element required")
-        if any(not 0 <= v < target.order for v in images):
-            raise ValueError("image out of range")
+        (images,) = _indices((images,), target.order, "images")
         if images[0] != 0:
             raise ValueError("not a homomorphism at (0, 0)")
         for g in source.generators:
@@ -735,7 +739,7 @@ def fiber_reduction(problem, weak):
 # hypothesis reporting for the geometric existence statement
 # ---------------------------------------------------------------------------
 
-def hypothesis_report(problem, X=None, ample_assertion=None):
+def hypothesis_report(problem, X, ample_assertion=None):
     """Evaluate the checkable hypotheses of the geometric existence result.
 
     Splitness and the product condition are computed; ampleness of the
@@ -744,10 +748,9 @@ def hypothesis_report(problem, X=None, ample_assertion=None):
     outside what this package verifies, and the report says so.
     """
     split, section = is_split(problem)
-    product_ok = eq_produit(X) if X is not None else None
     return {
         'condition_split': split,
-        'condition_product': product_ok,
+        'condition_product': eq_produit(X),
         'ampleness_asserted': ample_assertion,
         'conclusion_verified': False,
         'note': ("the geometric existence conclusion is not decided here; "

@@ -458,18 +458,15 @@ def series_expand(fraction, precision):
 class RecurrenceCertificate(Immutable):
     """Twisted linear recurrence a_n = sum a_{n-i} sigma^{n-i}(y_i).
 
-    Verified at construction against every stored coefficient with index at
-    least start.
+    verify(series) checks it on every stored coefficient from index start.
     """
 
     __slots__ = ('twist', 'order', 'ys', 'start')
 
-    def __init__(self, twist, order, ys, start, series=None):
+    def __init__(self, twist, order, ys, start):
         if len(ys) != order:
             raise ValueError("order does not match the number of y's")
         super().__init__(twist, order, tuple(ys), start)
-        if series is not None and not self.verify(series):
-            raise ValueError("certificate fails on the stored coefficients")
 
     def predicted(self, series, n):
         acc = self.twist.owner.zero()

@@ -4,15 +4,18 @@ bench/spans.py wraps library functions by module attribute, by a class's
 own ``__dict__`` entry or by the ``cli.CHECKS`` registry.  A refactor that
 moves or deletes one of them passes the library tests and only fails when
 ``bench/run.py --trace 1`` installs the wrappers; this test fails instead.
+A traced scenario run checks that parsing and running still read each
+check's keys through the wrapped ``cli.CHECKS``.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-from skewfield import linalg, numfield, ore
+from skewfield import cli, linalg, numfield, ore
 
-SPANS = Path(__file__).resolve().parents[1] / 'bench' / 'spans.py'
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / 'bench' / 'spans.py'
 
 
 def _load_spans():
@@ -41,3 +44,27 @@ def test_importers_share_the_wrapped_functions():
     # while their modules call linalg's own kernel_basis
     for module in (numfield, ore):
         assert module.kernel_basis is linalg.kernel_basis, module
+
+
+def test_a_traced_scenario_reads_check_keys_through_the_wrappers():
+    # the tracer swaps every cli.CHECKS value for a functools.wraps span, so
+    # parsing and running take each check's keys from its __wrapped__
+    originals = dict(cli.CHECKS)
+    keys = {op: cli.check_keys(fn) for op, fn in originals.items()}
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        assert all(cli.CHECKS[op] is not fn for op, fn in originals.items())
+        assert {op: cli.check_keys(fn) for op, fn in cli.CHECKS.items()} \
+            == keys
+        scenario = cli.parse_scenario(
+            (ROOT / 'scenarios' / 'bruno_counterexample.scn').read_text())
+        results = cli.run_scenario(scenario, {'height_bound': 8,
+                                              'degree_bound': 4,
+                                              'precision': 20})
+    finally:
+        tracer.uninstall()
+    assert cli.CHECKS == originals
+    assert cli.exit_code(results) == 0
+    assert tracer.calls['cli.parse'] == 1
+    assert tracer.calls['cli.check'] == len(scenario.checks) == 4

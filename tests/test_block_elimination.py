@@ -15,7 +15,7 @@ import random
 
 import block_elimination_oracle as oracle
 import pytest
-from skewfield.cli import Workspace, parse_scenario
+from skewfield.cli import Workspace, parse_scenario, tower
 from skewfield.galois import build_special_case_3
 from skewfield.numfield import NumberField, OrderCapExceeded
 from skewfield.ore import (CenterReport, HypothesisFailed, SkewPoly,
@@ -114,11 +114,13 @@ def tensor_instances():
         ws = Workspace(scenario, FLAGS)
         for _, op, params in scenario.checks:
             if op == 'special_case_3':
-                alg, fld, emb = ws.tower(params)
+                alg, fld, emb = tower(ws.read(params, 'algebra'),
+                                      ws.read(params, 'field'),
+                                      ws.read(params, 'emb'))
                 twisted.append(build_special_case_3(
                     alg, fld, emb, int(params['n']), FLAGS['height_bound']))
             elif op == 'hypothesis_report':
-                twisted.append(ws.twisted(ws.ref(params, 'problem').ext,
+                twisted.append(ws.twisted(ws.read(params, 'problem').ext,
                                           params))
     for X in twisted:
         yield X.ext.H, X.sigma, X.ext.L, X.tau, X.ext.emb

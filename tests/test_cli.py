@@ -1,9 +1,14 @@
+import inspect
 import os
+import random
+import re
 
 import pytest
 
-from skewfield.cli import (ScenarioParseError, builtin_examples, exit_code,
-                           format_report, main, parse_scenario, run_scenario)
+from skewfield.cli import (CHECKS, FLAG, REQUIRED, TWIST_KEYS,
+                           ScenarioParseError, builtin_examples, check_keys,
+                           exit_code, format_report, main, parse_scenario,
+                           run_scenario)
 
 FLAGS = {'height_bound': 8, 'degree_bound': 4, 'precision': 20}
 
@@ -176,10 +181,14 @@ DECLARED = ("[fields]\nq 0 1\nq2 -2 0 1\n[maps]\nconj2 q2 q2 0 -1\n"
     (DECLARED + "[checks]\n"
                 "field_level field=q height_bound=1 height_bound=2\n",
      "error: line 9: key height_bound= given twice"),
+    ("[fields]\nq 0 1\n[checks]\n"
+     "field_level field=q hieght_bound=1 expect=infinite\n",
+     "error: line 4: unknown key hieght_bound= (takes field=, height_bound=, "
+     "expect=)"),
 ], ids=['twist_inner_zero', 'check_inner_zero', 'check_center_not_auto',
         'alpha_without_map', 'missing_field', 'height_not_int',
         'problem_isotropic', 'bad_quaternion', 'tau_not_extending_sigma',
-        'twist_unknown_key', 'repeated_key'])
+        'twist_unknown_key', 'repeated_key', 'check_unknown_key'])
 def test_main_rejects_bad_declaration_or_parameter(tmp_path, capsys, text,
                                                    error):
     path = tmp_path / 'bad.scn'
@@ -334,6 +343,90 @@ def test_main_writes_report_file(tmp_path, capsys):
     content = path.read_text()
     assert content.startswith('skewfield-report 1')
     assert 'status: pass' in content
+
+
+def _misspelt(key, taken, rng):
+    """key with one character replaced, and no key of taken."""
+    while True:
+        at = rng.randrange(len(key))
+        typo = key[:at] + rng.choice('abcdefghijklmnopqrstuvwxyz_') \
+            + key[at + 1:]
+        if typo != key and typo not in taken:
+            return typo
+
+
+def test_every_misspelt_check_key_of_the_shipped_scenarios_exits_2(
+        tmp_path, capsys):
+    rng = random.Random(18)
+    path = tmp_path / 'typo.scn'
+    swept = 0
+    for name in sorted(os.listdir(SCN_DIR)):
+        with open(os.path.join(SCN_DIR, name)) as handle:
+            text = handle.read()
+        lines = text.splitlines()
+        for lineno, op, params in parse_scenario(text).checks:
+            for key in params:
+                typo = _misspelt(key, check_keys(CHECKS[op]), rng)
+                bad = lines[:]
+                bad[lineno - 1] = bad[lineno - 1].replace(
+                    ' %s=' % key, ' %s=' % typo)
+                path.write_text('\n'.join(bad) + '\n')
+                assert main(['run', str(path)]) == 2, (name, key, typo)
+                captured = capsys.readouterr()
+                assert captured.out == ''
+                assert ('error: line %d: unknown key %s= (takes '
+                        % (lineno, typo)) in captured.err, (name, key, typo)
+                swept += 1
+    assert swept > 50
+
+
+def test_an_unknown_check_is_refused_at_parse_time(tmp_path, capsys):
+    text = "[fields]\nq 0 1\n[checks]\nfield_level field=q\nfield_levle\n"
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(text)
+    assert err.value.lineno == 5
+    path = tmp_path / 'unknown_check.scn'
+    path.write_text(text)
+    assert main(['run', str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "error: line 5: unknown check 'field_levle'" in captured.err
+    assert captured.out == ''
+
+
+def _signature_keys(check):
+    """[required, optional, run-flag] keys of a check by inspect.signature,
+    which follows functools.wraps as check_keys does."""
+    columns = [[], [], []]
+    for param in list(inspect.signature(check).parameters.values())[1:]:
+        if param.kind is param.VAR_KEYWORD:
+            columns[1] += TWIST_KEYS
+        elif param.default is param.empty:
+            columns[0].append(param.name)
+        else:
+            columns[2 if param.default is FLAG else 1].append(param.name)
+    return columns
+
+
+def test_readme_key_table_lists_the_keys_of_every_check():
+    with open(os.path.join(SCN_DIR, '..', 'README.md')) as handle:
+        rows = [line for line in handle.read().splitlines()
+                if line.startswith('| `')]
+    table = {}
+    for row in rows:
+        op, *cells = [re.findall(r'`(\w+)`', cell)
+                      for cell in row.strip('|').split('|')]
+        table[op[0]] = cells
+    by_signature = {op: _signature_keys(check)
+                    for op, check in CHECKS.items()}
+    by_check_keys = {}
+    for op, check in CHECKS.items():
+        keys = check_keys(check)
+        by_check_keys[op] = [
+            [key for key, default in keys.items() if pick(default)]
+            for pick in (lambda d: d is REQUIRED,
+                         lambda d: d is not REQUIRED and d is not FLAG,
+                         lambda d: d is FLAG)]
+    assert table == by_signature == by_check_keys
 
 
 def test_shipped_scenario_parses():

@@ -275,6 +275,15 @@ def test_group_hom_rejects_exactly_what_the_full_check_rejects(
     assert 0 < sum(verdicts) < len(verdicts)
 
 
+def test_homomorphism_images_that_are_no_element_indices_are_refused():
+    z2 = CATALOG['z2']
+    for value in (1.0, '1', None, 2, -1, 300):
+        with pytest.raises(ValueError, match=r'images must be integers in '
+                                             r'range\(2\)'):
+            GroupHom(z2, z2, [0, value])
+    assert GroupHom(z2, z2, [False, True]).images == (0, 1)
+
+
 # ---------------------------------------------------------------------------
 # subgroups and splitness
 # ---------------------------------------------------------------------------

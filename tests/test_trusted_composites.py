@@ -14,7 +14,7 @@ import os
 import random
 
 import galois_compose_oracle as oracle
-from skewfield.cli import Workspace, parse_scenario
+from skewfield.cli import Workspace, parse_scenario, tower
 from skewfield.galois import (ProductReport, TwistedExtension,
                               build_galois_extension, build_special_case_3,
                               build_twisted_extension,
@@ -75,8 +75,13 @@ def scenario_checks():
             yield ws, op, params
 
 
+def _tower(ws, params):
+    return tower(ws.read(params, 'algebra'), ws.read(params, 'field'),
+                 ws.read(params, 'emb'))
+
+
 def _tower_extension(ws, params):
-    return build_galois_extension(*ws.tower(params), FLAGS['height_bound'])
+    return build_galois_extension(*_tower(ws, params), FLAGS['height_bound'])
 
 
 def shipped_twists():
@@ -172,9 +177,9 @@ def scenario_instances():
         if op in ('product_conditions', 'converse_check'):
             yield ws.twisted(_tower_extension(ws, params), params)
         elif op == 'hypothesis_report':
-            yield ws.twisted(ws.ref(params, 'problem').ext, params)
+            yield ws.twisted(ws.read(params, 'problem').ext, params)
         elif op == 'special_case_3':
-            alg, fld, emb = ws.tower(params)
+            alg, fld, emb = _tower(ws, params)
             yield build_special_case_3(alg, fld, emb, int(params['n']),
                                        FLAGS['height_bound'])
 
