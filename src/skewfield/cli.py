@@ -11,11 +11,13 @@ KEYS says how each value is read.  Check lines are validated at parse time
 like declarations: an unknown check, an unknown, missing or repeated key.
 
 Exit codes: 0 when every check passes (unknown verdicts do not fail a
-run on their own), 1 when any check fails or hits an unexpected failed
-hypothesis, 2 on usage or parse errors (a height bound or precision
-flag below 1 and a degree bound below 0 among them), on a declaration that
-cannot be built, and on a check parameter that is malformed, out of range
-or names nothing declared (reported with the check's line).  A guard that
+run on their own), 1 when any check fails, hits an unexpected failed
+hypothesis or ends in an error (an internal certificate that did not hold,
+reported with its reason), 2 on usage or parse errors (a height bound or
+precision flag below 1 and a degree bound below 0 among them), on a
+declaration that cannot be built, and on a check parameter that is
+malformed, out of range or names nothing declared (reported with the
+check's line).  A guard that
 rejects a well-formed input is a failed check with its reason.
 """
 
@@ -368,7 +370,8 @@ def _extend_hom(G, gen_images, target):
 class CheckResult:
 
     def __init__(self, status, claim, details=None):
-        if status not in ('pass', 'fail', 'hypothesis-failed', 'unknown'):
+        if status not in ('pass', 'fail', 'hypothesis-failed', 'unknown',
+                          'error'):
             raise ValueError("bad status %r" % status)
         self.status = status
         self.claim = claim
@@ -499,13 +502,13 @@ def check_is_central(ws, twist, element, expect=None):
 
 
 def check_recurrence_geometric(ws, twist, coefficient='0;1', max_order=3,
-                               expect_order=1):
+                               expect_order=1, precision=FLAG):
     c = _quaternion(twist.owner, coefficient)
     one = constant_poly(twist, 1)
     frac = SkewFraction(one, one - constant_poly(twist, c) * t_poly(twist))
-    series = series_expand(frac, ws.flags['precision'])
+    series = series_expand(frac, precision)
     cert = detect_recurrence(series, max_order)
-    details = {'precision': str(ws.flags['precision'])}
+    details = {'precision': str(precision)}
     if cert is None:
         return CheckResult('fail',
                            "twisted geometric series satisfies an order-1 "
@@ -521,7 +524,7 @@ def check_recurrence_geometric(ws, twist, coefficient='0;1', max_order=3,
                        details)
 
 
-def check_recurrence_squares(ws, twist, precision=20, max_order=3):
+def check_recurrence_squares(ws, twist, precision=FLAG, max_order=3):
     alg = twist.owner
     coeffs = [alg.one() if k in (0, 1, 4, 9, 16) else alg.zero()
               for k in range(precision)]
@@ -981,6 +984,9 @@ def _run_one(ws, lineno, op, params):
             OrderCapExceeded) as exc:
         result = CheckResult('fail', "operation guard rejected the input",
                              {'reason': str(exc)})
+    except AssertionError as exc:
+        result = CheckResult('error', "an internal certificate failed",
+                             {'reason': str(exc)})
     elapsed = int((time.monotonic() - start) * 1000)
     return op, result, elapsed
 
@@ -997,7 +1003,8 @@ def format_report(source, flags, results):
     lines.append('flags: height_bound=%d degree_bound=%d precision=%d'
                  % (flags['height_bound'], flags['degree_bound'],
                     flags['precision']))
-    counts = {'pass': 0, 'fail': 0, 'hypothesis-failed': 0, 'unknown': 0}
+    counts = {'pass': 0, 'fail': 0, 'hypothesis-failed': 0, 'unknown': 0,
+              'error': 0}
     for idx, (op, result, elapsed) in enumerate(results, start=1):
         counts[result.status] += 1
         lines.append('check %d: %s' % (idx, op))
@@ -1006,16 +1013,18 @@ def format_report(source, flags, results):
         for key in result.details:
             lines.append('  %s: %s' % (key, result.details[key]))
         lines.append('  time_ms: %d' % elapsed)
-    lines.append('summary: total=%d pass=%d fail=%d hypothesis-failed=%d '
-                 'unknown=%d' % (len(results), counts['pass'],
-                                 counts['fail'], counts['hypothesis-failed'],
-                                 counts['unknown']))
+    summary = ('summary: total=%d pass=%d fail=%d hypothesis-failed=%d '
+               'unknown=%d' % (len(results), counts['pass'], counts['fail'],
+                               counts['hypothesis-failed'], counts['unknown']))
+    if counts['error']:
+        summary += ' error=%d' % counts['error']
+    lines.append(summary)
     return '\n'.join(lines) + '\n'
 
 
 def exit_code(results):
     bad = sum(1 for _, r, _ in results
-              if r.status in ('fail', 'hypothesis-failed'))
+              if r.status in ('fail', 'hypothesis-failed', 'error'))
     return 1 if bad else 0
 
 

@@ -6,7 +6,10 @@ are exact, and any two nonzero polynomials have a common right multiple of
 minimal degree; fractions num*den^{-1} are compared through that relation
 rather than a normal form.  Truncated Laurent series carry their precision
 explicitly, and a linear recurrence with twisted coefficients certifies
-that a series comes from a fraction.
+that a series comes from a fraction.  Each recurrence order is solved on
+its leading square block of equations; the whole stacked system is
+eliminated only when that block is rank-deficient, and the certificate is
+verified on every stored coefficient either way.
 
 The bounded-degree center computation and the tensor-decomposition check
 reduce everything to exact rational linear algebra: twists and one-sided
@@ -219,12 +222,10 @@ def ore_right_lcm(a, b):
         r0, r1 = r1, r
         u0, u1 = u1, u0 - u1 * q
         v0, v1 = v1, v0 - v1 * q
-    m = a * u1
-    if m.is_zero() or m != -(b * v1):
-        raise AssertionError("common right multiple construction failed")
     u, v = u1, -v1
-    if not (a * u == m and b * v == m):
-        raise AssertionError("cofactor verification failed")
+    m = a * u
+    if m.is_zero() or m != b * v:
+        raise AssertionError("common right multiple construction failed")
     return m, u, v
 
 
@@ -500,9 +501,18 @@ def _mat_mul(a, b):
 def detect_recurrence(series, max_order):
     """Smallest-order recurrence certificate for the series, if any.
 
-    The twisted system is linear over Q once coefficients are written on a
-    rational basis of the algebra, so it is solved by exact elimination;
-    the returned certificate is re-verified coefficient by coefficient.
+    Written on a rational basis of the algebra, the recurrence of order k
+    is a linear system over Q: one block of dim equations for each stored
+    index n >= ord + k, in the unknowns y_1 .. y_k.  The coefficient of y_i
+    in block n is L(a_m) M(sigma^m) with m = n - i, built once per m and
+    shared by all orders.  Each order is solved first on its leading k
+    blocks, a square system of k*dim equations.  When that has full rank
+    its unique solution is the only candidate, and the certificate's
+    verification over every stored coefficient decides it.  Only a
+    rank-deficient leading block (zero leading coefficients, a split
+    algebra) sends the whole stacked system to elimination; its reduced
+    echelon form is unique, so either way the answer is the one the whole
+    system gives.
     """
     if max_order < 1:
         raise ValueError("max_order must be positive")
@@ -514,33 +524,42 @@ def detect_recurrence(series, max_order):
     alg = twist.owner
     dim = alg.q_dim()
     cache = {}
+    blocks = {}
     zero = [0] * dim
-    for k in range(1, max_order + 1):
-        rows = []
-        rhs = []
-        for n in range(series.ord + k, series.limit):
-            blocks = []
-            for i in range(1, k + 1):
-                a = series.coefficient(n - i)
-                blocks.append(None if a.is_zero() else _mat_mul(
-                    _mul_matrix(a, 'L', cache),
-                    twist.power(n - i).int_matrix()))
+
+    def block(m):
+        if m not in blocks:
+            a = series.coefficient(m)
+            blocks[m] = None if a.is_zero() else _mat_mul(
+                _mul_matrix(a, 'L', cache), twist.power(m).int_matrix())
+        return blocks[m]
+
+    def system(k, stop):
+        rows, rhs = [], []
+        for n in range(series.ord + k, stop):
+            row_blocks = [block(n - i) for i in range(1, k + 1)]
             target = series.coefficient(n)
             # one lcm per row block scales all its rows to integers
-            den = lcm(target.den, *[blk[1] for blk in blocks if blk])
+            den = lcm(target.den, *[blk[1] for blk in row_blocks if blk])
             for r in range(dim):
                 row = []
-                for blk in blocks:
+                for blk in row_blocks:
                     row.extend([x * (den // blk[1]) for x in blk[0][r]]
                                if blk else zero)
                 rows.append(row)
                 rhs.append(target.num[r] * (den // target.den))
-        sol = solve(rows, rhs, k * dim)
+        return rows, rhs
+
+    for k in range(1, max_order + 1):
+        start = series.ord + k
+        sol = solve(*system(k, start + k), k * dim, unique=True)
         if sol is None:
-            continue
+            sol = solve(*system(k, series.limit), k * dim)
+            if sol is None:
+                continue
         ys = [quat_from_q_vector(alg, sol[i * dim:(i + 1) * dim])
               for i in range(k)]
-        cert = RecurrenceCertificate(twist, k, ys, series.ord + k)
+        cert = RecurrenceCertificate(twist, k, ys, start)
         if cert.verify(series):
             return cert
     return None

@@ -5,10 +5,12 @@ import re
 
 import pytest
 
+from skewfield import ore
 from skewfield.cli import (CHECKS, FLAG, REQUIRED, TWIST_KEYS,
                            ScenarioParseError, builtin_examples, check_keys,
                            exit_code, format_report, main, parse_scenario,
                            run_scenario)
+from skewfield.ore import SkewFraction, constant_poly, t_poly
 
 FLAGS = {'height_bound': 8, 'degree_bound': 4, 'precision': 20}
 
@@ -296,6 +298,36 @@ def test_main_reports_a_twist_of_infinite_order_as_fail(tmp_path, capsys,
     captured = capsys.readouterr()
     assert 'status: fail' in captured.out
     assert 'reason: order exceeds cap 96' in captured.out
+    assert 'Traceback' not in captured.err
+
+
+def test_main_reports_a_failed_internal_certificate_as_error(
+        tmp_path, capsys, monkeypatch):
+    # no shipped check forms an Ore fraction, so a probe check compares two;
+    # a wrong quotient makes the lcm's own certificate assertion fail
+    def check_fraction_eq(ws, twist):
+        t, one = t_poly(twist), constant_poly(twist, 1)
+        SkewFraction(t, t) == SkewFraction(one, one)
+    divide = ore.left_divide
+
+    def wrong(a, b):
+        q, r = divide(a, b)
+        return q + constant_poly(a.twist, 1), r
+    monkeypatch.setitem(CHECKS, 'fraction_eq', check_fraction_eq)
+    monkeypatch.setattr(ore, 'left_divide', wrong)
+    path = tmp_path / 'lcm.scn'
+    path.write_text(DECLARED + "[twists]\ns algebra=H\n[checks]\n"
+                               "fraction_eq twist=s\n"
+                               "is_central twist=s element=1\n")
+    assert main(['run', str(path)]) == 1
+    captured = capsys.readouterr()
+    assert ('check 1: fraction_eq\n  status: error\n'
+            '  claim: an internal certificate failed\n'
+            '  reason: common right multiple construction failed\n'
+            in captured.out)
+    assert 'check 2: is_central\n  status: pass\n' in captured.out
+    assert captured.out.endswith('\nsummary: total=2 pass=1 fail=0 '
+                                 'hypothesis-failed=0 unknown=0 error=1\n')
     assert 'Traceback' not in captured.err
 
 

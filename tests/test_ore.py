@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from skewfield import ore
 from skewfield.numfield import (FieldMorphism, NumberField, OrderCapExceeded,
                                 automorphism_group)
 from skewfield.ore import (
@@ -135,6 +136,24 @@ def test_ore_lcm_divisor_case():
     m, u, v = ore_right_lcm(a, b)
     assert m.degree() == b.degree()
     assert a * u == m and b * v == m
+
+
+def test_ore_lcm_refuses_a_wrong_quotient(monkeypatch):
+    # m = a*u and b*v are formed once each; their comparison still catches
+    # cofactors built from a wrong quotient
+    rng = random.Random(5)
+    a = rnd_nonzero_poly(rng, TWIST, 2)
+    b = rnd_nonzero_poly(rng, TWIST, 3)
+    m, u, v = ore_right_lcm(a, b)
+    assert a * u == m == b * v
+    divide = ore.left_divide
+
+    def wrong(x, y):
+        q, r = divide(x, y)
+        return q + constant_poly(TWIST, 1), r
+    monkeypatch.setattr(ore, 'left_divide', wrong)
+    with pytest.raises(AssertionError):
+        ore_right_lcm(a, b)
 
 
 def test_a_twist_of_infinite_order_divides_and_expands():
