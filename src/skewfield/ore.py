@@ -4,12 +4,13 @@ H[t,sigma] multiplies by the rule t*a = sigma(a)*t.  Over a division ring
 the degree of a product is the sum of the degrees, both one-sided divisions
 are exact, and any two nonzero polynomials have a common right multiple of
 minimal degree; fractions num*den^{-1} are compared through that relation
-rather than a normal form.  Truncated Laurent series carry their precision
-explicitly, and a linear recurrence with twisted coefficients certifies
-that a series comes from a fraction.  Each recurrence order is solved on
-its leading square block of equations; the whole stacked system is
-eliminated only when that block is rank-deficient, and the certificate is
-verified on every stored coefficient either way.
+rather than a normal form.  A division updates its remainder in place.
+Truncated Laurent series carry their precision explicitly, and a linear
+recurrence with twisted coefficients certifies that a series comes from a
+fraction.  Each recurrence order is solved on its leading square block of
+equations; the whole stacked system is eliminated only when that block is
+rank-deficient, and the certificate is verified on every stored
+coefficient either way.
 
 The bounded-degree center computation and the tensor-decomposition check
 reduce everything to exact rational linear algebra: twists and one-sided
@@ -23,7 +24,7 @@ systems split by the power of t, so each is solved one degree at a time.
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .linalg import (difference_rows, identity, kernel_basis, rank,
                      same_span, solve)
@@ -138,9 +139,17 @@ class SkewPoly(RingElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return SkewPoly(self.twist,
-                        [self.coefficient(i) + o.coefficient(i) for i in range(n)])
+        a, b = self.coeffs, o.coeffs
+        return SkewPoly(self.twist, list(map(add, a, b)) + list(
+            a[len(b):] or b[len(a):]))
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        a, b = self.coeffs, o.coeffs
+        return SkewPoly(self.twist, list(map(sub, a, b)) + list(a[len(b):])
+                        + [-c for c in b[len(a):]])
 
     def __neg__(self):
         return SkewPoly(self.twist, [-c for c in self.coeffs])
@@ -178,19 +187,28 @@ def constant_poly(twist, c):
 
 
 def _divide(a, b, right):
-    """Quotient and remainder of a by b, on the right or on the left."""
+    """Quotient and remainder of a by b, on the right or on the left; each
+    quotient term c t^d cancels remainder entry d + deg b, so only the
+    deg b entries below it are updated, in place."""
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    twist = a.twist
-    q, r, db = SkewPoly(twist, []), a, b.degree()
+    twist, bs, db = a.twist, b.coeffs, b.degree()
     blead_inv = b.leading().inverse()
-    while not r.is_zero() and r.degree() >= db:
-        d = r.degree() - db
-        c = (r.leading() * twist.power(d)(blead_inv) if right
-             else twist.power(-db)(blead_inv * r.leading()))
-        term = SkewPoly(twist, [twist.owner.zero()] * d + [c])
-        q, r = q + term, r - (term * b if right else b * term)
-    return q, r
+    r = list(a.coeffs)
+    q = [twist.owner.zero()] * max(0, len(r) - db)
+    for d in reversed(range(len(q))):
+        c = r[d + db]
+        if c.is_zero():
+            continue
+        if right:
+            tw = twist.power(d)
+            q[d] = c = c * tw(blead_inv)
+            r[d:d + db] = [x - c * tw(y) for x, y in zip(r[d:d + db], bs)]
+        else:
+            q[d] = c = twist.power(-db)(blead_inv * c)
+            r[d:d + db] = [x - y * twist.power(j)(c)
+                           for j, x, y in zip(range(db), r[d:], bs)]
+    return SkewPoly(twist, q), SkewPoly(twist, r[:db])
 
 
 def right_divide(a, b):
@@ -437,13 +455,14 @@ def series_expand(fraction, precision):
     shift_back = twist.power(-v)
     u = [shift_back(den.coefficient(v + i)) for i in range(den.degree() - v + 1)]
     u0_inv = u[0].inverse()
+    minus_inv = None if u0_inv == twist.owner.one() else -u0_inv
     n_terms = precision + num.valuation() + 1
     w = [u0_inv]
     for n in range(1, n_terms):
         acc = twist.owner.zero()
         for i in range(1, min(n, len(u) - 1) + 1):
             acc = acc + u[i] * twist.power(i)(w[n - i])
-        w.append(-(u0_inv * acc))
+        w.append(-acc if minus_inv is None else minus_inv * acc)
     w_series = SkewLaurent(twist, 0, w)
     prod = _poly_times_series(num, w_series)
     result = prod.shifted(-v)

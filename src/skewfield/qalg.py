@@ -15,14 +15,15 @@ certificates: a definite real place, an explicit isotropy witness, or an
 honest unknown after a bounded search.
 
 Automorphisms are stored by the images of i and j together with their
-action on the center, and applied as one cached integer matrix.  The inner
+action on the center, and applied through the nonzero entries of one cached
+integer matrix, at most deg h per row when i and j are fixed.  The inner
 order of an automorphism equals the order of that central action;
 conjugations are exactly the automorphisms whose central action is trivial.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul, neg
+from operator import add, mul, neg, sub
 from struct import unpack
 
 from .linalg import invert
@@ -284,14 +285,26 @@ class QuatElement(RingElement):
         return hash((self.alg.base, self.num, self.den))
 
     def __add__(self, other):
+        return self._combine(other, add)
+
+    def __sub__(self, other):
+        return self._combine(other, sub)
+
+    def _combine(self, other, op):
+        """self + other (op add) or self - other (op sub)."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not any(o.num):
+            return self
+        if not any(self.num):
+            return o if op is add else -o
         da, db = self.den, o.den
         if da == db:
-            return QuatElement(self.alg, tuple(map(add, self.num, o.num)), da)
-        return QuatElement(self.alg, tuple([x * db + y * da for x, y
-                                            in zip(self.num, o.num)]), da * db)
+            return QuatElement(self.alg, tuple(map(op, self.num, o.num)), da)
+        return QuatElement(self.alg, tuple(map(op, [x * db for x in self.num],
+                                               [y * da for y in o.num])),
+                           da * db)
 
     def __neg__(self):
         return QuatElement(self.alg, tuple(map(neg, self.num)), self.den)
@@ -526,7 +539,7 @@ class AlgebraAutomorphism(Immutable):
     """
 
     __slots__ = ('owner', 'image_i', 'image_j', 'center_action', '_powers',
-                 '_matrix', '_trivial', '_order')
+                 '_matrix', '_entries', '_trivial', '_order')
 
     def __init__(self, owner, image_i, image_j, center_action):
         if image_i.alg != owner or image_j.alg != owner:
@@ -550,6 +563,7 @@ class AlgebraAutomorphism(Immutable):
         object.__setattr__(self, 'center_action', center_action)
         object.__setattr__(self, '_powers', {})
         object.__setattr__(self, '_matrix', None)
+        object.__setattr__(self, '_entries', None)
         object.__setattr__(self, '_trivial',
                            image_i == owner.i() and image_j == owner.j()
                            and center_action.is_identity())
@@ -569,15 +583,22 @@ class AlgebraAutomorphism(Immutable):
         return self._matrix
 
     def __call__(self, x):
+        """x through the nonzero (row, column, value) of int_matrix()."""
         if x.alg is not self.owner and x.alg != self.owner:
             raise ValueError("element of a different algebra")
         if self._trivial:
             return x
-        rows, den = self.int_matrix()
+        if self._entries is None:
+            rows, den = self.int_matrix()
+            object.__setattr__(self, '_entries', (tuple([
+                (r, c, v) for r, row in enumerate(rows)
+                for c, v in enumerate(row) if v]), den))
+        entries, den = self._entries
         num = x.num
-        return QuatElement(self.owner,
-                           tuple([sum(map(mul, row, num)) for row in rows]),
-                           den * x.den)
+        out = [0] * len(num)
+        for r, c, v in entries:
+            out[r] += v * num[c]
+        return QuatElement(self.owner, tuple(out), den * x.den)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, AlgebraAutomorphism)
