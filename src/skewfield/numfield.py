@@ -17,26 +17,27 @@ request, for reports and linear algebra.
 Subfields are explicit embeddings, towers are flattened through primitive
 elements, and automorphism groups are found by enumerating the roots of the
 defining polynomial inside the field itself.  Real embeddings are certified
-with Sturm sequences over exact rationals; no floating point is used
-anywhere.
+with Sturm sequences over exact rationals; each call builds the chain of
+a polynomial once, and root isolation bisects and a real place refines
+its interval on that chain.  No floating point is used anywhere.
 
 The degree is capped at 8: every check stays cheap and fully exact at that
 scale, and the constructions this package verifies never need more.
 """
 
 from fractions import Fraction
-from itertools import count, islice, product as _iproduct
+from itertools import count, product as _iproduct, takewhile
 from math import gcd, lcm
 from operator import mul
 
 from .linalg import (coordinates_in_span, difference_rows, eliminate,
                      identity, invert, kernel_basis, same_span)
-from .zfactor import (MAX_DEGREE, is_irreducible_over_q, linear_part,
-                      lift_root, odd_primes, roots_mod)
+from .zfactor import (MAX_DEGREE, PRIME_CAP, is_irreducible_over_q,
+                      linear_part, lift_root, odd_primes, roots_mod)
 
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
-ROOT_PRIMES = 2  # primes roots_in_field compares; a third seldom pays
+ROOT_PRIMES = 2  # most primes roots_in_field compares; a third seldom pays
 LEVEL_ELEMENTS = 100_000  # elements field_level enumerates at one height
 ANISOTROPY_PAIRS = 2_000_000  # coordinate pairs anisotropy matches per height
 ORDER_CAP = 96  # largest order cyclic_powers follows
@@ -149,9 +150,10 @@ def cauchy_bound(p):
     return _Q1 + m / lead
 
 
-def count_real_roots(p, lo=None, hi=None):
-    """Number of distinct real roots of p, in (lo, hi] when bounds given."""
-    chain = sturm_chain(p)
+def count_real_roots(p, lo=None, hi=None, chain=None):
+    """Number of distinct real roots of p, in (lo, hi] when bounds given;
+    ``chain`` is the Sturm chain of p when the caller has it."""
+    chain = chain or sturm_chain(p)
     if not chain:
         raise ValueError("zero polynomial")
     va = _variations([poly_eval(c, lo) for c in chain]) if lo is not None \
@@ -164,7 +166,8 @@ def count_real_roots(p, lo=None, hi=None):
 def isolate_real_roots(p):
     """Disjoint rational intervals (lo, hi], one distinct real root each."""
     p = poly_trim(p)
-    total = count_real_roots(p)
+    chain = sturm_chain(p)
+    total = count_real_roots(p, chain=chain)
     if total == 0:
         return []
     bound = cauchy_bound(p)
@@ -181,19 +184,19 @@ def isolate_real_roots(p):
         while poly_eval(p, mid) == 0:
             # nudge the cut off a root; p has finitely many
             mid = (lo + mid) / 2
-        left = count_real_roots(p, lo, mid)
+        left = count_real_roots(p, lo, mid, chain)
         stack.append((lo, mid, left))
         stack.append((mid, hi, n - left))
     out.sort()
     return out
 
 
-def refine_root_interval(p, lo, hi):
+def refine_root_interval(p, lo, hi, chain=None):
     """Halve an isolating interval of p, keeping exactly one root inside."""
     mid = (lo + hi) / 2
     if poly_eval(p, mid) == 0:
         mid = (lo + mid) / 2
-    if count_real_roots(p, lo, mid) == 1:
+    if count_real_roots(p, lo, mid, chain) == 1:
         return lo, mid
     return mid, hi
 
@@ -680,11 +683,13 @@ class RealPlace(Immutable):
         g = poly_trim(list(elem.coords))
         p = list(self.field.min_poly)
         lo, hi = self.lo, self.hi
+        g_chain, p_chain = sturm_chain(g), None
         while True:
-            if (count_real_roots(g, lo, hi) == 0
+            if (count_real_roots(g, lo, hi, g_chain) == 0
                     and poly_eval(g, lo) != 0 and poly_eval(g, hi) != 0):
                 return 1 if poly_eval(g, lo) > 0 else -1
-            lo, hi = refine_root_interval(p, lo, hi)
+            p_chain = p_chain or sturm_chain(p)
+            lo, hi = refine_root_interval(p, lo, hi, p_chain)
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +701,11 @@ def roots_in_field(coeffs, field):
 
     Of the first ROOT_PRIMES primes where m has a root and f and m stay
     squarefree of their degree, the search takes the one where f has the
-    fewest roots.  The list is complete by the count certificate (every
-    root of f mod p gave a verified root) or by the bound certificate of
-    ``_roots_at_prime`` (there a failing candidate proves no root above).
+    fewest roots; it stops early where f has none or, when f = m, only
+    alpha.  The list is complete by the count certificate (every root of f
+    mod p gave a verified root), by the count at a later prime, or by the
+    bound certificate of ``_roots_at_prime`` (there a failing candidate
+    proves no root above).
     """
     cs = poly_trim([Fraction(c) for c in coeffs])
     if poly_deg(cs) < 1:
@@ -707,15 +714,30 @@ def roots_in_field(coeffs, field):
     den = lcm(*[c.denominator for c in cs]) * (1 if cs[-1] > 0 else -1)
     f = [c.numerator * (den // c.denominator) for c in cs]
     m = [int(c) for c in field.min_poly]
-    good = ((len(g), p) for p in odd_primes()
-            if len(linear_part(m, p) or ()) > 1 and (g := linear_part(f, p)))
-    p = min(islice(good, ROOT_PRIMES))[1]
-    return _roots_at_prime(f, field, p)[0]
+    good, scan = [], _good_primes(f, m)
+    for entry in scan:
+        good.append(entry)
+        if len(good) == ROOT_PRIMES or entry[0] == 1 + (f == m):
+            break
+    _, p, parts = min(good)
+    return _roots_at_prime(f, field, p, parts, scan)[0]
 
 
-def _roots_at_prime(f, field, p):
+def _good_primes(f, m):
+    """(1 + roots of f mod p, p, linear parts of m and f mod p) for each odd
+    prime p where m has a root and f and m stay squarefree of their degree;
+    one ``zfactor.linear_part`` when f = m."""
+    for p in odd_primes():
+        lm = linear_part(m, p)
+        if lm is not None and len(lm) > 1:
+            lf = lm if f == m else linear_part(f, p)
+            if lf is not None:
+                yield len(lf), p, (lm, lf)
+
+
+def _roots_at_prime(f, field, p, parts=None, later=()):
     """The sorted roots in K of f (integer, leading coefficient c > 0) at p,
-    and the roots b of f mod p that the bound proves to lie below none.
+    and the roots b of f mod p that lie below none.
 
     alpha -> A, the root of m above a, embeds K in Q_p.  For a root beta,
     w = m'(alpha) c beta lies in Z[alpha] (Euler), and t = (m'(A) c B, 0,
@@ -727,25 +749,36 @@ def _roots_at_prime(f, field, p):
     Cramer and Hadamard (the Vandermonde matrix of alpha has |det| >= 1).
     A nonzero u in L has p^k <= |N(u(alpha))| <= (|u| sqrt(n) R^(n-1))^n:
     past p^k = (n (2^(n/2) + 1) H R^(n-1))^n the candidate is w if w
-    exists.  A first try assumes |w| <= S, lambda_1(L) near p^(k/n).
+    exists.  A first try assumes |w| <= S, lambda_1(L) near p^(k/n).  If it
+    leaves candidates open, a prime q < PRIME_CAP from ``later`` may close
+    the list first: K embeds in Q_q, where f has as many roots as mod q.
+    ``parts`` and ``later`` are as ``_good_primes`` yields them.
     """
     def cauchy(g):  # the least power of two above the roots of g
         return next(R for R in (2 ** e for e in count()) if abs(g[-1]) * R ** (
             len(g) - 1) > sum(abs(x) * R ** i for i, x in enumerate(g[:-1])))
     n, c = field.degree, f[-1]
     m = [int(x) for x in field.min_poly]
+    lm, lf = parts or (linear_part(m, p), linear_part(f, p))
+    left, roots = roots_mod(f, p, lf), []
+    if not left:
+        return roots, left
+    a = left[0] if f == m else roots_mod(m, p, lm)[0]
     delta = field.element(poly_deriv(field.min_poly)) * c
+    inverse = delta.inverse()
     R, babai = cauchy(m), 2 ** ((n + 1) // 2)
     S = (2 * R) ** (n - 1) * c * cauchy(f)
     bound = (n * (babai + 1) * n ** ((n + 1) // 2)
              * R ** ((n + 2) * (n - 1) // 2) * S) ** n
-    left, roots = roots_mod(f, p), []
-    for limit in sorted({min((2 * babai * S) ** n, bound), bound}):
-        if not left:
+    cheap = min((2 * babai * S) ** n, bound)
+    for limit in sorted({cheap, bound}):
+        if not left or limit > cheap and len(roots) + 1 in (
+                size for size, _, _ in takewhile(
+                    lambda entry: entry[1] < PRIME_CAP, later)):
             break
         k = next(k for k in count(1) if p ** k > limit)
         q = p ** k
-        A = lift_root(m, roots_mod(m, p)[0], p, k)
+        A = lift_root(m, a, p, k)
         powers = [pow(A, i, q) for i in range(n)]
         _, nearest = _lll([[-powers[i] if i else q]
                            + [int(j == i) for j in range(1, n)] for i in range(n)])
@@ -755,7 +788,7 @@ def _roots_at_prime(f, field, p):
             u = nearest([target] + [0] * (n - 1))
             if sum(map(mul, u, powers)) % q != target:
                 raise AssertionError("rounded candidate left its residue class")
-            beta = FieldElement(field, tuple(u)) / delta
+            beta = FieldElement(field, tuple(u)) * inverse
             if _eval_poly_at_element(f, beta).is_zero():
                 roots.append(beta)
             else:

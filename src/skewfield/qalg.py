@@ -35,6 +35,11 @@ class ZeroNormError(ArithmeticError):
     """Raised when inverting an element of reduced norm zero."""
 
 
+# e_p e_q = (-1)^(p1 q0) c_(p and q) e_(p xor q), p = p0 + 2 p1, c in
+# (1, a, b, ab): entry [p][q] is (p1 q0, p and q)
+_UNITS = tuple(tuple(((p >> 1) & q & 1, p & q) for q in range(4))
+               for p in range(4))
+
 # 2^63 in each of k 64-bit digits, for up to four units over degree 8
 _HALVES = tuple(int.from_bytes((bytes(7) + b'\x80') * k, 'little')
                 for k in range(33))
@@ -97,13 +102,13 @@ class QuaternionAlgebra(Immutable):
             nums.append([x * (den // c.den) for x in c.num])
             while len(nums[-1]) > 1 and not nums[-1][-1]:
                 nums[-1].pop()
-        # e_p e_q = (-1)^(p1 q0) c_(p and q) e_(p xor q), p = p0 + 2 p1;
         # constants equal up to sign share one product, and 1 (None) needs none
         terms = []
         for r in range(4):
             groups = {}
             for p in range(4):
-                c, negate = tuple(nums[p & (p ^ r)]), (p >> 1) & (p ^ r) & 1
+                negate, t = _UNITS[p][p ^ r]
+                c = tuple(nums[t])
                 if c not in groups and tuple([-x for x in c]) in groups:
                     c, negate = tuple([-x for x in c]), 1 - negate
                 groups.setdefault(c, []).append((p, p ^ r, negate))
@@ -122,13 +127,22 @@ class QuaternionAlgebra(Immutable):
                  + (4 * n * n).bit_length() + grow.bit_length() + 2)
         # associativity of the terms on all unit triples, in the center;
         # the product is bilinear over the commutative center, so these
-        # decide it
-        unit = {}
-        for groups in terms:
-            for c, pairs in groups:
-                c = base.element([Fraction(x, den) for x in c or (1,)])
-                unit.update({(p, q): -c if sign else c for p, q, sign in pairs})
-        if any(unit[p, q] * unit[p ^ q, s] != unit[q, s] * unit[p, q ^ s]
+        # decide it.  unit[p, q] = (sign, t): the terms make e_p e_q =
+        # +-consts[t] e_(p xor q), and a side is a signed product of two.
+        index = {}
+        for t, c in enumerate(nums):
+            index.setdefault(tuple(c), (0, t))
+            index.setdefault(tuple([-x for x in c]), (1, t))
+        unit = {(p, q): (sign ^ negate, t) for groups in terms
+                for c, pairs in groups for sign, t in [index[c or (1,)]]
+                for p, q, negate in pairs}
+        consts = (base.one(), a, b, ab)
+        table = [[(v, -v) for v in [x * y for y in consts]] for x in consts]
+
+        def side(x, y):
+            return table[x[1]][y[1]][x[0] ^ y[0]]
+        if any(side(unit[p, q], unit[p ^ q, s])
+               != side(unit[q, s], unit[p, q ^ s])
                for p in range(4) for q in range(4) for s in range(4)):
             raise AssertionError("structure constants not associative")
         super().__init__(base, a, b, ab, label or 'H', division_certified,

@@ -122,9 +122,10 @@ def linear_part(f, p):
     return _gcd(fp, _add(_powmod([0, 1], p, fp, p), [0, 1], p, -1), p)
 
 
-def roots_mod(f, p):
-    """Sorted roots modulo the odd prime p of f, squarefree of its degree."""
-    g = linear_part(f, p)
+def roots_mod(f, p, g=None):
+    """Sorted roots mod the odd prime p of f, squarefree of its degree; g
+    is its linear part there when known."""
+    g = linear_part(f, p) if g is None else g
     split = _equal_degree(g, 1, p, random.Random(p)) if len(g) > 1 else []
     return sorted(-h[0] % p for h in split)
 

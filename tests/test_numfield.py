@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import prime_scan_roots_oracle
+import sturm_rebuild_oracle
 import sympy_roots_oracle
-from skewfield import numfield, regressions
+from skewfield import numfield, regressions, zfactor
 from skewfield.linalg import rank, solve
 from skewfield.numfield import (
     FieldMorphism, LevelVerdict, NumberField, automorphism_group,
@@ -31,6 +33,9 @@ BIQUAD = NumberField([1, 0, -10, 0, 1], label='Q(sqrt2,sqrt3)')
 # the minimal polynomial of sqrt2 + sqrt3 + sqrt5, group C2^3
 C2_CUBED_OCTIC = [576, 0, -960, 0, 352, 0, -40, 0, 1]
 X8_PLUS_2 = [2, 0, 0, 0, 0, 0, 0, 0, 1]
+# x^8 + 9x^7 + 2x^5 - 7x^4 + 5x^2 - 3x + 1, no automorphism but the identity
+NON_GALOIS_OCTIC = [1, -3, 5, 0, -7, 2, 0, 9, 1]
+_ONE = Fraction(1)
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -320,6 +325,116 @@ def test_roots_in_field_imports_no_sympy():
     assert done.returncode == 0, done.stderr
 
 
+def _prime_scan_cases():
+    """(polynomial, field) pairs for the comparison with the prime-scan
+    oracle: fields of degree 1 to 8, Galois or not, each with f = m, the
+    minimal polynomial of an element, a product with a rational root and a
+    random polynomial, which mostly has no root."""
+    fixed = [[0, 1], [-2, 0, 1], [1, 0, 1], [-2, 0, 0, 1], [1, -3, 0, 1],
+             [-2, 0, 0, 0, 1], [2, 0, -4, 0, 1], [1, 0, -10, 0, 1],
+             [1, 1, 1, 1, 1], [1, 0, 0, 1, 0, 0, 1], [-2, 0, 0, 0, 0, 0, 0, 1],
+             C2_CUBED_OCTIC, NON_GALOIS_OCTIC]
+    fields = [NumberField(m) for m in fixed]
+    rng = random.Random(22)
+    for degree in range(1, 8):
+        drawn = 0
+        while drawn < 2:
+            m = [rng.randint(-4, 4) for _ in range(degree)] + [1]
+            if is_irreducible_over_q(m):
+                fields.append(NumberField(m))
+                drawn += 1
+    rng = random.Random(23)
+    for field in fields:
+        yield list(field.min_poly), field
+        for _ in range(7):
+            kind = rng.randrange(3)
+            if kind == 0 and field.degree <= 4:
+                f = minimal_polynomial(field.element(
+                    [rng.randint(-2, 2) for _ in range(field.degree)]))
+            elif kind == 1:
+                f = poly_mul([Fraction(rng.randint(-3, 3)),
+                              Fraction(rng.choice([1, 2]))],
+                             [Fraction(rng.randint(-5, 5))
+                              for _ in range(rng.randint(1, 3))] + [_ONE])
+            else:
+                f = [rng.randint(-6, 6) for _ in range(rng.randint(1, 4))] \
+                    + [rng.randint(1, 3)]
+            yield f, field
+
+
+def test_roots_match_the_prime_scan_oracle():
+    cases = list(_prime_scan_cases())
+    assert len(cases) >= 200
+    empty = 0
+    for coeffs, field in cases:
+        got = [r.coords for r in roots_in_field(coeffs, field)]
+        want = [r.coords for r in prime_scan_roots_oracle.roots_in_field(
+            coeffs, field)]
+        assert got == want, (coeffs, field)
+        empty += not got
+    assert empty >= 20
+
+
+def test_roots_at_a_given_prime_match_the_oracle():
+    # at a prime it is handed, the search keeps both lattice tries
+    for coeffs, field, p in (([-2, 0, 0, 1], Q_CBRT2, 31),
+                             ([2, 0, -4, 0, 1], C4_FIELD, 17),
+                             ([-2, 0, 1], C4_FIELD, 17),
+                             ([1, 0, 1], Q_I, 5),
+                             (NON_GALOIS_OCTIC, NumberField(NON_GALOIS_OCTIC), 5)):
+        roots, refuted = numfield._roots_at_prime(coeffs, field, p)
+        want, want_refuted = prime_scan_roots_oracle._roots_at_prime(
+            coeffs, field, p)
+        assert [r.coords for r in roots] == [r.coords for r in want]
+        assert refuted == want_refuted
+
+
+def test_count_at_a_second_prime_closes_the_octic(monkeypatch):
+    # the octic has one automorphism; modulo 5 it has more roots, so the
+    # first lattice leaves candidates open, and modulo 13 it has one root,
+    # so that count closes the list without the full-bound lattice
+    field = NumberField(NON_GALOIS_OCTIC)
+    want = [r.coords for r in prime_scan_roots_oracle.roots_in_field(
+        NON_GALOIS_OCTIC, field)]
+    lattices = []
+    reduce_lattice = numfield._lll
+    monkeypatch.setattr(numfield, '_lll',
+                        lambda basis: lattices.append(basis[0][0])
+                        or reduce_lattice(basis))
+    assert [r.coords for r in roots_in_field(NON_GALOIS_OCTIC, field)] == want
+    assert want == [field.gen().coords]
+    assert len(lattices) == 1
+
+
+def test_one_split_per_prime_when_f_is_m(monkeypatch):
+    primes, splits = [], []
+    part, roots_mod = zfactor.linear_part, zfactor.roots_mod
+
+    def counted_part(f, p):
+        primes.append(p)
+        return part(f, p)
+
+    def counted_roots(f, p, g=None):
+        splits.append(p)
+        return roots_mod(f, p, g)
+    monkeypatch.setattr(zfactor, 'linear_part', counted_part)
+    monkeypatch.setattr(numfield, 'linear_part', counted_part)
+    monkeypatch.setattr(numfield, 'roots_mod', counted_roots)
+    for poly in ([-2, 0, 1], [2, 0, -4, 0, 1], [1, 0, -10, 0, 1],
+                 C2_CUBED_OCTIC, X8_PLUS_2, [-2, 0, 0, 1], NON_GALOIS_OCTIC):
+        field = NumberField(poly)
+        primes.clear()
+        splits.clear()
+        roots_in_field(poly, field)
+        assert len(primes) == len(set(primes)), poly
+        assert len(splits) == 1, poly
+    # x^3 - 2 is not squarefree modulo 3 and has one root modulo 5: the scan
+    # stops there, as no prime can show fewer roots of m
+    primes.clear()
+    assert roots_in_field([-2, 0, 0, 1], Q_CBRT2) == [Q_CBRT2.gen()]
+    assert primes == [3, 5]
+
+
 # ---------------------------------------------------------------------------
 # fixed fields
 # ---------------------------------------------------------------------------
@@ -395,6 +510,51 @@ def test_isolation_separates_roots():
     assert len(ivs) == 4
     for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
         assert b1 <= a2
+
+
+def test_intervals_and_signs_match_the_sturm_oracle():
+    rng = random.Random(31)
+    polys = []
+    while len(polys) < 100:
+        poly = [Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 8))] + [Fraction(rng.randint(1, 4))]
+        polys.append(poly)
+        assert isolate_real_roots(poly) == sturm_rebuild_oracle.isolate_real_roots(poly)
+    places = [place for m in ([-2, 0, 1], [-2, 0, 0, 1], [2, 0, -4, 0, 1],
+                              [1, 0, -10, 0, 1], [1, -3, 0, 1], C2_CUBED_OCTIC,
+                              NON_GALOIS_OCTIC)
+              for place in NumberField(m).real_places()]
+    signs = 0
+    for place in places:
+        field = place.field
+        for _ in range(15):
+            elem = field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                  for _ in range(field.degree)])
+            assert place.sign(elem) == sturm_rebuild_oracle.sign(place, elem)
+            signs += 1
+        lo, hi = place.lo, place.hi
+        for _ in range(5):
+            want = sturm_rebuild_oracle.refine_root_interval(
+                list(field.min_poly), lo, hi)
+            lo, hi = numfield.refine_root_interval(list(field.min_poly), lo, hi)
+            assert (lo, hi) == want
+    assert signs >= 100
+
+
+def test_one_sturm_chain_per_call(monkeypatch):
+    chains = []
+    build = numfield.sturm_chain
+    monkeypatch.setattr(numfield, 'sturm_chain',
+                        lambda p: chains.append(p) or build(p))
+    assert len(isolate_real_roots(C2_CUBED_OCTIC)) == 8
+    assert len(chains) == 1
+    place = NumberField(C2_CUBED_OCTIC).real_places()[0]
+    chains.clear()
+    # the first place sends the generator to -(sqrt2 + sqrt3 + sqrt5), about
+    # -5.3823, so telling the sign of gen + 5.38 takes refinement steps
+    elem = place.field.gen() + Fraction(538, 100)
+    assert place.sign(elem) == sturm_rebuild_oracle.sign(place, elem)
+    assert len(chains) == 2
 
 
 def test_level_gaussian_rationals():

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 import quat_unit_table_oracle as unit_table
+from skewfield import qalg
 from skewfield.linalg import difference_rows, kernel_basis, same_span
-from skewfield.numfield import (ORDER_CAP, FieldMorphism, NumberField,
-                                OrderCapExceeded, automorphism_group,
-                                cyclic_powers)
+from skewfield.numfield import (ORDER_CAP, FieldElement, FieldMorphism,
+                                NumberField, OrderCapExceeded,
+                                automorphism_group, cyclic_powers)
 from skewfield.qalg import (
     AlgebraAutomorphism, QuatElement, QuaternionAlgebra, ZeroNormError,
     anisotropy, extend_quaternion, inner_automorphism, inner_order,
@@ -48,6 +49,28 @@ def test_defining_relations():
     assert j * j == HAM_Q.scalar(-1)
     assert k * k == HAM_Q.scalar(-1)
     assert i * j == k
+
+
+def test_associativity_guard_rejects_a_flipped_structure_constant(monkeypatch):
+    units = [list(row) for row in qalg._UNITS]
+    negate, t = units[1][1]
+    units[1][1] = (1 - negate, t)  # i^2 = -a: (i i) j = -a j, i (i j) = a j
+    monkeypatch.setattr(qalg, '_UNITS', tuple(map(tuple, units)))
+    with pytest.raises(AssertionError, match="structure constants not associative"):
+        QuaternionAlgebra(Q, -1, -1)
+
+
+def test_associativity_check_makes_sixteen_field_products(monkeypatch):
+    a = CYCLIC_QUARTIC.element([3, -1, 2, 5])
+    b = CYCLIC_QUARTIC.element([Fraction(-2, 3), 4, 1, -7])
+    products = []
+    multiply = FieldElement.__mul__
+    monkeypatch.setattr(FieldElement, '__mul__',
+                        lambda x, y: products.append(y) or multiply(x, y))
+    alg = QuaternionAlgebra(CYCLIC_QUARTIC, a, b)
+    # one product forms ab; the table of products of (1, a, b, ab) has 16
+    assert len(products) == 1 + 16
+    assert alg.i() * alg.j() == alg.k() and alg.k() * alg.k() == -alg.scalar(a * b)
 
 
 def dense_product(alg, x, y):
