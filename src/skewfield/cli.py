@@ -45,8 +45,7 @@ from .ore import (HypothesisFailed, InsufficientPrecision, SkewFraction,
                   tensor_decomposition_check)
 from .qalg import (AlgebraAutomorphism, QuaternionAlgebra, ZeroNormError,
                    anisotropy, inner_automorphism, norm_form)
-from .regressions import (DL2_MATRIX, biquadratic, conjugation_twist,
-                          counterexample, cyclic_quartic, hamilton,
+from .regressions import (biquadratic, cyclic_quartic, hamilton,
                           hamilton_over, matching_tower, q8_scenario,
                           q_embedding, quartic_solution, sqrt2_field)
 
@@ -692,82 +691,6 @@ def regression_q8(ws):
         "with the same kernel", details)
 
 
-def regression_bruno(ws):
-    X = counterexample(hamilton_over(hamilton(), sqrt2_field(),
-                                     ws.flags['height_bound']))
-    report = product_conditions_report(X)
-    ok = (report.sigma_order == 2 and report.tau_order == 2
-          and report.sigma_tilde_order == 1 and report.tau_tilde_order == 2
-          and report.inner_order_sigma == 1
-          and not report.star_holds() and not report.eq_produit
-          and report.triv1_consistent() and report.triv2_consistent())
-    details = {
-        'sigma_order': str(report.sigma_order),
-        'tau_order': str(report.tau_order),
-        'sigma_central_restriction': 'identity'
-            if report.sigma_tilde_order == 1 else 'nontrivial',
-        'tau_central_restriction': 'identity'
-            if report.tau_tilde_order == 1 else 'nontrivial',
-        'inner_order_sigma': str(report.inner_order_sigma),
-        'star': 'fails' if not report.star_holds() else 'holds',
-        'direct_product': 'fails' if not report.eq_produit else 'holds',
-    }
-    return CheckResult('pass' if ok else 'fail',
-                       "equal twist orders with unequal central "
-                       "restrictions: the inner-twisted counterexample",
-                       details)
-
-
-def regression_dl2_matrix(ws):
-    H = hamilton()
-    details = {}
-    ok = True
-    for name, poly, want_verdict, want_order in DL2_MATRIX:
-        fld = NumberField(poly, label=name)
-        emb = q_embedding(H, fld)
-        verdict = anisotropy(norm_form(H, fld, emb), ws.flags['height_bound'])
-        details['%s_verdict' % name] = verdict.kind
-        ok = ok and verdict.kind == want_verdict
-        try:
-            ext = build_galois_extension(H, fld, emb,
-                                         ws.flags['height_bound'])
-            details['%s_group_order' % name] = str(len(ext.group))
-            details['%s_checks' % name] = 'artin+outer verified'
-            ok = ok and want_order == len(ext.group)
-        except NotAnisotropic:
-            details['%s_group_order' % name] = 'refused'
-            ok = ok and want_order is None
-    return CheckResult('pass' if ok else 'fail',
-                       "instance matrix: isotropy verdicts and extension "
-                       "constructions over five quadratic and quartic "
-                       "fields", details)
-
-
-def regression_center(ws):
-    twist = conjugation_twist(sqrt2_field())
-    H2 = twist.owner
-    report = center_bounded(H2, twist, 6)
-    t = t_poly(twist)
-    t2_central = is_central(t * t)
-    s2_central = is_central(constant_poly(twist, H2.scalar(H2.base.gen())))
-    it_central = is_central(constant_poly(twist, H2.i()) * t)
-    ok = (report.hypothesis_holds and report.closed_form_matches
-          and len(report.raw_basis) == 4
-          and t2_central and not s2_central and not it_central)
-    details = {
-        'dimension': str(len(report.raw_basis)),
-        'closed_form_span': 'match' if report.closed_form_matches
-            else 'mismatch',
-        't^2_central': 'yes' if t2_central else 'no',
-        'sqrt2_central': 'no' if not s2_central else 'yes',
-        'i*t_central': 'no' if not it_central else 'yes',
-    }
-    return CheckResult('pass' if ok else 'fail',
-                       "bounded center of the conjugation-twisted "
-                       "polynomial ring equals rational spans of even "
-                       "powers", details)
-
-
 def regression_roundtrip(ws):
     H = hamilton()
     ext = hamilton_over(H, sqrt2_field(), ws.flags['height_bound'])
@@ -932,34 +855,82 @@ CHECKS = {
     'hypothesis_report': check_hypothesis_report,
     'tensor_check': check_tensor,
     'q8_regression': regression_q8,
-    'bruno_regression': regression_bruno,
-    'dl2_matrix_regression': regression_dl2_matrix,
-    'center_regression': regression_center,
     'roundtrip_regression': regression_roundtrip,
     'fiber_regression': regression_fiber,
     'restriction_regression': regression_restriction,
     'special_cases_regression': regression_special_cases,
 }
 
-# builtin name -> the bundled regression it runs; builtin:all runs them all
+# builtin name -> scenario text: the declarations and checks of the shipped
+# file of that name, or for center_lemma the first four of ore_center.scn
+BUILTIN_SCENARIOS = {
+    'dl2_matrix': """
+        [fields]
+        q        0 1
+        gauss    1 0 1
+        sqrtm2   2 0 1
+        q2       -2 0 1
+        q3       -3 0 1
+        quartic  2 0 -4 0 1
+        [algebras]
+        H q a=-1 b=-1
+        [checks]
+        anisotropy algebra=H field=gauss expect=isotropic
+        anisotropy algebra=H field=sqrtm2 expect=isotropic
+        anisotropy algebra=H field=q2 expect=anisotropic
+        anisotropy algebra=H field=q3 expect=anisotropic
+        anisotropy algebra=H field=quartic expect=anisotropic
+        build_extension algebra=H field=gauss expect_error=not_anisotropic
+        build_extension algebra=H field=sqrtm2 expect_error=not_anisotropic
+        build_extension algebra=H field=q2 expect_order=2
+        build_extension algebra=H field=q3 expect_order=2
+        build_extension algebra=H field=quartic expect_order=4
+        """,
+    'bruno_counterexample': """
+        [fields]
+        q   0 1
+        q2  -2 0 1
+        [maps]
+        conj2  q2 q2 0 -1
+        [algebras]
+        H q a=-1 b=-1
+        [checks]
+        product_conditions algebra=H field=q2 sigma_inner=0;1;0;0 \
+            tau_inner=0;1;0;0 tau_center=conj2 expect_star=false expect_eq_produit=false
+        tensor_check algebra=H field=q2 sigma_inner=0;1;0;0 \
+            tau_inner=0;1;0;0 tau_center=conj2 expect=hypothesis_failed
+        converse_check algebra=H field=q2 sigma_inner=0;1;0;0 \
+            tau_inner=0;1;0;0 tau_center=conj2 expect=hypothesis_failed
+        """,
+    'center_lemma': """
+        [fields]
+        q2  -2 0 1
+        [maps]
+        conj2  q2 q2 0 -1
+        [algebras]
+        H2 q2 a=-1 b=-1
+        [twists]
+        sigma algebra=H2 center=conj2
+        [checks]
+        center_bounded twist=sigma degree_bound=6 expect_dim=4 expect_closed_form=true
+        is_central twist=sigma element=0|0|1 expect=true
+        is_central twist=sigma element=0,1 expect=false
+        is_central twist=sigma element=0|0;1 expect=false
+        """,
+}
+# builtin name -> the one regression it runs.  builtin:all lists them all
+# by bare name, no declaration or key: bench/workloads.py splits it by name.
 _BUILTIN_CHECKS = {
     'q8': 'q8_regression',
-    'bruno_counterexample': 'bruno_regression',
-    'dl2_matrix': 'dl2_matrix_regression',
-    'center_lemma': 'center_regression',
     'special_cases': 'special_cases_regression',
     'roundtrips': 'roundtrip_regression',
     'fiber': 'fiber_regression',
     'restrictions': 'restriction_regression',
 }
-BUILTIN_SCENARIOS = {name: "[checks]\n%s\n" % check
-                     for name, check in _BUILTIN_CHECKS.items()}
+BUILTIN_SCENARIOS.update((name, "[checks]\n%s\n" % check)
+                         for name, check in _BUILTIN_CHECKS.items())
 BUILTIN_SCENARIOS['all'] = "[checks]\n%s\n" % '\n'.join(
     _BUILTIN_CHECKS.values())
-
-
-def builtin_examples():
-    return dict(BUILTIN_SCENARIOS)
 
 
 # ---------------------------------------------------------------------------
@@ -1038,7 +1009,7 @@ def main(argv=None):
     runp.add_argument('scenario', nargs='?',
                       help="path to a scenario file, or builtin:NAME")
     runp.add_argument('--list-builtin', action='store_true',
-                      help="list the built-in regression scenarios")
+                      help="list the built-in scenarios")
     runp.add_argument('--height-bound', type=int, default=20, metavar='B')
     runp.add_argument('--degree-bound', type=int, default=4, metavar='D')
     runp.add_argument('--precision', type=int, default=30, metavar='P')

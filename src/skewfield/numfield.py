@@ -354,13 +354,13 @@ class NumberField(Immutable):
         return [self.element([0] * i + [1]) for i in range(self.degree)]
 
     def identity_morphism(self):
-        return FieldMorphism(self, self, self.gen())
+        return FieldMorphism._trusted(self, self, self.gen())
 
     def automorphisms(self):
         """All field automorphisms (over Q), via roots of min_poly in self."""
         if self._autos is None:
             roots = roots_in_field(self.min_poly, self)
-            autos = [FieldMorphism(self, self, r) for r in roots]
+            autos = [FieldMorphism._trusted(self, self, r) for r in roots]
             autos.sort(key=lambda m: (m.gen_image != self.gen(), m.gen_image.coords))
             object.__setattr__(self, '_autos', tuple(autos))
         return list(self._autos)
@@ -525,8 +525,8 @@ class FieldMorphism(Immutable):
     """Ring morphism between number fields, pinned by the generator image.
 
     Construction verifies the morphism certificate: the source minimal
-    polynomial vanishes at gen_image inside the target.  A composite of
-    verified morphisms is a morphism, so ``compose`` skips the certificate.
+    polynomial vanishes at gen_image.  ``_trusted`` skips it where it holds:
+    composites, the identity and the roots ``roots_in_field`` has verified.
     """
 
     __slots__ = ('source', 'target', 'gen_image', '_trivial', '_matrix',
@@ -540,6 +540,10 @@ class FieldMorphism(Immutable):
             raise ValueError("not a morphism: minimal polynomial does not vanish")
         self._fill(source, target, gen_image)
 
+    @classmethod
+    def _trusted(cls, source, target, gen_image):
+        return object.__new__(cls)._fill(source, target, gen_image)
+
     def _fill(self, source, target, gen_image):
         object.__setattr__(self, 'source', source)
         object.__setattr__(self, 'target', target)
@@ -548,6 +552,7 @@ class FieldMorphism(Immutable):
                            source == target and gen_image == source.gen())
         object.__setattr__(self, '_matrix', None)
         object.__setattr__(self, '_order', None)
+        return self
 
     def _columns(self):
         """Integer columns of image_basis() and their one denominator.
@@ -600,9 +605,7 @@ class FieldMorphism(Immutable):
         """self after other."""
         if other.target != self.source:
             raise ValueError("morphisms do not compose")
-        out = object.__new__(FieldMorphism)
-        out._fill(other.source, self.target, self(other.gen_image))
-        return out
+        return self._trusted(other.source, self.target, self(other.gen_image))
 
     def int_matrix(self):
         """(rows, den) of the map on power-basis coordinates, the shape of

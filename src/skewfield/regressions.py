@@ -2,9 +2,10 @@
 
 The rational Hamilton quaternions over Q(sqrt2), the real cyclic quartic
 and the biquadratic field, the twists and solutions built on them, and
-the quaternion-group scenario; the command-line builtins and the
-acceptance suite both build here.  Every builder returns fresh objects;
-a field to extend is passed in, so callers can share one.
+the quaternion-group scenario; the command-line regressions and the tests
+build here, ``DL2_MATRIX`` and ``counterexample`` for the tests only.  Every
+builder returns fresh objects; a field to extend is passed in, so callers
+can share one.
 """
 
 from fractions import Fraction

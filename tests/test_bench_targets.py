@@ -67,4 +67,15 @@ def test_a_traced_scenario_reads_check_keys_through_the_wrappers():
     assert cli.CHECKS == originals
     assert cli.exit_code(results) == 0
     assert tracer.calls['cli.parse'] == 1
-    assert tracer.calls['cli.check'] == len(scenario.checks) == 4
+    assert tracer.calls['cli.check'] == len(scenario.checks) == 3
+
+
+def test_builtin_all_stays_a_list_of_bare_checks():
+    # the scenarios workload splits builtin:all into one-check sources by
+    # check name, so it may declare nothing and give no check a key
+    scenario = cli.parse_scenario(cli.BUILTIN_SCENARIOS['all'])
+    assert not any(getattr(scenario, kind + 's') for kind in
+                   ('field', 'map', 'algebra', 'twist', 'problem'))
+    assert scenario.checks
+    for _, op, params in scenario.checks:
+        assert params == {} and cli.check_keys(cli.CHECKS[op]) == {}, op

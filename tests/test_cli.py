@@ -6,8 +6,8 @@ import re
 import pytest
 
 from skewfield import ore
-from skewfield.cli import (CHECKS, FLAG, REQUIRED, TWIST_KEYS,
-                           ScenarioParseError, builtin_examples, check_keys,
+from skewfield.cli import (BUILTIN_SCENARIOS, CHECKS, FLAG, REQUIRED,
+                           TWIST_KEYS, ScenarioParseError, check_keys,
                            exit_code, format_report, main, parse_scenario,
                            run_scenario)
 from skewfield.ore import SkewFraction, constant_poly, t_poly
@@ -350,12 +350,13 @@ def test_main_reports_the_height_an_unknown_level_searched(tmp_path, capsys):
     assert 'kind: unknown' in out and 'height_searched: 0' in out
 
 
-@pytest.mark.parametrize('name', sorted(set(builtin_examples()) - {'all'}))
+@pytest.mark.parametrize('name', sorted(set(BUILTIN_SCENARIOS) - {'all'}))
 def test_main_runs_each_builtin(capsys, name):
     code = main(['run', 'builtin:' + name, '--height-bound', '8'])
     out = capsys.readouterr().out
     assert code == 0
-    assert 'summary: total=1 pass=1' in out
+    total = len(parse_scenario(BUILTIN_SCENARIOS[name]).checks)
+    assert 'summary: total=%d pass=%d fail=0' % (total, total) in out
 
 
 def test_main_runs_builtin_bruno(capsys):
@@ -364,7 +365,7 @@ def test_main_runs_builtin_bruno(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert 'status: pass' in out
-    assert 'summary: total=1 pass=1' in out
+    assert 'summary: total=3 pass=3' in out
 
 
 def test_main_writes_report_file(tmp_path, capsys):
@@ -464,7 +465,7 @@ def test_readme_key_table_lists_the_keys_of_every_check():
 def test_shipped_scenario_parses():
     with open(os.path.join(SCN_DIR, 'bruno_counterexample.scn')) as handle:
         scenario = parse_scenario(handle.read())
-    assert len(scenario.checks) == 4
+    assert len(scenario.checks) == 3
 
 
 def _golden_sources():
@@ -472,7 +473,21 @@ def _golden_sources():
         if name.endswith('.scn'):
             with open(os.path.join(SCN_DIR, name)) as handle:
                 yield name, name[:-len('.scn')], handle.read()
-    yield 'builtin:all', 'builtin_all', builtin_examples()['all']
+    yield 'builtin:all', 'builtin_all', BUILTIN_SCENARIOS['all']
+
+
+def _report_lines(source, text):
+    """The report of a passing run of text, time_ms lines aside."""
+    results = run_scenario(parse_scenario(text), dict(FLAGS))
+    assert exit_code(results) == 0, source
+    report = format_report(source, FLAGS, results)
+    return [line for line in report.splitlines()
+            if not line.startswith('  time_ms')]
+
+
+def _golden_lines(golden):
+    with open(os.path.join(GOLDEN_DIR, golden + '.txt')) as handle:
+        return handle.read().splitlines()
 
 
 def test_shipped_scenarios_all_pass():
@@ -480,10 +495,22 @@ def test_shipped_scenarios_all_pass():
     sources = list(_golden_sources())
     assert len(sources) == 5
     for source, golden, text in sources:
-        results = run_scenario(parse_scenario(text), dict(FLAGS))
-        assert exit_code(results) == 0, source
-        report = format_report(source, FLAGS, results)
-        lines = [line for line in report.splitlines()
-                 if not line.startswith('  time_ms')]
-        with open(os.path.join(GOLDEN_DIR, golden + '.txt')) as handle:
-            assert lines == handle.read().splitlines(), source
+        assert _report_lines(source, text) == _golden_lines(golden), source
+
+
+@pytest.mark.parametrize('name, golden, total', [
+    ('dl2_matrix', 'dl2_matrix', 10),
+    ('bruno_counterexample', 'bruno_counterexample', 3),
+    ('center_lemma', 'ore_center', 4),
+])
+def test_builtin_scenarios_report_their_golden_checks(name, golden, total):
+    # a built-in copy of shipped check lines reports the first total check
+    # blocks of the golden text, the scenario: and time_ms lines aside
+    lines = _report_lines('builtin:' + name, BUILTIN_SCENARIOS[name])
+    want = _golden_lines(golden)
+    end = next((at for at, line in enumerate(want)
+                if line.startswith('check %d: ' % (total + 1))), -1)
+    assert lines[1] == 'scenario: builtin:' + name
+    assert lines[:1] + lines[2:-1] == want[:1] + want[2:end]
+    assert lines[-1] == ('summary: total=%d pass=%d fail=0 '
+                         'hypothesis-failed=0 unknown=0' % (total, total))

@@ -189,6 +189,30 @@ def test_automorphism_group_rejects_a_set_that_is_not_closed(monkeypatch):
         automorphism_group(zeta8)
 
 
+def test_automorphisms_evaluate_m_only_inside_roots_in_field(monkeypatch):
+    # roots_in_field evaluates m exactly at every root it returns, and gen is
+    # a root by definition: building the morphisms evaluates m again nowhere
+    calls = []
+    evaluate = numfield._eval_poly_at_element
+
+    def counted(coeffs, elem):
+        calls.append(elem)
+        return evaluate(coeffs, elem)
+    monkeypatch.setattr(numfield, '_eval_poly_at_element', counted)
+    quartic = [2, 0, -4, 0, 1]
+    roots = roots_in_field(quartic, NumberField(quartic))
+    searched = len(calls)
+    calls.clear()
+    field = NumberField(quartic)
+    autos = field.automorphisms()
+    assert len(calls) == searched > 0
+    assert [a.gen_image.coords for a in autos][1:] == sorted(
+        r.coords for r in roots if r.coords != field.gen().coords)
+    calls.clear()
+    assert field.identity_morphism().is_identity()
+    assert calls == []
+
+
 def test_relative_automorphism_group():
     # Gal(biquad / Q(sqrt2)) has order 2
     sqrt2_in = BIQUAD.element([0, Fraction(-9, 2), 0, Fraction(1, 2)])
