@@ -16,9 +16,12 @@ honest unknown after a bounded search.
 
 Automorphisms are stored by the images of i and j together with their
 action on the center, and applied through the nonzero entries of one cached
-integer matrix, at most deg h per row when i and j are fixed.  The inner
-order of an automorphism equals the order of that central action;
-conjugations are exactly the automorphisms whose central action is trivial.
+integer matrix.  When i and j are fixed, as by every element of a Galois
+group, that matrix is four diagonal blocks of the center action's matrix,
+at most deg h entries per row, and building or checking the automorphism
+multiplies no quaternions.  The inner order of an automorphism equals the
+order of that central action; conjugations are exactly the automorphisms
+whose central action is trivial.
 """
 
 from fractions import Fraction
@@ -547,13 +550,15 @@ class AlgebraAutomorphism(Immutable):
     """Automorphism of a quaternion algebra: images of i, j plus the center map.
 
     The defining relations are re-verified at construction; multiplicativity
-    on the whole algebra then follows from linear extension.  A composite
-    of verified automorphisms is an automorphism, so ``compose`` skips the
-    check.
+    on the whole algebra then follows from linear extension.  When i and j
+    are their own images the relations hold in the product table, which the
+    algebra verified, so only center_action(a) = a and center_action(b) = b
+    are checked.  A composite of verified automorphisms is an automorphism,
+    so ``compose`` skips the check.
     """
 
     __slots__ = ('owner', 'image_i', 'image_j', 'center_action', '_powers',
-                 '_matrix', '_entries', '_trivial', '_order')
+                 '_matrix', '_entries', '_fixes_ij', '_trivial', '_order')
 
     def __init__(self, owner, image_i, image_j, center_action):
         if image_i.alg != owner or image_j.alg != owner:
@@ -561,16 +566,17 @@ class AlgebraAutomorphism(Immutable):
         if (center_action.source != owner.base
                 or center_action.target != owner.base):
             raise ValueError("center action must be an endomorphism of the center")
+        fixed = self._fill(owner, image_i, image_j, center_action)._fixes_ij
         ca, cb = center_action(owner.a), center_action(owner.b)
-        if image_i * image_i != owner.scalar(ca):
+        if ca != owner.a if fixed else image_i * image_i != owner.scalar(ca):
             raise ValueError("image of i violates i^2 = a")
-        if image_j * image_j != owner.scalar(cb):
+        if cb != owner.b if fixed else image_j * image_j != owner.scalar(cb):
             raise ValueError("image of j violates j^2 = b")
-        if image_i * image_j != -(image_j * image_i):
+        if not fixed and image_i * image_j != -(image_j * image_i):
             raise ValueError("images violate anticommutation")
-        self._fill(owner, image_i, image_j, center_action)
 
     def _fill(self, owner, image_i, image_j, center_action):
+        fixes_ij = image_i == owner.i() and image_j == owner.j()
         object.__setattr__(self, 'owner', owner)
         object.__setattr__(self, 'image_i', image_i)
         object.__setattr__(self, 'image_j', image_j)
@@ -578,22 +584,32 @@ class AlgebraAutomorphism(Immutable):
         object.__setattr__(self, '_powers', {})
         object.__setattr__(self, '_matrix', None)
         object.__setattr__(self, '_entries', None)
+        object.__setattr__(self, '_fixes_ij', fixes_ij)
         object.__setattr__(self, '_trivial',
-                           image_i == owner.i() and image_j == owner.j()
-                           and center_action.is_identity())
+                           fixes_ij and center_action.is_identity())
         object.__setattr__(self, '_order', None)
+        return self
 
     def int_matrix(self):
         """(rows, den) of the map on q-vectors, built on first use: column
         u * deg + i is the image of gen^i e_u, center_action(gen^i) times
-        the image of e_u."""
+        the image of e_u.  When i and j are fixed, that is four diagonal
+        blocks of the center action's power-basis columns."""
         if self._matrix is None:
             owner = self.owner
-            object.__setattr__(self, '_matrix', q_matrix([
-                unit.scale(self.center_action(power))
-                for unit in (owner.one(), self.image_i, self.image_j,
-                             self.image_i * self.image_j)
-                for power in owner.base.basis()]))
+            if self._fixes_ij:
+                cols, den = self.center_action._columns()
+                pad = (0,) * owner.base.degree
+                matrix = (tuple(zip(*[pad * u + col + pad * (3 - u)
+                                      for u in range(4) for col in cols])),
+                          den)
+            else:
+                matrix = q_matrix([
+                    unit.scale(self.center_action(power))
+                    for unit in (owner.one(), self.image_i, self.image_j,
+                                 self.image_i * self.image_j)
+                    for power in owner.base.basis()])
+            object.__setattr__(self, '_matrix', matrix)
         return self._matrix
 
     def __call__(self, x):
@@ -637,10 +653,9 @@ class AlgebraAutomorphism(Immutable):
         """self after other."""
         if other.owner != self.owner:
             raise ValueError("automorphisms of different algebras")
-        out = object.__new__(AlgebraAutomorphism)
-        out._fill(self.owner, self(other.image_i), self(other.image_j),
-                  self.center_action.compose(other.center_action))
-        return out
+        return object.__new__(AlgebraAutomorphism)._fill(
+            self.owner, self(other.image_i), self(other.image_j),
+            self.center_action.compose(other.center_action))
 
     def order(self):
         if self._order is None:

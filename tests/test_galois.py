@@ -60,6 +60,25 @@ def test_build_quartic_extension():
     assert orders == [1, 2, 4, 4]
 
 
+def test_galois_group_elements_multiply_no_quaternions(monkeypatch):
+    # each element fixes i and j: its relations are checked in the center
+    # and its matrix is four blocks of the center action's columns (the
+    # earlier general route made 67 quaternion products here)
+    products = []
+    product = QuaternionAlgebra._product
+    monkeypatch.setattr(QuaternionAlgebra, '_product',
+                        lambda *args: products.append(1) or product(*args))
+    ext = ext_over(C4_FIELD)
+    L = ext.L
+    images = [g(x) for g in ext.group for x in L.q_basis()]
+    assert products == []
+    # gen^k e_u goes to center_action(gen^k) e_u
+    assert images == [L.element([g.center_action(power) if v == u else 0
+                                 for v in range(4)])
+                      for g in ext.group for u in range(4)
+                      for power in L.base.basis()]
+
+
 def test_build_refuses_isotropic_center():
     with pytest.raises(NotAnisotropic) as err:
         ext_over(Q_I)

@@ -459,6 +459,20 @@ def test_one_split_per_prime_when_f_is_m(monkeypatch):
     assert primes == [3, 5]
 
 
+def test_a_fully_split_first_prime_ends_the_scan_for_m(monkeypatch):
+    # x^4 - 4x^2 + 2 is Galois, so its first good prime, 17, shows all four
+    # roots and no later prime can show fewer; the scan used to split m at
+    # the second good prime, 31, as well
+    primes = []
+    part = zfactor.linear_part
+    monkeypatch.setattr(numfield, 'linear_part',
+                        lambda f, p: primes.append(p) or part(f, p))
+    quartic = [2, 0, -4, 0, 1]
+    roots = roots_in_field(quartic, NumberField(quartic))
+    assert len(roots) == 4
+    assert primes == [3, 5, 7, 11, 13, 17]
+
+
 # ---------------------------------------------------------------------------
 # fixed fields
 # ---------------------------------------------------------------------------

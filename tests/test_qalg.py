@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import center_action_matrix_oracle as product_oracle
 import quat_unit_table_oracle as unit_table
 from skewfield import qalg
+from skewfield.galois import build_galois_extension
 from skewfield.linalg import difference_rows, kernel_basis, same_span
 from skewfield.numfield import (ORDER_CAP, FieldElement, FieldMorphism,
                                 NumberField, OrderCapExceeded,
@@ -20,6 +22,7 @@ Q_SQRT3 = NumberField([-3, 0, 1], label='Q(sqrt3)')
 Q_I = NumberField([1, 0, 1], label='Q(i)')
 Q_SQRTM2 = NumberField([2, 0, 1], label='Q(sqrt-2)')
 CYCLIC_QUARTIC = NumberField([2, 0, -4, 0, 1], label='Q(sqrt(2+sqrt2))')
+BIQUAD = NumberField([1, 0, -10, 0, 1], label='Q(sqrt2,sqrt3)')
 EIGHTH_ROOT_OF_2 = NumberField([-2, 0, 0, 0, 0, 0, 0, 0, 1])
 
 HAM_Q = QuaternionAlgebra(Q, -1, -1, label='(-1,-1/Q)')
@@ -402,6 +405,79 @@ def test_cached_twist_matrix_agrees_with_the_unit_formula():
             for _ in range(15):
                 x = rnd_sparse_elem(rng, alg)
                 assert auto(x) == twist_by_formula(auto, x)
+
+
+def test_relation_guards_refuse_each_broken_relation():
+    # i and j fixed: the center action must fix a and b
+    sqrt2 = Q_SQRT2.gen()
+    conj = next(g for g in Q_SQRT2.automorphisms() if not g.is_identity())
+    moved_a = QuaternionAlgebra(Q_SQRT2, sqrt2, -1)
+    with pytest.raises(ValueError, match=r"image of i violates i\^2 = a"):
+        AlgebraAutomorphism(moved_a, moved_a.i(), moved_a.j(), conj)
+    moved_b = QuaternionAlgebra(Q_SQRT2, -1, sqrt2)
+    with pytest.raises(ValueError, match=r"image of j violates j\^2 = b"):
+        AlgebraAutomorphism(moved_b, moved_b.i(), moved_b.j(), conj)
+    # general images keep the quaternion product checks
+    identity = Q.identity_morphism()
+    alg = QuaternionAlgebra(Q, -1, -2)
+    with pytest.raises(ValueError, match=r"image of i violates i\^2 = a"):
+        AlgebraAutomorphism(alg, alg.j(), alg.i(), identity)
+    with pytest.raises(ValueError, match=r"image of j violates j\^2 = b"):
+        AlgebraAutomorphism(alg, alg.i(), alg.j() * 2, identity)
+    with pytest.raises(ValueError, match="images violate anticommutation"):
+        AlgebraAutomorphism(HAM_Q, HAM_Q.i(), HAM_Q.i(), identity)
+
+
+def _oracle_automorphisms():
+    """Galois group elements of (-1,-1/Q) over three fields, and on seeded
+    algebras with non-unit a and b the center actions fixing them, with
+    inner twists, composites and the refused center actions."""
+    rng = random.Random(24)
+    for field in (Q_SQRT2, CYCLIC_QUARTIC, BIQUAD):
+        group = build_galois_extension(HAM_Q, field, embed_q(field)).group
+        inner = inner_automorphism(group[0].owner.element([1, 1, 0, 1]))
+        yield from group
+        yield from (inner, group[-1].compose(inner), inner.compose(group[1]),
+                    group[1].compose(group[-1]))
+        for s in field.automorphisms():
+            # orbit sums over the powers of s, which s fixes
+            powers = cyclic_powers(s)
+            a, b = [sum((g(x) for g in powers), field.zero())
+                    for x in (rnd_field_elem(rng, field),
+                              rnd_field_elem(rng, field))]
+            if a.is_zero() or b.is_zero():
+                continue
+            alg = QuaternionAlgebra(field, a, b)
+            inner = inner_automorphism(rnd_sparse_elem(rng, alg) + 1)
+            for t in field.automorphisms():
+                message = product_oracle.relation_failure(alg, alg.i(),
+                                                          alg.j(), t)
+                if message is not None:
+                    with pytest.raises(ValueError) as refused:
+                        AlgebraAutomorphism(alg, alg.i(), alg.j(), t)
+                    assert str(refused.value) == message
+                    continue
+                outer = AlgebraAutomorphism(alg, alg.i(), alg.j(), t)
+                yield from (outer, outer.compose(inner), inner.compose(outer))
+
+
+def test_automorphisms_match_the_product_oracle():
+    rng = random.Random(25)
+    autos = list(_oracle_automorphisms())
+    assert sum(a._fixes_ij and not a.center_action.is_identity()
+               for a in autos) >= 20
+    assert sum(not a._fixes_ij for a in autos) >= 20
+    for auto in autos:
+        assert auto.int_matrix() == product_oracle.int_matrix(auto), auto
+        for _ in range(3):
+            x = rnd_sparse_elem(rng, auto.owner)
+            assert auto(x) == product_oracle.apply(auto, x), auto
+        inverse = auto.inverse()
+        assert (inverse.image_i, inverse.image_j) == \
+            product_oracle.inverse_images(auto)
+        assert inverse.center_action == auto.center_action.inverse()
+        assert product_oracle.relation_failure(
+            auto.owner, auto.image_i, auto.image_j, auto.center_action) is None
 
 
 def test_extend_quaternion_is_the_coordinatewise_embedding():
