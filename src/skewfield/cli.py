@@ -16,9 +16,10 @@ hypothesis or ends in an error (an internal certificate that did not hold,
 reported with its reason), 2 on usage or parse errors (a height bound or
 precision flag below 1 and a degree bound below 0 among them), on a
 declaration that cannot be built, and on a check parameter that is
-malformed, out of range or names nothing declared (reported with the
-check's line).  A guard that
-rejects a well-formed input is a failed check with its reason.
+malformed, out of range, names nothing declared or does not fit (an emb=
+map off the algebra's center, ill-fitting twists), with the check's line.
+A guard that rejects a well-formed input is a failed check with its reason;
+_run_one alone reads what a check raised.
 """
 
 import argparse
@@ -26,13 +27,14 @@ import sys
 import time
 from fractions import Fraction
 
-from .fep import (EmbeddingProblem, GalData, cyclic_group, direct_product,
-                  dihedral_group, fiber_reduction, geometric_problem,
-                  hypothesis_report, is_split, problems_agree,
-                  quaternion_group, sol_down, sol_up, solutions_agree,
-                  transport_down, transport_up, verify_solution)
+from .fep import (EmbeddingProblem, GalData, NotWeakSolution, cyclic_group,
+                  direct_product, dihedral_group, fiber_reduction,
+                  geometric_problem, hypothesis_report, is_split,
+                  problems_agree, quaternion_group, sol_down, sol_up,
+                  solutions_agree, transport_down, transport_up,
+                  verify_solution)
 from .galois import (NoDirectDecomposition, NotAnisotropic, NotGalois,
-                     ProductConditionFailed, TwistedExtension,
+                     ProductConditionFailed, TwistedExtension, WitnessInvalid,
                      build_comm_extension, build_galois_extension,
                      build_special_case_3, build_twisted_extension,
                      converse_check, eq_produit, restriction_between)
@@ -284,17 +286,14 @@ class Workspace:
                 auto = inner_automorphism(
                     _quaternion(alg, params[key])).compose(auto)
         except (ValueError, ZeroNormError) as exc:
-            raise UnresolvedReference("%s=%s: %s" % (key, params[key], exc))
+            raise UnresolvedReference("parameter %s=%s: %s"
+                                      % (key, params[key], exc))
         return auto
 
     def twisted(self, ext, params):
         """ext with the twists sigma_*= on its base and tau_*= above."""
-        sigma = self.twist(ext.H, params, 'sigma_')
-        tau = self.twist(ext.L, params, 'tau_')
-        try:
-            return TwistedExtension(ext, sigma, tau)
-        except ValueError as exc:
-            raise UnresolvedReference(str(exc))
+        return TwistedExtension(ext, self.twist(ext.H, params, 'sigma_'),
+                                self.twist(ext.L, params, 'tau_'))
 
     def _build_map(self, name, decl):
         source, target, coords = decl
@@ -793,39 +792,23 @@ def regression_restriction(ws):
     quartic_emb = cyclic_quartic(q2)
     biquad_emb = biquadratic(q2)
     biquad = biquad_emb.target
-    ok = True
-    details = {}
-    # commutative towers
-    big_c = build_comm_extension(biquad, q_embedding(H, biquad))
+    # commutative towers; a restriction that does not verify raises
     small_c = build_comm_extension(q2, q_embedding(H, q2))
-    try:
-        restriction_between(big_c, small_c, biquad_emb)
-        details['commutative_tower'] = 'pointwise verified'
-    except Exception as exc:
-        details['commutative_tower'] = 'failed: %s' % exc
-        ok = False
+    restriction_between(build_comm_extension(biquad, q_embedding(H, biquad)),
+                        small_c, biquad_emb)
+    details = {'commutative_tower': 'pointwise verified'}
     # restriction onto the center
     ext = hamilton_over(H, q2, ws.flags['height_bound'])
-    try:
-        hom = restriction_between(ext, small_c, q2.identity_morphism())
-        agree = all(hom(g) == g.center_action for g in ext.group)
-        details['center_restriction'] = 'equals the central action' \
-            if agree else 'mismatch'
-        ok = ok and agree
-    except Exception as exc:
-        details['center_restriction'] = 'failed: %s' % exc
-        ok = False
+    hom = restriction_between(ext, small_c, q2.identity_morphism())
+    agree = all(hom(g) == g.center_action for g in ext.group)
+    details['center_restriction'] = 'equals the central action' \
+        if agree else 'mismatch'
     # nested division-ring tower
     big = hamilton_over(H, quartic_emb.target, ws.flags['height_bound'])
-    try:
-        hom = restriction_between(big, ext, quartic_emb)
-        onto = len({hom(g) for g in big.group}) == len(ext.group)
-        details['tower_restriction'] = 'pointwise verified, onto' \
-            if onto else 'not onto'
-        ok = ok and onto
-    except Exception as exc:
-        details['tower_restriction'] = 'failed: %s' % exc
-        ok = False
+    hom = restriction_between(big, ext, quartic_emb)
+    onto = len({hom(g) for g in big.group}) == len(ext.group)
+    details['tower_restriction'] = 'pointwise verified, onto' \
+        if onto else 'not onto'
     # geometric link identity on the trivial twist
     problem = EmbeddingProblem(cyclic_group(2), ext, [0, 1])
     X = TwistedExtension(ext, H.identity_automorphism(),
@@ -833,7 +816,7 @@ def regression_restriction(ws):
     geo = geometric_problem(problem, X, ws.flags['degree_bound'])
     details['function_field_link'] = 'table identity holds' \
         if geo.link_identity else 'broken'
-    ok = ok and geo.link_identity
+    ok = agree and onto and geo.link_identity
     return CheckResult('pass' if ok else 'fail',
                        "restriction maps through auxiliary towers verify "
                        "pointwise; the function-field problem matches its "
@@ -937,7 +920,14 @@ BUILTIN_SCENARIOS['all'] = "[checks]\n%s\n" % '\n'.join(
 # execution and report
 # ---------------------------------------------------------------------------
 
+# guards reject a well-formed input; three are ValueErrors, so tried first
+GUARDS = (NotAnisotropic, NotGalois, ProductConditionFailed, WitnessInvalid,
+          NoDirectDecomposition, InsufficientPrecision, OrderCapExceeded,
+          NotWeakSolution)
+
+
 def _run_one(ws, lineno, op, params):
+    """The outcome of a check line, read from what the check raised."""
     start = time.monotonic()
     check = CHECKS[op]
     try:
@@ -945,19 +935,18 @@ def _run_one(ws, lineno, op, params):
                 check_keys(check).items() if default is FLAG}
         args.update((key, ws.read(params, key)) for key in params)
         result = check(ws, **args)
-    except UnresolvedReference as exc:
-        raise UnresolvedReference("line %d: %s" % (lineno, exc))
     except HypothesisFailed as exc:
         result = CheckResult('hypothesis-failed', "operation hypothesis",
                              {'reason': str(exc)})
-    except (NotAnisotropic, NotGalois, ProductConditionFailed,
-            NoDirectDecomposition, InsufficientPrecision,
-            OrderCapExceeded) as exc:
+    except GUARDS as exc:
         result = CheckResult('fail', "operation guard rejected the input",
                              {'reason': str(exc)})
     except AssertionError as exc:
         result = CheckResult('error', "an internal certificate failed",
                              {'reason': str(exc)})
+    except (UnresolvedReference, ValueError, ZeroNormError) as exc:
+        # in the library a ValueError is an argument that does not fit
+        raise UnresolvedReference("line %d: %s" % (lineno, exc))
     elapsed = int((time.monotonic() - start) * 1000)
     return op, result, elapsed
 

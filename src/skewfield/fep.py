@@ -22,10 +22,10 @@ solutions and their restrictions on the full tables.
 
 from itertools import combinations
 
-from .galois import (CommExtension, _center_action, _generating_subset,
-                     build_comm_extension, build_galois_extension,
-                     build_twisted_extension, eq_produit, fixed_center_tower,
-                     restriction_between)
+from .galois import (CommExtension, WitnessInvalid, _center_action,
+                     _generating_subset, build_comm_extension,
+                     build_galois_extension, build_twisted_extension,
+                     eq_produit, fixed_center_tower, restriction_between)
 from .numfield import (FieldMorphism, Immutable, automorphism_group,
                        fixed_field, restrict_morphism, subfield_preimage)
 
@@ -437,7 +437,7 @@ def verify_solution(problem, sol):
     try:
         res = restriction_between(sol.ext_big, problem.ext,
                                   sol.center_emb).images
-    except Exception as exc:  # restriction not even well-defined
+    except (WitnessInvalid, ValueError) as exc:  # refused by the restriction
         return SolutionReport(injective_ok, kind_ok, False,
                               "restriction failed: %s" % exc, None)
     bad = [t for t in range(sol.gal_big.group.order)

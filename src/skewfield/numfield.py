@@ -37,9 +37,6 @@ from .zfactor import (MAX_DEGREE, PRIME_CAP, is_irreducible_over_q,
 
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
-# most primes roots_in_field compares; a third seldom pays, and a second
-# none after f = m splits completely at the first
-ROOT_PRIMES = 2
 LEVEL_ELEMENTS = 100_000  # elements field_level enumerates at one height
 ANISOTROPY_PAIRS = 2_000_000  # coordinate pairs anisotropy matches per height
 ORDER_CAP = 96  # largest order cyclic_powers follows
@@ -704,14 +701,12 @@ class RealPlace(Immutable):
 def roots_in_field(coeffs, field):
     """All roots in ``field`` of a nonzero rational polynomial f, sorted.
 
-    Of the first ROOT_PRIMES primes where m has a root and f and m stay
-    squarefree of their degree, the search takes the one where f has the
-    fewest roots; it stops early where f has none or, when f = m, only
-    alpha or all deg m roots (over a Galois K every good prime shows deg m,
-    so a second prime cannot show fewer).  The list is complete by the
-    count certificate (every root of f mod p gave a verified root), by the
-    count at a later prime, or by the bound certificate of
-    ``_roots_at_prime`` (there a failing candidate proves no root above).
+    The search works at the first odd prime where m has a root and f and m
+    stay squarefree of their degree, and hands the rest of that scan on.
+    The list is complete by the count certificate (every root of f mod p
+    gave a verified root), by the count at a later prime, or by the bound
+    certificate of ``_roots_at_prime`` (there a failing candidate proves no
+    root above).
     """
     cs = poly_trim([Fraction(c) for c in coeffs])
     if poly_deg(cs) < 1:
@@ -720,13 +715,8 @@ def roots_in_field(coeffs, field):
     den = lcm(*[c.denominator for c in cs]) * (1 if cs[-1] > 0 else -1)
     f = [c.numerator * (den // c.denominator) for c in cs]
     m = [int(c) for c in field.min_poly]
-    good, scan = [], _good_primes(f, m)
-    least = (2, len(m)) if f == m else (1,)
-    for entry in scan:
-        good.append(entry)
-        if len(good) == ROOT_PRIMES or entry[0] in least:
-            break
-    _, p, parts = min(good)
+    scan = _good_primes(f, m)
+    _, p, parts = next(scan)
     return _roots_at_prime(f, field, p, parts, scan)[0]
 
 

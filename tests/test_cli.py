@@ -1,21 +1,25 @@
+import ast
 import inspect
 import os
 import random
 import re
+from pathlib import Path
 
 import pytest
 
-from skewfield import ore
+from skewfield import cli, ore
 from skewfield.cli import (BUILTIN_SCENARIOS, CHECKS, FLAG, REQUIRED,
                            TWIST_KEYS, ScenarioParseError, check_keys,
                            exit_code, format_report, main, parse_scenario,
                            run_scenario)
+from skewfield.galois import WitnessInvalid
 from skewfield.ore import SkewFraction, constant_poly, t_poly
 
 FLAGS = {'height_bound': 8, 'degree_bound': 4, 'precision': 20}
 
 SCN_DIR = os.path.join(os.path.dirname(__file__), '..', 'scenarios')
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), 'golden')
+SRC = Path(__file__).resolve().parent.parent / 'src' / 'skewfield'
 
 
 def run_text(text, flags=None):
@@ -147,19 +151,40 @@ def test_main_rejects_bad_algebra(tmp_path, capsys):
 
 DECLARED = ("[fields]\nq 0 1\nq2 -2 0 1\n[maps]\nconj2 q2 q2 0 -1\n"
             "[algebras]\nH q a=-1 b=-1\n")   # seven lines
+AT_LINE_11 = DECLARED + "[twists]\ns algebra=H\n[checks]\n"
+
+# check lines whose arguments the library refuses with a ValueError, and the
+# reason printed after their line: conj2 does not start at the rational
+# center of H, and sigma_inner= alone leaves tau the identity
+LIBRARY_ARGUMENT_ERRORS = [
+    ("anisotropy algebra=H field=q2 emb=conj2",
+     "embedding must map the center into the target"),
+    ("build_extension algebra=H field=q2 emb=conj2",
+     "embedding must map the center of H into ell"),
+    ("product_conditions algebra=H field=q2 emb=conj2",
+     "embedding must map the center of H into ell"),
+    ("converse_check algebra=H field=q2 emb=conj2",
+     "embedding must map the center of H into ell"),
+    ("special_case_3 algebra=H field=q2 emb=conj2",
+     "embedding must map the center of K into ell"),
+    ("tensor_check algebra=H field=q2 emb=conj2",
+     "element not in the source field"),
+    ("tensor_check algebra=H field=q2 sigma_inner=0;1;0;0",
+     "tau does not extend sigma"),
+]
 
 
 @pytest.mark.parametrize('text, error', [
     (DECLARED + "[twists]\ns algebra=H inner=0;0;0;0\n"
                 "[checks]\nfield_level field=q\n",
-     "error: twist s: inner=0;0;0;0: conjugation by zero"),
+     "error: twist s: parameter inner=0;0;0;0: conjugation by zero"),
     (DECLARED + "[checks]\n"
                 "tensor_check algebra=H field=q2 sigma_inner=0;0;0;0\n",
-     "error: line 9: sigma_inner=0;0;0;0: conjugation by zero"),
+     "error: line 9: parameter sigma_inner=0;0;0;0: conjugation by zero"),
     (DECLARED + "[checks]\n"
                 "tensor_check algebra=H field=q2 sigma_center=conj2\n",
-     "error: line 9: sigma_center=conj2: center action must be an "
-     "endomorphism of the center"),
+     "error: line 9: parameter sigma_center=conj2: center action must be "
+     "an endomorphism of the center"),
     (DECLARED + "[problems]\np group=z4 algebra=H field=q2 alpha=c\n"
                 "[checks]\nis_split problem=p\n",
      "error: problem p: alpha piece 'c' is not generator:map"),
@@ -187,16 +212,23 @@ DECLARED = ("[fields]\nq 0 1\nq2 -2 0 1\n[maps]\nconj2 q2 q2 0 -1\n"
      "field_level field=q hieght_bound=1 expect=infinite\n",
      "error: line 4: unknown key hieght_bound= (takes field=, height_bound=, "
      "expect=)"),
-], ids=['twist_inner_zero', 'check_inner_zero', 'check_center_not_auto',
-        'alpha_without_map', 'missing_field', 'height_not_int',
-        'problem_isotropic', 'bad_quaternion', 'tau_not_extending_sigma',
-        'twist_unknown_key', 'repeated_key', 'check_unknown_key'])
+] + [(AT_LINE_11 + check + "\n", "error: line 11: " + reason)
+      for check, reason in LIBRARY_ARGUMENT_ERRORS],
+    ids=['twist_inner_zero', 'check_inner_zero', 'check_center_not_auto',
+         'alpha_without_map', 'missing_field', 'height_not_int',
+         'problem_isotropic', 'bad_quaternion', 'tau_not_extending_sigma',
+         'twist_unknown_key', 'repeated_key', 'check_unknown_key',
+         'anisotropy_emb_off_center', 'build_extension_emb_off_center',
+         'product_conditions_emb_off_center', 'converse_emb_off_center',
+         'special_case_3_emb_off_center', 'tensor_emb_off_center',
+         'tensor_tau_not_extending_sigma'])
 def test_main_rejects_bad_declaration_or_parameter(tmp_path, capsys, text,
                                                    error):
     path = tmp_path / 'bad.scn'
     path.write_text(text)
     assert main(['run', str(path)]) == 2
-    assert error in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert error in err and 'Traceback' not in err
 
 
 BIQUAD_H = "[fields]\nq 0 1\nbiquad 1 0 -10 0 1\n[algebras]\nH q a=-1 b=-1\n"
@@ -329,6 +361,46 @@ def test_main_reports_a_failed_internal_certificate_as_error(
     assert captured.out.endswith('\nsummary: total=2 pass=1 fail=0 '
                                  'hypothesis-failed=0 unknown=0 error=1\n')
     assert 'Traceback' not in captured.err
+
+
+@pytest.mark.parametrize('raised, status, line', [
+    (AssertionError("restriction left the group"), 'error',
+     'reason: restriction left the group'),
+    (WitnessInvalid('pointwise', "restriction disagrees on an element"),
+     'fail', 'reason: witness condition pointwise failed: restriction '
+             'disagrees on an element'),
+], ids=['assertion', 'witness_invalid'])
+def test_restriction_regression_reports_what_the_restriction_raised(
+        capsys, monkeypatch, raised, status, line):
+    def restriction_between(big, small, center_emb):
+        raise raised
+    monkeypatch.setattr(cli, 'restriction_between', restriction_between)
+    assert main(['run', 'builtin:restrictions']) == 1
+    captured = capsys.readouterr()
+    assert ('check 1: restriction_regression\n  status: %s\n' % status
+            in captured.out)
+    assert '\n  %s\n' % line in captured.out
+    assert 'Traceback' not in captured.err
+
+
+def _broad_handlers(tree):
+    """Line numbers of the bare, Exception and BaseException handlers."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) \
+                else [node.type]
+            if any(c is None or ast.unparse(c) in ('Exception',
+                                                   'BaseException')
+                   for c in caught):
+                yield node.lineno
+
+
+def test_library_catches_no_exception_wholesale():
+    # a check's outcome is read from what it raised in cli._run_one alone
+    broad = ['%s:%d' % (path.name, lineno)
+             for path in sorted(SRC.glob('*.py'))
+             for lineno in _broad_handlers(ast.parse(path.read_text()))]
+    assert broad == []
 
 
 def test_main_declares_a_field_with_a_30_digit_coefficient(tmp_path, capsys):

@@ -189,6 +189,18 @@ def test_report_keeps_the_restriction_it_read():
     assert report.restriction is None
 
 
+def test_verify_solution_lets_a_failed_assertion_through(monkeypatch):
+    # only the restriction's refusals become a failed report
+    problem = sqrt2_problem(cyclic_group(4), [0, 1, 0, 1])
+    weak = quartic_solution(problem)
+
+    def restriction_between(big, small, center_emb):
+        raise AssertionError("restriction left the group")
+    monkeypatch.setattr(fep, 'restriction_between', restriction_between)
+    with pytest.raises(AssertionError, match='restriction left the group'):
+        verify_solution(problem, weak)
+
+
 # ---------------------------------------------------------------------------
 # transports and round trips
 # ---------------------------------------------------------------------------
