@@ -715,10 +715,11 @@ def regression_roundtrip(ws):
     ok = ok and verify_solution(problem, sol).passed()
     lifted = sol_up(sol_down(sol), H, ws.flags['height_bound'])
     agree = solutions_agree(sol, lifted)
-    ok = ok and agree and verify_solution(problem, lifted).passed() \
-        and lifted.kind == 'full'
+    lifted_ok = (verify_solution(problem, lifted).passed()
+                 and lifted.kind == 'full')
+    ok = ok and agree and lifted_ok
     details['solution_roundtrip'] = 'exact' if agree else 'broken'
-    details['lifted_solution'] = 'verified full'
+    details['lifted_solution'] = 'verified full' if lifted_ok else 'failed'
     return CheckResult('pass' if ok else 'fail',
                        "problems and solutions transport to the center and "
                        "back without change; lifted solutions re-verify",

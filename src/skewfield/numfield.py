@@ -17,9 +17,10 @@ request, for reports and linear algebra.
 Subfields are explicit embeddings, towers are flattened through primitive
 elements, and automorphism groups are found by enumerating the roots of the
 defining polynomial inside the field itself.  Real embeddings are certified
-with Sturm sequences over exact rationals; each call builds the chain of
-a polynomial once, and root isolation bisects and a real place refines
-its interval on that chain.  No floating point is used anywhere.
+with Sturm sequences over exact rationals, built with ``poly``; each call
+builds the chain of a polynomial once, and root isolation bisects and a
+real place refines its interval on that chain.  No floating point is used
+anywhere.
 
 The degree is capped at 8: every check stays cheap and fully exact at that
 scale, and the constructions this package verifies never need more.
@@ -30,6 +31,7 @@ from itertools import count, product as _iproduct, takewhile
 from math import gcd, lcm
 from operator import mul
 
+from . import poly
 from .linalg import (coordinates_in_span, difference_rows, eliminate,
                      identity, invert, kernel_basis, same_span)
 from .zfactor import (MAX_DEGREE, PRIME_CAP, is_irreducible_over_q,
@@ -43,86 +45,14 @@ ORDER_CAP = 96  # largest order cyclic_powers follows
 
 
 # ---------------------------------------------------------------------------
-# dense rational polynomials, coefficient lists lowest degree first
-# ---------------------------------------------------------------------------
-
-def poly_trim(cs):
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def poly_deg(cs):
-    return len(cs) - 1
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [_Q0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return poly_trim(out)
-
-
-def poly_scale(a, c):
-    return poly_trim([c * x for x in a])
-
-
-def poly_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [_Q0] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(a) >= len(b) and a:
-        s = a[-1] / lead
-        k = len(a) - len(b)
-        q[k] = s
-        for i in range(len(b)):
-            a[k + i] -= s * b[i]
-        a = poly_trim(a)
-        if len(a) >= len(b) and a and a[-1] == 0:
-            a = poly_trim(a)
-    return poly_trim(q), poly_trim(a)
-
-
-def poly_gcd(a, b):
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if a:
-        a = poly_scale(a, 1 / a[-1])
-    return a
-
-
-def poly_deriv(a):
-    return poly_trim([Fraction(i) * a[i] for i in range(1, len(a))])
-
-
-def poly_eval(a, x):
-    acc = _Q0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-# ---------------------------------------------------------------------------
 # Sturm sequences and real root isolation
 # ---------------------------------------------------------------------------
 
 def sturm_chain(p):
-    p = poly_trim(p)
-    chain = [p, poly_deriv(p)]
+    p = poly.reduce(p)
+    chain = [p, poly.deriv(p)]
     while chain[-1]:
-        r = poly_divmod(chain[-2], chain[-1])[1]
-        if not r:
-            break
-        chain.append(poly_scale(r, Fraction(-1)))
+        chain.append([-c for c in poly.quo_rem(chain[-2], chain[-1])[1]])
     return [c for c in chain if c]
 
 
@@ -143,7 +73,7 @@ def _variations_at_inf(chain, positive):
 
 
 def cauchy_bound(p):
-    p = poly_trim(p)
+    p = poly.reduce(p)
     lead = abs(p[-1])
     m = max((abs(c) for c in p[:-1]), default=_Q0)
     return _Q1 + m / lead
@@ -155,16 +85,16 @@ def count_real_roots(p, lo=None, hi=None, chain=None):
     chain = chain or sturm_chain(p)
     if not chain:
         raise ValueError("zero polynomial")
-    va = _variations([poly_eval(c, lo) for c in chain]) if lo is not None \
+    va = _variations([poly.evaluate(c, lo) for c in chain]) if lo is not None \
         else _variations_at_inf(chain, positive=False)
-    vb = _variations([poly_eval(c, hi) for c in chain]) if hi is not None \
+    vb = _variations([poly.evaluate(c, hi) for c in chain]) if hi is not None \
         else _variations_at_inf(chain, positive=True)
     return va - vb
 
 
 def isolate_real_roots(p):
     """Disjoint rational intervals (lo, hi], one distinct real root each."""
-    p = poly_trim(p)
+    p = poly.reduce(p)
     chain = sturm_chain(p)
     total = count_real_roots(p, chain=chain)
     if total == 0:
@@ -180,7 +110,7 @@ def isolate_real_roots(p):
             out.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        while poly_eval(p, mid) == 0:
+        while poly.evaluate(p, mid) == 0:
             # nudge the cut off a root; p has finitely many
             mid = (lo + mid) / 2
         left = count_real_roots(p, lo, mid, chain)
@@ -193,7 +123,7 @@ def isolate_real_roots(p):
 def refine_root_interval(p, lo, hi, chain=None):
     """Halve an isolating interval of p, keeping exactly one root inside."""
     mid = (lo + hi) / 2
-    if poly_eval(p, mid) == 0:
+    if poly.evaluate(p, mid) == 0:
         mid = (lo + mid) / 2
     if count_real_roots(p, lo, mid, chain) == 1:
         return lo, mid
@@ -290,8 +220,7 @@ class NumberField(Immutable):
                  '_red_rows', '_zero', '_one', '_hash')
 
     def __init__(self, min_poly, label=None):
-        coeffs = [Fraction(c) for c in min_poly]
-        coeffs = poly_trim(coeffs)
+        coeffs = poly.reduce([Fraction(c) for c in min_poly])
         if len(coeffs) < 2:
             raise ValueError("minimal polynomial must have degree >= 1")
         if coeffs[-1] != 1:
@@ -534,7 +463,7 @@ class FieldMorphism(Immutable):
     def __init__(self, source, target, gen_image):
         if gen_image.field != target:
             raise ValueError("generator image lies in the wrong field")
-        val = _eval_poly_at_element(source.min_poly, gen_image)
+        val = poly.evaluate(source.min_poly, gen_image)
         if not val.is_zero():
             raise ValueError("not a morphism: minimal polynomial does not vanish")
         self._fill(source, target, gen_image)
@@ -655,13 +584,6 @@ def cyclic_powers(g):
     return powers[-1:] + powers[:-1]
 
 
-def _eval_poly_at_element(coeffs, elem):
-    acc = elem.field.zero()
-    for c in reversed(coeffs):
-        acc = acc * elem + elem.field.scalar(c)
-    return acc
-
-
 class RealPlace(Immutable):
     """A real embedding, certified by an isolating interval of min_poly."""
 
@@ -682,14 +604,14 @@ class RealPlace(Immutable):
             raise ValueError("element of a different field")
         if elem.is_zero():
             return 0
-        g = poly_trim(list(elem.coords))
+        g = poly.reduce(elem.coords)
         p = list(self.field.min_poly)
         lo, hi = self.lo, self.hi
         g_chain, p_chain = sturm_chain(g), None
         while True:
             if (count_real_roots(g, lo, hi, g_chain) == 0
-                    and poly_eval(g, lo) != 0 and poly_eval(g, hi) != 0):
-                return 1 if poly_eval(g, lo) > 0 else -1
+                    and poly.evaluate(g, lo) != 0 and poly.evaluate(g, hi) != 0):
+                return 1 if poly.evaluate(g, lo) > 0 else -1
             p_chain = p_chain or sturm_chain(p)
             lo, hi = refine_root_interval(p, lo, hi, p_chain)
 
@@ -708,10 +630,10 @@ def roots_in_field(coeffs, field):
     certificate of ``_roots_at_prime`` (there a failing candidate proves no
     root above).
     """
-    cs = poly_trim([Fraction(c) for c in coeffs])
-    if poly_deg(cs) < 1:
+    cs = poly.reduce([Fraction(c) for c in coeffs])
+    if len(cs) < 2:
         return []
-    cs = poly_divmod(cs, poly_gcd(cs, poly_deriv(cs)))[0]
+    cs = poly.quo_rem(cs, poly.gcd(cs, poly.deriv(cs)))[0]
     den = lcm(*[c.denominator for c in cs]) * (1 if cs[-1] > 0 else -1)
     f = [c.numerator * (den // c.denominator) for c in cs]
     m = [int(c) for c in field.min_poly]
@@ -761,7 +683,7 @@ def _roots_at_prime(f, field, p, parts=None, later=()):
     if not left:
         return roots, left
     a = left[0] if f == m else roots_mod(m, p, lm)[0]
-    delta = field.element(poly_deriv(field.min_poly)) * c
+    delta = field.element(poly.deriv(field.min_poly)) * c
     inverse = delta.inverse()
     R, babai = cauchy(m), 2 ** ((n + 1) // 2)
     S = (2 * R) ** (n - 1) * c * cauchy(f)
@@ -786,7 +708,7 @@ def _roots_at_prime(f, field, p, parts=None, later=()):
             if sum(map(mul, u, powers)) % q != target:
                 raise AssertionError("rounded candidate left its residue class")
             beta = FieldElement(field, tuple(u)) * inverse
-            if _eval_poly_at_element(f, beta).is_zero():
+            if poly.evaluate(f, beta).is_zero():
                 roots.append(beta)
             else:
                 unresolved.append(b)
@@ -890,14 +812,13 @@ def fixed_field(ell, autos):
         cand = ell.element([sum((Fraction(c) * v[i] for c, v in zip(combo, basis)),
                                 _Q0) for i in range(n)])
         mp = minimal_polynomial(cand)
-        if poly_deg(mp) != k:
+        if len(mp) != k + 1:
             continue
         scale = 1
         for c in mp:
             scale = scale * c.denominator // gcd(scale, c.denominator)
         gamma = cand * Fraction(scale)
-        deg = poly_deg(mp)
-        scaled = [mp[i] * Fraction(scale) ** (deg - i) for i in range(deg)] + [_Q1]
+        scaled = [mp[i] * Fraction(scale) ** (k - i) for i in range(k)] + [_Q1]
         sub = NumberField(scaled, label='%s^fix' % ell.label)
         return sub, FieldMorphism(sub, ell, gamma)
     raise AssertionError("no primitive element found for the fixed field")
@@ -925,7 +846,7 @@ def minimal_polynomial(elem):
         # sum s_i num_i = num_d gives p_d = sum (s_i den_i / den_d) p_i
         sol = coordinates_in_span([p.num for p in powers[:d]], powers[d].num)
         if sol is not None:
-            return poly_trim([-s * Fraction(p.den, powers[d].den)
+            return poly.reduce([-s * Fraction(p.den, powers[d].den)
                               for s, p in zip(sol, powers)] + [_Q1])
     raise AssertionError("element has no minimal polynomial")
 

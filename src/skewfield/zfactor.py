@@ -1,7 +1,8 @@
 """Certified irreducibility of monic integer polynomials over Q.
 
 The certificate is Zassenhaus's (Cohen, *A Course in Computational
-Algebraic Number Theory*, sections 3.4-3.5), on Python integers only:
+Algebraic Number Theory*, sections 3.4-3.5), on Python integers only, with
+the polynomial arithmetic modulo m of ``poly``:
 
 1. Eisenstein's criterion at a prime below ``PRIME_CAP`` settles many
    inputs at once (x^8 + 2 at p = 2).
@@ -33,6 +34,8 @@ import random
 from itertools import combinations, count
 from math import comb, gcd, isqrt
 
+from . import poly
+
 MAX_DEGREE = 8
 SIEVE_PRIMES = 5
 PRIME_CAP = 1000
@@ -47,9 +50,7 @@ def is_irreducible_over_q(int_coeffs):
     Coefficients are listed lowest degree first.  A polynomial with a
     repeated factor is reducible, so the answer is False.
     """
-    f = [int(c) for c in int_coeffs]
-    while f and f[-1] == 0:
-        f.pop()
+    f = poly.reduce([int(c) for c in int_coeffs])
     n = len(f) - 1
     if n <= 0:
         raise ValueError("constant polynomial")
@@ -65,7 +66,7 @@ def is_irreducible_over_q(int_coeffs):
     content = gcd(*f[:-1])
     if any(content % p == 0 and f[0] % (p * p) for p in _SMALL_PRIMES):
         return True
-    deriv = [k * c for k, c in enumerate(f)][1:]
+    deriv = poly.deriv(f)
     norm = isqrt(sum(c * c for c in f)) + 1
     hadamard = norm ** (n - 1) * (isqrt(sum(c * c for c in deriv)) + 1) ** n
     bad_product = 1
@@ -74,8 +75,8 @@ def is_irreducible_over_q(int_coeffs):
     for p in odd_primes():
         if len(good) == SIEVE_PRIMES or (good and p > PRIME_CAP):
             break
-        fp = _mod(f, p)
-        if len(_gcd(fp, _mod(deriv, p), p)) > 1:
+        fp = poly.reduce(f, p)
+        if len(poly.gcd(fp, deriv, p)) > 1:
             bad_product *= p
             if bad_product > hadamard:
                 return False
@@ -99,7 +100,7 @@ def is_irreducible_over_q(int_coeffs):
                 continue
             g = [1]
             for h in subset:
-                g = _mul(g, h, m)
+                g = poly.mul(g, h, m)
             if _divides([c - m if 2 * c > m else c for c in g], f):
                 return False
     return True
@@ -115,11 +116,11 @@ def odd_primes():
 def linear_part(f, p):
     """The monic product of the linear factors of f modulo p, or None if f
     does not stay squarefree of its degree there."""
-    fp = _mod(f, p)
-    deriv = _mod([k * c for k, c in enumerate(fp)][1:], p)
-    if len(fp) < len(f) or len(_gcd(fp, deriv, p)) > 1:
+    fp = poly.reduce(f, p)
+    if len(fp) < len(f) or len(poly.gcd(fp, poly.deriv(fp, p), p)) > 1:
         return None
-    return _gcd(fp, _add(_powmod([0, 1], p, fp, p), [0, 1], p, -1), p)
+    return poly.gcd(fp, poly.add(poly.powmod([0, 1], p, fp, p), [0, 1],
+                                 p, -1), p)
 
 
 def roots_mod(f, p, g=None):
@@ -142,80 +143,6 @@ def lift_root(f, b, p, k):
             value = (value * b + c) % q
         b = (b - value * pow(slope, -1, q)) % q
     return b
-
-
-# ---------------------------------------------------------------------------
-# dense polynomials modulo m, coefficient lists lowest degree first, trimmed
-# ---------------------------------------------------------------------------
-
-def _mod(a, m):
-    out = [c % m for c in a]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _add(a, b, m, sign=1):
-    n = max(len(a), len(b))
-    return _mod([(a[i] if i < len(a) else 0)
-                 + sign * (b[i] if i < len(b) else 0) for i in range(n)], m)
-
-
-def _mul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _mod(out, m)
-
-
-def _divmod(a, b, m):
-    """Quotient and remainder of a by b, whose leading coefficient is a unit."""
-    r = [c % m for c in a]
-    nb = len(b) - 1
-    inv = pow(b[-1], -1, m)
-    q = [0] * max(len(r) - nb, 0)
-    for k in range(len(r) - nb - 1, -1, -1):
-        c = q[k] = r[k + nb] * inv % m
-        if c:
-            for j, y in enumerate(b):
-                r[k + j] = (r[k + j] - c * y) % m
-    return _mod(q, m), _mod(r[:nb], m)
-
-
-def _gcd(a, b, p):
-    """Monic gcd modulo the prime p."""
-    while b:
-        a, b = b, _divmod(a, b, p)[1]
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _powmod(a, e, f, m):
-    """a^e modulo f and m."""
-    out, a = [1], _divmod(a, f, m)[1]
-    while e:
-        if e & 1:
-            out = _divmod(_mul(out, a, m), f, m)[1]
-        e >>= 1
-        if e:
-            a = _divmod(_mul(a, a, m), f, m)[1]
-    return out
-
-
-def _xgcd(a, b, p):
-    """s, t with s*a + t*b = 1 modulo p, deg s < deg b, deg t < deg a."""
-    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
-    while r1:
-        q, r = _divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _add(s0, _mul(q, s1, p), p, -1)
-        t0, t1 = t1, _add(t0, _mul(q, t1, p), p, -1)
-    inv = pow(r0[0], -1, p)
-    return _mod([c * inv for c in s0], p), _mod([c * inv for c in t0], p)
 
 
 def _divides(g, f):
@@ -241,12 +168,12 @@ def _distinct_degree(f, p):
     d = 0
     while 2 * (d + 1) <= len(f) - 1:
         d += 1
-        h = _powmod(h, p, f, p)
-        g = _gcd(f, _add(h, x, p, -1), p)
+        h = poly.powmod(h, p, f, p)
+        g = poly.gcd(f, poly.add(h, x, p, -1), p)
         if len(g) > 1:
             out.append((d, g))
-            f = _divmod(f, g, p)[0]
-            h = _divmod(h, f, p)[1]
+            f = poly.quo_rem(f, g, p)[0]
+            h = poly.quo_rem(h, f, p)[1]
     if len(f) > 1:
         out.append((len(f) - 1, f))
     return out
@@ -258,11 +185,11 @@ def _equal_degree(g, d, p, rng):
         return [g]
     e = (p ** d - 1) // 2
     while True:
-        t = _mod([rng.randrange(p) for _ in range(len(g) - 1)], p)
-        u = _gcd(g, _add(_powmod(t, e, g, p), [1], p, -1), p)
+        t = poly.reduce([rng.randrange(p) for _ in range(len(g) - 1)], p)
+        u = poly.gcd(g, poly.add(poly.powmod(t, e, g, p), [1], p, -1), p)
         if 1 < len(u) < len(g):
             return (_equal_degree(u, d, p, rng)
-                    + _equal_degree(_divmod(g, u, p)[0], d, p, rng))
+                    + _equal_degree(poly.quo_rem(g, u, p)[0], d, p, rng))
 
 
 def _hensel_lift(f, factors, p, bound):
@@ -276,8 +203,8 @@ def _hensel_lift(f, factors, p, bound):
         g = [1]
         for j, other in enumerate(factors):
             if j != i:
-                g = _mul(g, other, p)
-        s, t = _xgcd(g, h, p)
+                g = poly.mul(g, other, p)
+        s, t = poly.xgcd(g, h, p)
         m = p
         while m <= bound:
             g, h, s, t, m = _hensel_step(f, g, h, s, t, m)
@@ -291,12 +218,14 @@ def _hensel_step(f, g, h, s, t, m):
     Von zur Gathen and Gerhard, *Modern Computer Algebra*, Algorithm 15.10.
     """
     mm = m * m
-    e = _add(f, _mul(g, h, mm), mm, -1)
-    q, r = _divmod(_mul(s, e, mm), h, mm)
-    g = _add(g, _add(_mul(t, e, mm), _mul(q, g, mm), mm), mm)
-    h = _add(h, r, mm)
-    b = _add(_add(_mul(s, g, mm), _mul(t, h, mm), mm), [1], mm, -1)
-    c, d = _divmod(_mul(s, b, mm), h, mm)
-    s = _add(s, d, mm, -1)
-    t = _add(t, _add(_mul(t, b, mm), _mul(c, g, mm), mm), mm, -1)
+    e = poly.add(f, poly.mul(g, h, mm), mm, -1)
+    q, r = poly.quo_rem(poly.mul(s, e, mm), h, mm)
+    g = poly.add(g, poly.add(poly.mul(t, e, mm), poly.mul(q, g, mm), mm), mm)
+    h = poly.add(h, r, mm)
+    b = poly.add(poly.add(poly.mul(s, g, mm), poly.mul(t, h, mm), mm), [1],
+                 mm, -1)
+    c, d = poly.quo_rem(poly.mul(s, b, mm), h, mm)
+    s = poly.add(s, d, mm, -1)
+    t = poly.add(t, poly.add(poly.mul(t, b, mm), poly.mul(c, g, mm), mm),
+                 mm, -1)
     return g, h, s, t, mm

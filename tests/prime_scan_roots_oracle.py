@@ -15,9 +15,9 @@ from itertools import count, islice
 from math import lcm
 from operator import mul
 
-from skewfield.numfield import (FieldElement, _eval_poly_at_element, _lll,
-                                poly_deg, poly_deriv, poly_divmod, poly_gcd,
-                                poly_trim)
+from poly_oracle import (_eval_poly_at_element, poly_deg, poly_deriv,
+                         poly_divmod, poly_gcd, poly_trim)
+from skewfield.numfield import FieldElement, _lll
 from skewfield.zfactor import linear_part, lift_root, odd_primes, roots_mod
 
 ROOT_PRIMES = 2  # good primes the scan compares, taking the fewest roots

@@ -7,8 +7,9 @@ which builds the chain of its polynomial afresh.  The tests compare the
 library's intervals and signs against them.
 """
 
+from poly_oracle import poly_eval, poly_trim
 from skewfield.numfield import (_variations, _variations_at_inf, cauchy_bound,
-                                poly_eval, poly_trim, sturm_chain)
+                                sturm_chain)
 
 
 def count_real_roots(p, lo=None, hi=None):

@@ -12,7 +12,7 @@ from fractions import Fraction
 import sympy
 from sympy import QQ as SQQ
 
-from skewfield.numfield import _eval_poly_at_element, poly_deg, poly_trim
+from poly_oracle import _eval_poly_at_element, poly_deg, poly_trim
 
 
 def roots_in_field(coeffs, field):

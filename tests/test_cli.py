@@ -12,6 +12,7 @@ from skewfield.cli import (BUILTIN_SCENARIOS, CHECKS, FLAG, REQUIRED,
                            TWIST_KEYS, ScenarioParseError, check_keys,
                            exit_code, format_report, main, parse_scenario,
                            run_scenario)
+from skewfield.fep import SolutionMap
 from skewfield.galois import WitnessInvalid
 from skewfield.ore import SkewFraction, constant_poly, t_poly
 
@@ -381,6 +382,22 @@ def test_restriction_regression_reports_what_the_restriction_raised(
             in captured.out)
     assert '\n  %s\n' % line in captured.out
     assert 'Traceback' not in captured.err
+
+
+def test_roundtrip_regression_reports_a_lifted_solution_that_fails(
+        capsys, monkeypatch):
+    lift = cli.sol_up
+
+    def weak_lift(sol, H, height_bound):
+        full = lift(sol, H, height_bound)
+        return SolutionMap(full.ext_big, full.center_emb, full.beta.images,
+                           'weak', full.beta.target, gal_big=full.gal_big)
+    monkeypatch.setattr(cli, 'sol_up', weak_lift)
+    assert main(['run', 'builtin:roundtrips']) == 1
+    captured = capsys.readouterr()
+    assert 'check 1: roundtrip_regression\n  status: fail\n' in captured.out
+    assert '\n  lifted_solution: failed\n' in captured.out
+    assert 'verified full' not in captured.out
 
 
 def _broad_handlers(tree):

@@ -11,14 +11,14 @@ import pytest
 import prime_scan_roots_oracle
 import sturm_rebuild_oracle
 import sympy_roots_oracle
-from skewfield import numfield, regressions, zfactor
+from poly_oracle import poly_divmod, poly_mul, poly_trim
+from skewfield import numfield, poly, regressions, zfactor
 from skewfield.linalg import rank, solve
 from skewfield.numfield import (
     FieldMorphism, LevelVerdict, NumberField, automorphism_group,
     count_real_roots, field_level, fixed_field, is_galois,
     is_irreducible_over_q, isolate_real_roots, minimal_polynomial,
-    poly_divmod, poly_mul, poly_trim, restrict_morphism, roots_in_field,
-    same_subfield, subfield_preimage)
+    restrict_morphism, roots_in_field, same_subfield, subfield_preimage)
 
 Q = NumberField([0, 1], label='Q')
 Q_SQRT2 = NumberField([-2, 0, 1], label='Q(sqrt2)')
@@ -193,12 +193,12 @@ def test_automorphisms_evaluate_m_only_inside_roots_in_field(monkeypatch):
     # roots_in_field evaluates m exactly at every root it returns, and gen is
     # a root by definition: building the morphisms evaluates m again nowhere
     calls = []
-    evaluate = numfield._eval_poly_at_element
+    evaluate = poly.evaluate
 
     def counted(coeffs, elem):
         calls.append(elem)
         return evaluate(coeffs, elem)
-    monkeypatch.setattr(numfield, '_eval_poly_at_element', counted)
+    monkeypatch.setattr(poly, 'evaluate', counted)
     quartic = [2, 0, -4, 0, 1]
     roots = roots_in_field(quartic, NumberField(quartic))
     searched = len(calls)
