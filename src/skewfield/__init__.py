@@ -31,6 +31,5 @@ from .fep import (EmbeddingProblem, FiniteGroup, GroupHom, NotWeakSolution,
                   fiber_reduction, geometric_problem, hypothesis_report,
                   is_split, quaternion_group, sol_down, sol_up,
                   transport_down, transport_up, verify_solution)
-from .regressions import q8_scenario
 
 __version__ = '0.1.0'

@@ -1,10 +1,10 @@
 """Batch driver: scenario files in, deterministic verification reports out.
 
 A scenario is a line-oriented text file with named sections declaring
-fields, field morphisms, quaternion algebras, twists and embedding
-problems, followed by a list of named checks.  All numbers are exact
-integers or rationals written as decimal strings; reports echo witnesses
-and certificates and never contain floating point.
+fields, field morphisms, quaternion algebras, twists, embedding problems
+and their (weak) solutions, followed by a list of named checks.  All
+numbers are exact integers or rationals written as decimal strings;
+reports echo witnesses and certificates and never contain floating point.
 
 A check's keyword parameters are the keys its line takes (check_keys), and
 KEYS says how each value is read.  Check lines are validated at parse time
@@ -27,17 +27,17 @@ import sys
 import time
 from fractions import Fraction
 
-from .fep import (EmbeddingProblem, GalData, NotWeakSolution, cyclic_group,
-                  direct_product, dihedral_group, fiber_reduction,
-                  geometric_problem, hypothesis_report, is_split,
-                  problems_agree, quaternion_group, sol_down, sol_up,
+from .fep import (EmbeddingProblem, GalData, NotWeakSolution, SolutionMap,
+                  cyclic_group, direct_product, dihedral_group,
+                  fiber_reduction, geometric_problem, hypothesis_report,
+                  is_split, problems_agree, quaternion_group, sol_down, sol_up,
                   solutions_agree, transport_down, transport_up,
                   verify_solution)
 from .galois import (NoDirectDecomposition, NotAnisotropic, NotGalois,
                      ProductConditionFailed, TwistedExtension, WitnessInvalid,
-                     build_comm_extension, build_galois_extension,
-                     build_special_case_3, build_twisted_extension,
-                     converse_check, eq_produit, restriction_between)
+                     build_galois_extension, build_special_case_3,
+                     build_twisted_extension, converse_check, eq_produit,
+                     restriction_between)
 from .galois import check_product_conditions as product_conditions_report
 from .numfield import (FieldMorphism, NumberField, OrderCapExceeded,
                        field_level)
@@ -47,9 +47,6 @@ from .ore import (HypothesisFailed, InsufficientPrecision, SkewFraction,
                   tensor_decomposition_check)
 from .qalg import (AlgebraAutomorphism, QuaternionAlgebra, ZeroNormError,
                    anisotropy, inner_automorphism, norm_form)
-from .regressions import (biquadratic, cyclic_quartic, hamilton,
-                          hamilton_over, matching_tower, q8_scenario,
-                          q_embedding, quartic_solution, sqrt2_field)
 
 
 class ScenarioParseError(Exception):
@@ -63,7 +60,8 @@ class UnresolvedReference(Exception):
     pass
 
 
-SECTIONS = ('fields', 'maps', 'algebras', 'twists', 'problems', 'checks')
+SECTIONS = ('fields', 'maps', 'algebras', 'twists', 'problems', 'solutions',
+            'checks')
 
 
 class Scenario:
@@ -74,6 +72,7 @@ class Scenario:
         self.algebras = {}   # name -> (base, a coords, b coords)
         self.twists = {}     # name -> params dict
         self.problems = {}   # name -> params dict
+        self.solutions = {}  # name -> params dict
         self.checks = []     # list of (lineno, op, params dict)
 
 
@@ -150,6 +149,10 @@ def parse_scenario(text):
             scenario.problems[name] = _parse_kv(tokens[1:], lineno, dict(
                 group=REQUIRED, algebra=REQUIRED, field=REQUIRED, emb=None,
                 alpha=None))
+        elif section == 'solutions':
+            scenario.solutions[name] = _parse_kv(tokens[1:], lineno, dict(
+                problem=REQUIRED, field=REQUIRED, emb=REQUIRED, beta=REQUIRED,
+                kind=REQUIRED))
         elif section == 'checks':
             if name not in CHECKS:
                 raise ScenarioParseError(lineno, "unknown check %r" % name)
@@ -194,7 +197,8 @@ def _int_at_least(low):
 # any other key is read as text
 KEYS = {
     'field': 'field', 'algebra': 'algebra', 'twist': 'twist',
-    'problem': 'problem', 'emb': 'map', 'group': 'group',
+    'problem': 'problem', 'solution': 'solution', 'emb': 'map',
+    'group': 'group',
     'height_bound': _int_at_least(1), 'precision': _int_at_least(1),
     'max_order': _int_at_least(1), 'degree_bound': _int_at_least(0),
     'n': _int_at_least(2), 'expect_dim': _int_at_least(0),
@@ -236,13 +240,15 @@ class Workspace:
     def __init__(self, scenario, flags):
         self.flags = flags
         self.named = {'group': GROUP_CATALOG}
+        self.gens = {}  # problem name -> its group's generator labels
         for kind, build in (
                 ('field', lambda name, poly: NumberField(poly, label=name)),
                 ('map', self._build_map),
                 ('algebra', self._build_algebra),
                 ('twist', lambda name, params: self.twist(
                     self.read(params, 'algebra'), params)),
-                ('problem', self._build_problem)):
+                ('problem', self._build_problem),
+                ('solution', self._build_solution)):
             table = self.named[kind] = {}
             for name, decl in getattr(scenario, kind + 's').items():
                 try:
@@ -315,23 +321,35 @@ class Workspace:
                    self.read(params, 'emb')),
             self.flags['height_bound'])
         gal = GalData(ext)
-        assignments = {}
-        if 'alpha' in params:
-            for piece in params['alpha'].split(','):
-                gen_label, colon, map_name = piece.partition(':')
-                if not colon:
-                    raise UnresolvedReference(
-                        "alpha piece %r is not generator:map" % piece)
-                if gen_label not in gens:
-                    raise UnresolvedReference(
-                        "group has no generator %r" % gen_label)
-                if map_name == 'id':  # the identity leads the Galois group
-                    assignments[gens[gen_label]] = 0
-                else:
-                    fm = self.lookup('map', map_name)
-                    assignments[gens[gen_label]] = ext.index_of(fm)
+        self.gens[name] = gens
+        # the identity leads the Galois group
+        assignments = {gen: 0 if map_name == 'id' else
+                       ext.index_of(self.lookup('map', map_name))
+                       for gen, map_name in _pieces(params, 'alpha',
+                                                    'generator:map', gens)}
         images = _extend_hom(G, assignments, gal.group)
         return EmbeddingProblem(G, ext, images, gal)
+
+    def _build_solution(self, name, params):
+        """(problem, solution): the problem's algebra extended to field= along
+        emb= after the problem's own center embedding, and the group of that
+        extension sent into the problem's group by beta= map:generator."""
+        problem, field, emb = (self.read(params, key)
+                               for key in ('problem', 'field', 'emb'))
+        if emb.source != problem.ext.center_field:
+            raise UnresolvedReference("emb= must start at the field of "
+                                      "problem %s" % params['problem'])
+        ext = build_galois_extension(problem.ext.H, field,
+                                     emb.compose(problem.ext.center_emb),
+                                     self.flags['height_bound'])
+        gal = GalData(ext)
+        assignments = {ext.index_of(self.lookup('map', map_name)): gen
+                       for gen, map_name in _pieces(
+                           params, 'beta', 'map:generator',
+                           self.gens[params['problem']])}
+        images = _extend_hom(gal.group, assignments, problem.G)
+        return problem, SolutionMap(ext, emb, images, params['kind'],
+                                    problem.G, gal)
 
 
 def tower(algebra, field, emb=None):
@@ -340,7 +358,23 @@ def tower(algebra, field, emb=None):
     if emb is None and algebra.base.degree > 1:
         raise UnresolvedReference(
             "an emb= map is required when the center is not the rationals")
-    return algebra, field, q_embedding(algebra, field) if emb is None else emb
+    return algebra, field, FieldMorphism(algebra.base, field, field.zero()) \
+        if emb is None else emb
+
+
+def _pieces(params, key, shape, gens):
+    """(generator, map name) of each comma-separated piece of key= in
+    params, written as shape says: generator:map or map:generator; gens
+    maps the group's generator labels to its elements."""
+    for piece in params[key].split(',') if key in params else ():
+        halves = piece.split(':')
+        if len(halves) != 2:
+            raise UnresolvedReference("%s piece %r is not %s"
+                                      % (key, piece, shape))
+        label, map_name = halves if shape == 'generator:map' else halves[::-1]
+        if label not in gens:
+            raise UnresolvedReference("group has no generator %r" % label)
+        yield gens[label], map_name
 
 
 def _extend_hom(G, gen_images, target):
@@ -547,7 +581,8 @@ def check_product_conditions(ws, algebra, field, emb=None, expect_star=None,
                              expect_eq_produit=None, **twists):
     ext = build_galois_extension(*tower(algebra, field, emb),
                                  ws.flags['height_bound'])
-    report = product_conditions_report(ws.twisted(ext, twists))
+    X = ws.twisted(ext, twists)
+    report = product_conditions_report(X)
     details = {
         'sigma_order': str(report.sigma_order),
         'tau_order': str(report.tau_order),
@@ -560,6 +595,9 @@ def check_product_conditions(ws, algebra, field, emb=None, expect_star=None,
             'yes' if report.triv1_consistent() and report.triv2_consistent()
             else 'no',
     }
+    if report.eq_produit:
+        details['lift_group_order'] = str(build_twisted_extension(
+            X, ws.flags['degree_bound']).group_order())
     ok = report.triv1_consistent() and report.triv2_consistent()
     for expected, holds in ((expect_star, report.star_holds()),
                             (expect_eq_produit, report.eq_produit)):
@@ -628,6 +666,12 @@ def check_hypothesis_report(ws, problem, ample=None, expect_split=None,
     ok = all(expected in (None, details[detail])
              for expected, detail in ((expect_split, 'condition_split'),
                                       (expect_product, 'condition_product')))
+    if rep['condition_product']:
+        link = geometric_problem(problem, X,
+                                 ws.flags['degree_bound']).link_identity
+        details['function_field_link'] = 'table identity holds' if link \
+            else 'broken'
+        ok = ok and link
     return CheckResult('pass' if ok else 'fail',
                        "checkable hypotheses of the geometric existence "
                        "statement; the conclusion itself is out of scope",
@@ -663,165 +707,70 @@ def check_tensor(ws, algebra, field, emb=None, expect='pass', **twists):
 
 
 # ---------------------------------------------------------------------------
-# bundled regressions
+# declared solutions
 # ---------------------------------------------------------------------------
 
-def regression_q8(ws):
-    report = q8_scenario(ws.flags['height_bound'])
+def check_weak_solution(ws, solution):
+    problem, sol = solution
+    report = verify_solution(problem, sol)
     details = {
-        'is_split': 'false' if not report.split else 'true',
-        'kernel_order': str(report.kernel_order),
-        'quartic_group': 'cyclic of order 4'
-            if report.quartic_group_cyclic else 'unexpected',
-        'quartic_contains_sqrt2_conjugation':
-            'yes' if report.quartic_contains_conjugation else 'no',
-        'quartic_level': report.quartic_level,
-        'weak_solution': 'verified' if report.weak_report.passed()
-            else 'failed',
-        'reduced_group_order': str(report.reduced_order),
-        'reduced_split': 'true' if report.reduced_split else 'false',
-        'reduced_kernel_order': str(report.reduced_kernel_order),
-        'base_field': report.base_note,
+        'beta': 'bijective' if sol.beta.is_bijective() else
+                'injective' if report.injective_ok else 'not injective',
+        'compatible': 'yes' if report.compatible_ok else 'no',
     }
-    return CheckResult(
-        'pass' if report.passed() else 'fail',
-        "quaternion-group problem: non-split, bounded weak solution "
-        "through the real cyclic quartic, and a split fiber reduction "
-        "with the same kernel", details)
+    if report.details:
+        details['reason'] = report.details
+    return CheckResult('pass' if report.passed() else 'fail',
+                       "the solution's Galois group embeds in the problem's "
+                       "group, onto it for a full solution, compatibly with "
+                       "restriction to the problem's extension", details)
 
 
-def regression_roundtrip(ws):
-    H = hamilton()
-    ext = hamilton_over(H, sqrt2_field(), ws.flags['height_bound'])
-    cases = [
-        (cyclic_group(2), [0, 1]),
-        (cyclic_group(4), [0, 1, 0, 1]),
-        (quaternion_group(), [0, 0, 1, 1, 0, 0, 1, 1]),
-    ]
-    ok = True
-    details = {}
-    for G, images in cases:
-        problem = EmbeddingProblem(G, ext, images)
+def check_fiber_reduction(ws, solution):
+    red = fiber_reduction(*solution)
+    return CheckResult('pass',
+                       "weak-to-split reduction: the solution gives a "
+                       "section of the fiber product with its Galois group, "
+                       "whose kernel is the original kernel",
+                       {'reduced_order': str(red.problem.G.order),
+                        'kernel_order': str(len(red.kernel_iso))})
+
+
+def check_transport(ws, problem=None, solution=None):
+    """The round trip of a problem or a solution through the center, with
+    its shadow there: the restriction onto a problem's shadow is the
+    central action, and a solution's shadow solves the problem's."""
+    if (problem is None) == (solution is None):
+        raise UnresolvedReference("transport takes one of problem= and "
+                                  "solution=")
+    height = ws.flags['height_bound']
+    if solution is None:
         down = transport_down(problem)
-        up = transport_up(down, H, ws.flags['height_bound'])
-        agree = problems_agree(problem, up)
-        details['problem_order_%d_roundtrip' % G.order] = \
-            'exact' if agree else 'broken'
-        ok = ok and agree
-    # solution round trip through the real quartic
-    problem = EmbeddingProblem(cyclic_group(4), ext, [0, 1, 0, 1])
-    sol = quartic_solution(problem, kind='full',
-                           height_bound=ws.flags['height_bound'])
-    ok = ok and verify_solution(problem, sol).passed()
-    lifted = sol_up(sol_down(sol), H, ws.flags['height_bound'])
-    agree = solutions_agree(sol, lifted)
-    lifted_ok = (verify_solution(problem, lifted).passed()
-                 and lifted.kind == 'full')
-    ok = ok and agree and lifted_ok
-    details['solution_roundtrip'] = 'exact' if agree else 'broken'
-    details['lifted_solution'] = 'verified full' if lifted_ok else 'failed'
+        agree = problems_agree(problem,
+                               transport_up(down, problem.ext.H, height))
+        hom = restriction_between(problem.ext, down.ext,
+                                  problem.ext.center_field.identity_morphism())
+        shadow = all(hom(g) == g.center_action for g in problem.ext.group)
+        details = {'roundtrip': 'exact' if agree else 'broken',
+                   'shadow_restriction': 'equals the central action'
+                   if shadow else 'mismatch'}
+        ok = agree and shadow
+    else:
+        problem, sol = solution
+        down = sol_down(sol)
+        lifted = sol_up(down, problem.ext.H, height)
+        agree = solutions_agree(sol, lifted)
+        shadow = verify_solution(transport_down(problem), down).passed()
+        lifted_ok = (verify_solution(problem, lifted).passed()
+                     and lifted.kind == sol.kind)
+        details = {'roundtrip': 'exact' if agree else 'broken',
+                   'shadow_solution': 'verified' if shadow else 'failed',
+                   'lifted_solution': 'verified ' + sol.kind if lifted_ok
+                   else 'failed'}
+        ok = agree and shadow and lifted_ok
     return CheckResult('pass' if ok else 'fail',
-                       "problems and solutions transport to the center and "
-                       "back without change; lifted solutions re-verify",
-                       details)
-
-
-def regression_fiber(ws):
-    ext = hamilton_over(hamilton(), sqrt2_field(), ws.flags['height_bound'])
-    problem = EmbeddingProblem(cyclic_group(4), ext, [0, 1, 0, 1])
-    weak = quartic_solution(problem, height_bound=ws.flags['height_bound'])
-    red = fiber_reduction(problem, weak)
-    split, _ = is_split(red.problem)
-    expected_order = len(problem.alpha.kernel()) * weak.gal_big.group.order
-    ok = (split and red.problem.G.order == 8
-          and red.problem.G.order == expected_order
-          and len(red.kernel_iso) == 2)
-    details = {
-        'reduced_order': str(red.problem.G.order),
-        'product_identity': 'holds'
-            if red.problem.G.order == expected_order else 'fails',
-        'reduced_split': 'true' if split else 'false',
-        'kernel_order': str(len(red.kernel_iso)),
-    }
-    return CheckResult('pass' if ok else 'fail',
-                       "weak-to-split reduction: fiber product order, "
-                       "section, and kernel isomorphism", details)
-
-
-def regression_special_cases(ws):
-    H = hamilton()
-    q2 = sqrt2_field()
-    biquad_emb = biquadratic(q2)
-    details = {}
-    ok = True
-    # conjugation by the same unit on both levels
-    ext = hamilton_over(H, q2, ws.flags['height_bound'])
-    X1 = TwistedExtension(ext, inner_automorphism(H.i()),
-                          inner_automorphism(ext.L.i()))
-    ok1 = eq_produit(X1)
-    lifts1 = build_twisted_extension(X1, ws.flags['degree_bound'])
-    details['inner_pair'] = ('product condition holds, %d lifts verified'
-                             % lifts1.group_order()) if ok1 else 'failed'
-    ok = ok and ok1
-    # quadratic tower with matching central twists
-    sigma2, tau2 = matching_tower(biquad_emb)
-    report = tensor_decomposition_check(sigma2.owner, sigma2, tau2.owner,
-                                        tau2, biquad_emb,
-                                        ws.flags['degree_bound'])
-    ok2 = report.passed()
-    details['matching_tower'] = 'tensor decomposition verified' if ok2 \
-        else 'failed'
-    ok = ok and ok2
-    # direct factor construction over the biquadratic field
-    biquad = biquad_emb.target
-    X3 = build_special_case_3(H, biquad, q_embedding(H, biquad), 2,
-                              ws.flags['height_bound'])
-    ok3 = eq_produit(X3)
-    lifts3 = build_twisted_extension(X3, ws.flags['degree_bound'])
-    details['direct_factor'] = ('product condition holds, %d lifts verified'
-                                % lifts3.group_order()) if ok3 else 'failed'
-    ok = ok and ok3
-    return CheckResult('pass' if ok else 'fail',
-                       "three constructions where the product condition "
-                       "holds by design: inner pairs, matching quadratic "
-                       "towers, and direct factors", details)
-
-
-def regression_restriction(ws):
-    H = hamilton()
-    q2 = sqrt2_field()
-    quartic_emb = cyclic_quartic(q2)
-    biquad_emb = biquadratic(q2)
-    biquad = biquad_emb.target
-    # commutative towers; a restriction that does not verify raises
-    small_c = build_comm_extension(q2, q_embedding(H, q2))
-    restriction_between(build_comm_extension(biquad, q_embedding(H, biquad)),
-                        small_c, biquad_emb)
-    details = {'commutative_tower': 'pointwise verified'}
-    # restriction onto the center
-    ext = hamilton_over(H, q2, ws.flags['height_bound'])
-    hom = restriction_between(ext, small_c, q2.identity_morphism())
-    agree = all(hom(g) == g.center_action for g in ext.group)
-    details['center_restriction'] = 'equals the central action' \
-        if agree else 'mismatch'
-    # nested division-ring tower
-    big = hamilton_over(H, quartic_emb.target, ws.flags['height_bound'])
-    hom = restriction_between(big, ext, quartic_emb)
-    onto = len({hom(g) for g in big.group}) == len(ext.group)
-    details['tower_restriction'] = 'pointwise verified, onto' \
-        if onto else 'not onto'
-    # geometric link identity on the trivial twist
-    problem = EmbeddingProblem(cyclic_group(2), ext, [0, 1])
-    X = TwistedExtension(ext, H.identity_automorphism(),
-                         ext.L.identity_automorphism())
-    geo = geometric_problem(problem, X, ws.flags['degree_bound'])
-    details['function_field_link'] = 'table identity holds' \
-        if geo.link_identity else 'broken'
-    ok = agree and onto and geo.link_identity
-    return CheckResult('pass' if ok else 'fail',
-                       "restriction maps through auxiliary towers verify "
-                       "pointwise; the function-field problem matches its "
-                       "fixed-center shadow", details)
+                       "transport to the center and back changes nothing, "
+                       "and the shadow at the center verifies", details)
 
 
 CHECKS = {
@@ -838,15 +787,14 @@ CHECKS = {
     'converse_check': check_converse,
     'hypothesis_report': check_hypothesis_report,
     'tensor_check': check_tensor,
-    'q8_regression': regression_q8,
-    'roundtrip_regression': regression_roundtrip,
-    'fiber_regression': regression_fiber,
-    'restriction_regression': regression_restriction,
-    'special_cases_regression': regression_special_cases,
+    'weak_solution': check_weak_solution,
+    'fiber_reduction': check_fiber_reduction,
+    'transport': check_transport,
 }
 
-# builtin name -> scenario text: the declarations and checks of the shipped
-# file of that name, or for center_lemma the first four of ore_center.scn
+# builtin name -> the declarations and checks of the shipped scenario file
+# of that name, comments aside.  builtin:all lists no check: it stays only
+# because bench/workloads.py reads it and splits it by check name.
 BUILTIN_SCENARIOS = {
     'dl2_matrix': """
         [fields]
@@ -886,35 +834,69 @@ BUILTIN_SCENARIOS = {
         converse_check algebra=H field=q2 sigma_inner=0;1;0;0 \
             tau_inner=0;1;0;0 tau_center=conj2 expect=hypothesis_failed
         """,
-    'center_lemma': """
+    'ore_center': """
         [fields]
-        q2  -2 0 1
+        q 0 1
+        q2 -2 0 1
+        biquad 1 0 -10 0 1
         [maps]
-        conj2  q2 q2 0 -1
+        conj2 q2 q2 0 -1
+        sq2_up q2 biquad 0 -9/2 0 1/2
+        neg2 biquad biquad 0 10 0 -1
         [algebras]
+        H q a=-1 b=-1
         H2 q2 a=-1 b=-1
         [twists]
         sigma algebra=H2 center=conj2
         [checks]
-        center_bounded twist=sigma degree_bound=6 expect_dim=4 expect_closed_form=true
+        center_bounded twist=sigma degree_bound=6 expect_dim=4 \
+            expect_closed_form=true
         is_central twist=sigma element=0|0|1 expect=true
         is_central twist=sigma element=0,1 expect=false
         is_central twist=sigma element=0|0;1 expect=false
+        recurrence_geometric twist=sigma coefficient=0;1 expect_order=1
+        recurrence_squares twist=sigma precision=20 max_order=3
+        special_case_3 algebra=H field=biquad n=2
+        product_conditions algebra=H field=q2 sigma_inner=0;1;0;0 \
+            tau_inner=0;1;0;0 expect_star=true expect_eq_produit=true
+        tensor_check algebra=H2 field=biquad emb=sq2_up sigma_center=conj2 \
+            tau_center=neg2
         """,
+    'q8': """
+        [fields]
+        q 0 1
+        q2 -2 0 1
+        quartic 2 0 -4 0 1
+        [maps]
+        conj2 q2 q2 0 -1
+        q2_up q2 quartic -2 0 1
+        rho quartic quartic 0 -3 0 1
+        [algebras]
+        H q a=-1 b=-1
+        [problems]
+        p_q8 group=q8 algebra=H field=q2 alpha=i:conj2,j:id
+        p_c4 group=z4 algebra=H field=q2 alpha=c:conj2
+        p_c2 group=z2 algebra=H field=q2 alpha=c:conj2
+        [solutions]
+        s_q8 problem=p_q8 field=quartic emb=q2_up beta=rho:i kind=weak
+        s_c4 problem=p_c4 field=quartic emb=q2_up beta=rho:c kind=full
+        [checks]
+        is_split problem=p_q8 expect=false
+        field_level field=quartic expect=infinite
+        anisotropy algebra=H field=quartic expect=anisotropic
+        build_extension algebra=H field=quartic expect_order=4
+        weak_solution solution=s_q8
+        fiber_reduction solution=s_q8
+        weak_solution solution=s_c4
+        fiber_reduction solution=s_c4
+        transport problem=p_c2
+        transport problem=p_c4
+        transport problem=p_q8
+        transport solution=s_c4
+        hypothesis_report problem=p_q8 expect_split=false expect_product=true
+        """,
+    'all': "[checks]\n",
 }
-# builtin name -> the one regression it runs.  builtin:all lists them all
-# by bare name, no declaration or key: bench/workloads.py splits it by name.
-_BUILTIN_CHECKS = {
-    'q8': 'q8_regression',
-    'special_cases': 'special_cases_regression',
-    'roundtrips': 'roundtrip_regression',
-    'fiber': 'fiber_regression',
-    'restrictions': 'restriction_regression',
-}
-BUILTIN_SCENARIOS.update((name, "[checks]\n%s\n" % check)
-                         for name, check in _BUILTIN_CHECKS.items())
-BUILTIN_SCENARIOS['all'] = "[checks]\n%s\n" % '\n'.join(
-    _BUILTIN_CHECKS.values())
 
 
 # ---------------------------------------------------------------------------

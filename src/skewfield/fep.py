@@ -347,25 +347,6 @@ class GalData(Immutable):
             ext.table, ['s%d' % n for n in range(len(ext.table))]))
 
 
-def images_by_powers(gal, image_of_power):
-    """Images of a cyclic Galois group, listed by index.
-
-    The generator is the first element of full order; its k-th power is
-    sent to image_of_power(k), for k = 1 .. order.
-    """
-    G = gal.group
-    gen = next((n for n in range(G.order) if G.element_order(n) == G.order),
-               None)
-    if gen is None:
-        raise ValueError("the Galois group is not cyclic")
-    images = [None] * G.order
-    cur = gen
-    for power in range(1, G.order + 1):
-        images[cur] = image_of_power(power)
-        cur = G.op(gen, cur)
-    return images
-
-
 # ---------------------------------------------------------------------------
 # problems and solutions
 # ---------------------------------------------------------------------------

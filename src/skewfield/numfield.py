@@ -76,7 +76,7 @@ def cauchy_bound(p):
     p = poly.reduce(p)
     lead = abs(p[-1])
     m = max((abs(c) for c in p[:-1]), default=_Q0)
-    return _Q1 + m / lead
+    return _Q1 + Fraction(m) / lead
 
 
 def count_real_roots(p, lo=None, hi=None, chain=None):

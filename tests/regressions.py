@@ -1,22 +1,24 @@
-"""The bundled regression instances, each defined once.
+"""The bundled regression instances of the test suite, each defined once.
 
 The rational Hamilton quaternions over Q(sqrt2), the real cyclic quartic
 and the biquadratic field, the twists and solutions built on them, and
-the quaternion-group scenario; the command-line regressions and the tests
-build here, ``DL2_MATRIX`` and ``counterexample`` for the tests only.  Every
-builder returns fresh objects; a field to extend is passed in, so callers
-can share one.
+the quaternion-group scenario, built from library calls alone.  The
+command line states the same instances as scenario text
+(scenarios/q8.scn, scenarios/ore_center.scn); tests/test_cli.py compares
+the two.  Every builder returns fresh objects; a field to extend is passed
+in, so callers can share one.
 """
 
 from fractions import Fraction
 
-from .fep import (EmbeddingProblem, GalData, SolutionMap, fiber_reduction,
-                  images_by_powers, is_split, quaternion_group,
-                  verify_solution)
-from .galois import TwistedExtension, build_galois_extension
-from .numfield import (FieldMorphism, Immutable, NumberField,
-                       automorphism_group, field_level)
-from .qalg import AlgebraAutomorphism, QuaternionAlgebra, inner_automorphism
+from skewfield.fep import (EmbeddingProblem, GalData, SolutionMap,
+                           fiber_reduction, is_split, quaternion_group,
+                           verify_solution)
+from skewfield.galois import TwistedExtension, build_galois_extension
+from skewfield.numfield import (FieldMorphism, Immutable, NumberField,
+                                automorphism_group, field_level)
+from skewfield.qalg import (AlgebraAutomorphism, QuaternionAlgebra,
+                            inner_automorphism)
 
 # name, minimal polynomial, norm-form verdict of (-1,-1/Q) over the field,
 # order of the extension group (None: the construction is refused)
@@ -88,6 +90,25 @@ def matching_tower(emb):
     L = QuaternionAlgebra(biquad, -1, -1)
     return (conjugation_twist(emb.source),
             AlgebraAutomorphism(L, L.i(), L.j(), tau_tilde))
+
+
+def images_by_powers(gal, image_of_power):
+    """Images of a cyclic Galois group, listed by index.
+
+    The generator is the first element of full order; its k-th power is
+    sent to image_of_power(k), for k = 1 .. order.
+    """
+    G = gal.group
+    gen = next((n for n in range(G.order) if G.element_order(n) == G.order),
+               None)
+    if gen is None:
+        raise ValueError("the Galois group is not cyclic")
+    images = [None] * G.order
+    cur = gen
+    for power in range(1, G.order + 1):
+        images[cur] = image_of_power(power)
+        cur = G.op(gen, cur)
+    return images
 
 
 def quartic_solution(problem, image_of_power=lambda power: power % 4,

@@ -11,6 +11,10 @@ from contextlib import contextmanager
 
 import pytest
 
+from regressions import (DL2_MATRIX, biquadratic, conjugation_twist,
+                         counterexample, cyclic_quartic, hamilton,
+                         matching_tower, q8_scenario, quartic_solution,
+                         sqrt2_field)
 from skewfield.fep import (EmbeddingProblem, SolutionMap, cyclic_group,
                            fiber_reduction, geometric_problem, is_split,
                            quaternion_group, sol_down, sol_up,
@@ -28,11 +32,6 @@ from skewfield.ore import (HypothesisFailed, SkewFraction, SkewLaurent,
                            t_poly, tensor_decomposition_check)
 from skewfield.qalg import (QuaternionAlgebra, anisotropy,
                             inner_automorphism, inner_order, norm_form)
-from skewfield.regressions import (DL2_MATRIX, biquadratic,
-                                   conjugation_twist, counterexample,
-                                   cyclic_quartic, hamilton, matching_tower,
-                                   q8_scenario, quartic_solution,
-                                   sqrt2_field)
 
 HAM_Q = hamilton()
 Q = HAM_Q.base

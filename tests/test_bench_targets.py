@@ -72,10 +72,10 @@ def test_a_traced_scenario_reads_check_keys_through_the_wrappers():
 
 def test_builtin_all_stays_a_list_of_bare_checks():
     # the scenarios workload splits builtin:all into one-check sources by
-    # check name, so it may declare nothing and give no check a key
+    # check name, so it may declare nothing and give no check a key; it
+    # lists no check now that the bundled facts are shipped scenario lines
     scenario = cli.parse_scenario(cli.BUILTIN_SCENARIOS['all'])
     assert not any(getattr(scenario, kind + 's') for kind in
-                   ('field', 'map', 'algebra', 'twist', 'problem'))
-    assert scenario.checks
+                   ('field', 'map', 'algebra', 'twist', 'problem', 'solution'))
     for _, op, params in scenario.checks:
         assert params == {} and cli.check_keys(cli.CHECKS[op]) == {}, op

@@ -15,6 +15,9 @@ import random
 
 import block_elimination_oracle as oracle
 import pytest
+from regressions import (biquadratic, counterexample, cyclic_quartic, hamilton,
+                         hamilton_over, matching_tower, q_embedding,
+                         sqrt2_field)
 from skewfield.cli import Workspace, parse_scenario, tower
 from skewfield.galois import build_special_case_3
 from skewfield.numfield import NumberField, OrderCapExceeded
@@ -23,9 +26,6 @@ from skewfield.ore import (CenterReport, HypothesisFailed, SkewPoly,
                            tensor_decomposition_check)
 from skewfield.qalg import (AlgebraAutomorphism, QuaternionAlgebra,
                             inner_automorphism)
-from skewfield.regressions import (biquadratic, counterexample,
-                                   cyclic_quartic, hamilton, hamilton_over,
-                                   matching_tower, q_embedding, sqrt2_field)
 
 SCN_DIR = os.path.join(os.path.dirname(__file__), '..', 'scenarios')
 FLAGS = {'height_bound': 20, 'degree_bound': 4, 'precision': 30}

@@ -3,16 +3,19 @@ import inspect
 import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from skewfield import cli, ore
-from skewfield.cli import (BUILTIN_SCENARIOS, CHECKS, FLAG, REQUIRED,
+from regressions import q8_scenario
+from skewfield import cli, fep, ore
+from skewfield.cli import (BUILTIN_SCENARIOS, CHECKS, FLAG, KEYS, REQUIRED,
                            TWIST_KEYS, ScenarioParseError, check_keys,
                            exit_code, format_report, main, parse_scenario,
                            run_scenario)
-from skewfield.fep import SolutionMap
+from skewfield.fep import SolutionMap, sol_up
 from skewfield.galois import WitnessInvalid
 from skewfield.ore import SkewFraction, constant_poly, t_poly
 
@@ -126,8 +129,8 @@ is_split problem=p expect=true
 def test_main_list_builtin(capsys):
     assert main(['run', '--list-builtin']) == 0
     out = capsys.readouterr().out
-    assert 'builtin:q8' in out
-    assert 'builtin:bruno_counterexample' in out
+    assert out.split() == ['builtin:' + name for name in (
+        'all', 'bruno_counterexample', 'dl2_matrix', 'ore_center', 'q8')]
 
 
 def test_main_requires_scenario(capsys):
@@ -153,6 +156,15 @@ def test_main_rejects_bad_algebra(tmp_path, capsys):
 DECLARED = ("[fields]\nq 0 1\nq2 -2 0 1\n[maps]\nconj2 q2 q2 0 -1\n"
             "[algebras]\nH q a=-1 b=-1\n")   # seven lines
 AT_LINE_11 = DECLARED + "[twists]\ns algebra=H\n[checks]\n"
+# the quaternion-group problem over Q(sqrt2) and the real cyclic quartic
+# with its generator rho, then a solution line: beta=, kind=
+Q8_PROBLEM = ("[fields]\nq 0 1\nq2 -2 0 1\nquartic 2 0 -4 0 1\n[maps]\n"
+              "conj2 q2 q2 0 -1\nq2_up q2 quartic -2 0 1\n"
+              "rho quartic quartic 0 -3 0 1\n[algebras]\nH q a=-1 b=-1\n"
+              "[problems]\np group=q8 algebra=H field=q2 alpha=i:conj2,j:id\n")
+Q8_SOLUTION = (Q8_PROBLEM + "[solutions]\n"
+               "s problem=p field=quartic emb=q2_up beta=%s kind=%s\n")
+SPLIT_CHECK = "[checks]\nis_split problem=p\n"
 
 # check lines whose arguments the library refuses with a ValueError, and the
 # reason printed after their line: conj2 does not start at the rational
@@ -213,12 +225,51 @@ LIBRARY_ARGUMENT_ERRORS = [
      "field_level field=q hieght_bound=1 expect=infinite\n",
      "error: line 4: unknown key hieght_bound= (takes field=, height_bound=, "
      "expect=)"),
+    (Q8_SOLUTION % ('rho', 'weak') + SPLIT_CHECK,
+     "error: solution s: beta piece 'rho' is not map:generator"),
+    (Q8_SOLUTION % ('rho:k', 'weak') + SPLIT_CHECK,
+     "error: solution s: group has no generator 'k'"),
+    (Q8_SOLUTION % ('conj2:i', 'weak') + SPLIT_CHECK,
+     "error: solution s: not in the Galois group"),
+    # neg2 and neg3 have order 2 in Gal(Q(sqrt2, sqrt3)/Q); c has order 4
+    ("[fields]\nq 0 1\nq2 -2 0 1\nbiquad 1 0 -10 0 1\n[maps]\n"
+     "conj2 q2 q2 0 -1\nsq2_up q2 biquad 0 -9/2 0 1/2\n"
+     "neg2 biquad biquad 0 10 0 -1\nneg3 biquad biquad 0 -10 0 1\n"
+     "[algebras]\nH q a=-1 b=-1\n"
+     "[problems]\np group=z4 algebra=H field=q2 alpha=c:conj2\n"
+     "[solutions]\n"
+     "s problem=p field=biquad emb=sq2_up beta=neg2:c,neg3:c kind=weak\n"
+     + SPLIT_CHECK,
+     "error: solution s: not a homomorphism"),
+    (Q8_SOLUTION % ('rho:i', 'half') + SPLIT_CHECK,
+     "error: solution s: kind must be weak or full"),
+    (Q8_PROBLEM + "[solutions]\n"
+                  "s problem=p field=quartic emb=rho beta=rho:i kind=weak\n"
+     + SPLIT_CHECK,
+     "error: solution s: emb= must start at the field of problem p"),
+    # (-1,-1) splits over Q(zeta8), which holds i
+    (Q8_PROBLEM + "[fields]\nzeta8 1 0 0 0 1\n[maps]\n"
+                  "q2_z q2 zeta8 0 1 0 -1\nz zeta8 zeta8 0 0 0 -1\n"
+                  "[solutions]\n"
+                  "s problem=p field=zeta8 emb=q2_z beta=z:i kind=weak\n"
+     + SPLIT_CHECK,
+     "error: solution s: norm form verdict is isotropic"),
+    (Q8_SOLUTION % ('rho:i', 'weak')
+     + "[checks]\ntransport problem=p solution=s\n",
+     "error: line 16: transport takes one of problem= and solution="),
+    (Q8_SOLUTION % ('rho:i', 'weak') + "[checks]\ntransport\n",
+     "error: line 16: transport takes one of problem= and solution="),
 ] + [(AT_LINE_11 + check + "\n", "error: line 11: " + reason)
       for check, reason in LIBRARY_ARGUMENT_ERRORS],
     ids=['twist_inner_zero', 'check_inner_zero', 'check_center_not_auto',
          'alpha_without_map', 'missing_field', 'height_not_int',
          'problem_isotropic', 'bad_quaternion', 'tau_not_extending_sigma',
          'twist_unknown_key', 'repeated_key', 'check_unknown_key',
+         'beta_without_generator', 'beta_unknown_generator',
+         'beta_map_off_the_group', 'beta_not_a_homomorphism',
+         'solution_kind_half', 'solution_emb_off_the_problem_field',
+         'solution_isotropic', 'transport_problem_and_solution',
+         'transport_neither',
          'anisotropy_emb_off_center', 'build_extension_emb_off_center',
          'product_conditions_emb_off_center', 'converse_emb_off_center',
          'special_case_3_emb_off_center', 'tensor_emb_off_center',
@@ -230,6 +281,29 @@ def test_main_rejects_bad_declaration_or_parameter(tmp_path, capsys, text,
     assert main(['run', str(path)]) == 2
     err = capsys.readouterr().err
     assert error in err and 'Traceback' not in err
+
+
+# inner twists by units with irrational coordinates: conjugation by
+# sqrt2*i is conjugation by i, and (1+sqrt2)(1+i) by 1+i, so tau extends
+# sigma and every Galois element commutes with it; the lift the product
+# condition promises is then built, and the verdicts stay those of the
+# twists' rational parts
+IRRATIONAL_TWISTS = ["sigma_inner=0;1;0;0 tau_inner=0;0,1;0;0",
+                     "sigma_inner=1;1;0;0 tau_inner=1,1;1,1;0;0"]
+
+
+@pytest.mark.parametrize('twists', IRRATIONAL_TWISTS)
+def test_an_irrational_inner_twist_keeps_the_product_verdicts(twists):
+    (_, product, _), (_, report, _) = run_text(
+        DECLARED + "[problems]\np group=z2 algebra=H field=q2 "
+                   "alpha=c:conj2\n[checks]\n"
+                   "product_conditions algebra=H field=q2 %s "
+                   "expect_star=true expect_eq_produit=true\n"
+                   "hypothesis_report problem=p %s expect_split=true "
+                   "expect_product=true\n" % (twists, twists))
+    assert product.status == report.status == 'pass'
+    assert product.details['lift_group_order'] == '2'
+    assert report.details['function_field_link'] == 'table identity holds'
 
 
 BIQUAD_H = "[fields]\nq 0 1\nbiquad 1 0 -10 0 1\n[algebras]\nH q a=-1 b=-1\n"
@@ -297,7 +371,7 @@ def test_main_accepts_zero_degree_bound_parameter(tmp_path, capsys):
 
 
 def test_main_rejects_negative_degree_bound_flag(capsys):
-    assert main(['run', 'builtin:special_cases', '--degree-bound', '-1']) == 2
+    assert main(['run', 'builtin:ore_center', '--degree-bound', '-1']) == 2
     captured = capsys.readouterr()
     assert ('error: --degree-bound must be a non-negative integer'
             in captured.err)
@@ -364,28 +438,39 @@ def test_main_reports_a_failed_internal_certificate_as_error(
     assert 'Traceback' not in captured.err
 
 
+# the declarations of q8.scn, then the solution check of a test
+Q8_DECLARATIONS = Path(SCN_DIR, 'q8.scn').read_text().split('[checks]')[0]
+
+
+def _run_q8_check(tmp_path, check):
+    path = tmp_path / 'q8_check.scn'
+    path.write_text(Q8_DECLARATIONS + '[checks]\n' + check + '\n')
+    return main(['run', str(path)])
+
+
 @pytest.mark.parametrize('raised, status, line', [
     (AssertionError("restriction left the group"), 'error',
      'reason: restriction left the group'),
     (WitnessInvalid('pointwise', "restriction disagrees on an element"),
-     'fail', 'reason: witness condition pointwise failed: restriction '
-             'disagrees on an element'),
+     'fail', 'reason: restriction failed: witness condition pointwise '
+             'failed: restriction disagrees on an element'),
 ], ids=['assertion', 'witness_invalid'])
 def test_restriction_regression_reports_what_the_restriction_raised(
-        capsys, monkeypatch, raised, status, line):
+        tmp_path, capsys, monkeypatch, raised, status, line):
+    # the restriction of the quartic tower onto Q(sqrt2), as weak_solution
+    # reads it for the full solution of the order-4 problem
     def restriction_between(big, small, center_emb):
         raise raised
-    monkeypatch.setattr(cli, 'restriction_between', restriction_between)
-    assert main(['run', 'builtin:restrictions']) == 1
+    monkeypatch.setattr(fep, 'restriction_between', restriction_between)
+    assert _run_q8_check(tmp_path, 'weak_solution solution=s_c4') == 1
     captured = capsys.readouterr()
-    assert ('check 1: restriction_regression\n  status: %s\n' % status
-            in captured.out)
+    assert 'check 1: weak_solution\n  status: %s\n' % status in captured.out
     assert '\n  %s\n' % line in captured.out
     assert 'Traceback' not in captured.err
 
 
 def test_roundtrip_regression_reports_a_lifted_solution_that_fails(
-        capsys, monkeypatch):
+        tmp_path, capsys, monkeypatch):
     lift = cli.sol_up
 
     def weak_lift(sol, H, height_bound):
@@ -393,9 +478,9 @@ def test_roundtrip_regression_reports_a_lifted_solution_that_fails(
         return SolutionMap(full.ext_big, full.center_emb, full.beta.images,
                            'weak', full.beta.target, gal_big=full.gal_big)
     monkeypatch.setattr(cli, 'sol_up', weak_lift)
-    assert main(['run', 'builtin:roundtrips']) == 1
+    assert _run_q8_check(tmp_path, 'transport solution=s_c4') == 1
     captured = capsys.readouterr()
-    assert 'check 1: roundtrip_regression\n  status: fail\n' in captured.out
+    assert 'check 1: transport\n  status: fail\n' in captured.out
     assert '\n  lifted_solution: failed\n' in captured.out
     assert 'verified full' not in captured.out
 
@@ -459,7 +544,7 @@ def test_main_runs_builtin_bruno(capsys):
 
 def test_main_writes_report_file(tmp_path, capsys):
     path = tmp_path / 'report.txt'
-    code = main(['run', 'builtin:center_lemma', '--report', str(path)])
+    code = main(['run', 'builtin:ore_center', '--report', str(path)])
     capsys.readouterr()
     assert code == 0
     content = path.read_text()
@@ -590,16 +675,111 @@ def test_shipped_scenarios_all_pass():
 @pytest.mark.parametrize('name, golden, total', [
     ('dl2_matrix', 'dl2_matrix', 10),
     ('bruno_counterexample', 'bruno_counterexample', 3),
-    ('center_lemma', 'ore_center', 4),
+    ('ore_center', 'ore_center', 9),
+    ('q8', 'q8', 13),
 ])
 def test_builtin_scenarios_report_their_golden_checks(name, golden, total):
-    # a built-in copy of shipped check lines reports the first total check
-    # blocks of the golden text, the scenario: and time_ms lines aside
+    # builtin:NAME runs every check of scenarios/NAME.scn, so it reports the
+    # shipped golden text, the scenario: and time_ms lines aside
     lines = _report_lines('builtin:' + name, BUILTIN_SCENARIOS[name])
     want = _golden_lines(golden)
-    end = next((at for at, line in enumerate(want)
-                if line.startswith('check %d: ' % (total + 1))), -1)
     assert lines[1] == 'scenario: builtin:' + name
-    assert lines[:1] + lines[2:-1] == want[:1] + want[2:end]
+    assert lines[:1] + lines[2:] == want[:1] + want[2:]
     assert lines[-1] == ('summary: total=%d pass=%d fail=0 '
                          'hypothesis-failed=0 unknown=0' % (total, total))
+
+
+def _declared(text):
+    """What a scenario text declares and checks, line numbers aside."""
+    scenario = parse_scenario(text)
+    return ({section: getattr(scenario, section)
+             for section in cli.SECTIONS if section != 'checks'},
+            [(op, params) for _, op, params in scenario.checks])
+
+
+def test_builtin_scenarios_parse_as_their_shipped_files():
+    names = sorted(set(BUILTIN_SCENARIOS) - {'all'})
+    assert [name + '.scn' for name in names] == sorted(os.listdir(SCN_DIR))
+    for name in names:
+        with open(os.path.join(SCN_DIR, name + '.scn')) as handle:
+            assert _declared(BUILTIN_SCENARIOS[name]) == \
+                _declared(handle.read()), name
+
+
+def test_q8_lines_report_the_facts_of_the_bundled_q8_scenario():
+    # tests/regressions.py builds the same instance from library calls
+    reference = q8_scenario()
+    scenario = parse_scenario(BUILTIN_SCENARIOS['q8'])
+    results = run_scenario(scenario, dict(FLAGS))
+    lines = {(op, tuple(params.items())): result
+             for (_, op, params), (_, result, _)
+             in zip(scenario.checks, results)}
+    split = lines[('is_split', (('problem', 'p_q8'), ('expect', 'false')))]
+    assert split.details['actual'] == str(reference.split).lower()
+    assert split.details['kernel_order'] == str(reference.kernel_order)
+    level = lines[('field_level', (('field', 'quartic'),
+                                   ('expect', 'infinite')))]
+    assert level.details['actual'] == reference.quartic_level
+    weak = lines[('weak_solution', (('solution', 's_q8'),))]
+    assert reference.weak_report.passed() and weak.status == 'pass'
+    # fiber_reduction passes only once the solution's section splits it
+    fiber = lines[('fiber_reduction', (('solution', 's_q8'),))]
+    assert reference.reduced_split and fiber.status == 'pass'
+    assert fiber.details == {
+        'reduced_order': str(reference.reduced_order),
+        'kernel_order': str(reference.reduced_kernel_order)}
+
+
+def test_every_check_names_a_declared_object():
+    # a check that declares nothing would be a bundled regression again
+    declared = {key for key, kind in KEYS.items() if isinstance(kind, str)}
+    for op, check in CHECKS.items():
+        assert declared & set(check_keys(check)), op
+
+
+def test_the_package_ships_no_regression_module():
+    code = ("import importlib.util, skewfield, skewfield.cli; "
+            "print(importlib.util.find_spec('skewfield.regressions'), "
+            "hasattr(skewfield, 'q8_scenario'))")
+    done = subprocess.run([sys.executable, '-c', code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert done.stdout.split() == ['None', 'False']
+
+
+# each new check on a passing line, then on a failing one with the library
+# calls named patched in cli; a details line printed by both is a constant
+# that says nothing about the outcome
+BAD_SOLUTION = ("s_bad problem=p_q8 field=quartic emb=q2_up beta=rho:j "
+                "kind=full\n")
+
+
+def _weak_lift(sol, H, height_bound):
+    full = sol_up(sol, H, height_bound)
+    return SolutionMap(full.ext_big, full.center_emb, full.beta.images,
+                       'weak', full.beta.target, gal_big=full.gal_big)
+
+
+@pytest.mark.parametrize('passing, failing, patches', [
+    ('weak_solution solution=s_c4', 'weak_solution solution=s_bad', {}),
+    ('fiber_reduction solution=s_q8', 'fiber_reduction solution=s_bad', {}),
+    ('transport problem=p_q8', 'transport problem=p_q8',
+     {'problems_agree': lambda p1, p2: False,
+      'restriction_between': lambda big, small, emb: lambda g: None}),
+    ('transport solution=s_c4', 'transport solution=s_bad',
+     {'sol_up': _weak_lift}),
+], ids=['weak_solution', 'fiber_reduction', 'transport_problem',
+        'transport_solution'])
+def test_new_check_details_depend_on_the_outcome(monkeypatch, passing,
+                                                 failing, patches):
+    def run(check):
+        (_, result, _), = run_text(Q8_DECLARATIONS + BAD_SOLUTION
+                                   + '[checks]\n' + check + '\n')
+        return result
+    good = run(passing)
+    for name, patched in patches.items():
+        monkeypatch.setattr(cli, name, patched)
+    bad = run(failing)
+    assert (good.status, bad.status) == ('pass', 'fail')
+    assert good.details and bad.details
+    assert not set(good.details.items()) & set(bad.details.items())

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from regressions import (biquadratic, counterexample, cyclic_quartic, hamilton,
+                         q8_scenario, quartic_solution, sqrt2_field)
 from skewfield import fep
 from skewfield.fep import (
     EmbeddingProblem, FiniteGroup, GalData, GroupHom, NotWeakSolution, SolutionMap,
@@ -13,9 +15,6 @@ from skewfield.galois import (NotAnisotropic, ProductConditionFailed,
                               TwistedExtension, build_galois_extension,
                               build_special_case_3, restriction_between)
 from skewfield.numfield import FieldMorphism, NumberField, automorphism_group
-from skewfield.regressions import (biquadratic, counterexample,
-                                   cyclic_quartic, hamilton, q8_scenario,
-                                   quartic_solution, sqrt2_field)
 
 HAM_Q = hamilton()
 Q = HAM_Q.base

@@ -8,6 +8,9 @@ the table consumers, so no second representation of the group grows back.
 """
 
 import galois_compose_oracle as oracle
+from regressions import (DL2_MATRIX, biquadratic, cyclic_quartic, hamilton,
+                         hamilton_over, q_embedding, quartic_solution,
+                         sqrt2_field)
 from skewfield.fep import (EmbeddingProblem, GalData, SolutionMap,
                            _comm_shadow, cyclic_group, fiber_reduction,
                            problems_agree, sol_down, sol_up, solutions_agree,
@@ -18,9 +21,6 @@ from skewfield.galois import (GaloisExtension, RestrictionWitness,
                               restriction_between)
 from skewfield.numfield import FieldMorphism, NumberField
 from skewfield.qalg import AlgebraAutomorphism
-from skewfield.regressions import (DL2_MATRIX, biquadratic, cyclic_quartic,
-                                   hamilton, hamilton_over, q_embedding,
-                                   quartic_solution, sqrt2_field)
 
 HAM_Q = hamilton()
 Q_SQRT2 = sqrt2_field()

@@ -19,6 +19,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import callable_kernel_oracle as oracle
+from regressions import (DL2_MATRIX, biquadratic, cyclic_quartic, hamilton,
+                         q_embedding, sqrt2_field)
 from skewfield import numfield
 from skewfield.galois import (NotAnisotropic, _generating_subset,
                               build_galois_extension)
@@ -27,8 +29,6 @@ from skewfield.numfield import (FieldMorphism, NumberField,
                                 automorphism_group, fixed_field)
 from skewfield.ore import _algebra_generators
 from skewfield.qalg import QuatElement, QuaternionAlgebra
-from skewfield.regressions import (DL2_MATRIX, biquadratic, cyclic_quartic,
-                                   hamilton, q_embedding, sqrt2_field)
 
 HAM_Q = hamilton()
 Q_SQRT2 = sqrt2_field()

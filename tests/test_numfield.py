@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import prime_scan_roots_oracle
+import regressions
 import sturm_rebuild_oracle
 import sympy_roots_oracle
 from poly_oracle import poly_divmod, poly_mul, poly_trim
-from skewfield import numfield, poly, regressions, zfactor
+from skewfield import numfield, poly, zfactor
 from skewfield.linalg import rank, solve
 from skewfield.numfield import (
     FieldMorphism, LevelVerdict, NumberField, automorphism_group,
@@ -548,6 +549,14 @@ def test_isolation_separates_roots():
     assert len(ivs) == 4
     for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
         assert b1 <= a2
+
+
+def test_integer_coefficients_give_exact_intervals():
+    # the Cauchy bound is a Fraction, so no endpoint is a float
+    assert isolate_real_roots([-2, 0, 1]) == [(-3, 0), (0, 3)]
+    assert all(type(end) is Fraction
+               for interval in isolate_real_roots([-2, 0, 1])
+               for end in interval)
 
 
 def test_intervals_and_signs_match_the_sturm_oracle():

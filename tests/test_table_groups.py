@@ -20,6 +20,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from regressions import (hamilton, hamilton_over, q8_scenario,
+                         quartic_solution, sqrt2_field)
 import table_group_oracle as oracle
 from skewfield import cli, fep, galois
 from skewfield.fep import (EmbeddingProblem, FiniteGroup, GalData, GroupHom,
@@ -27,8 +29,6 @@ from skewfield.fep import (EmbeddingProblem, FiniteGroup, GalData, GroupHom,
                            fiber_reduction, quaternion_group)
 from skewfield.galois import _generating_subset
 from skewfield.numfield import NumberField
-from skewfield.regressions import (hamilton, hamilton_over, q8_scenario,
-                                   quartic_solution, sqrt2_field)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / 'bench' / 'workloads.py'
 

@@ -14,6 +14,9 @@ import os
 import random
 
 import galois_compose_oracle as oracle
+from regressions import (biquadratic, conjugation_twist, counterexample,
+                         cyclic_quartic, hamilton, hamilton_over,
+                         matching_tower, q_embedding, sqrt2_field)
 from skewfield.cli import Workspace, parse_scenario, tower
 from skewfield.galois import (ProductReport, TwistedExtension,
                               build_galois_extension, build_special_case_3,
@@ -23,10 +26,6 @@ from skewfield.numfield import (FieldMorphism, NumberField,
                                 automorphism_group, fixed_field)
 from skewfield.qalg import (AlgebraAutomorphism, QuaternionAlgebra,
                             inner_automorphism)
-from skewfield.regressions import (biquadratic, conjugation_twist,
-                                   counterexample, cyclic_quartic, hamilton,
-                                   hamilton_over, matching_tower,
-                                   q_embedding, sqrt2_field)
 
 SCN_DIR = os.path.join(os.path.dirname(__file__), '..', 'scenarios')
 FLAGS = {'height_bound': 20, 'degree_bound': 4, 'precision': 30}
