@@ -15,9 +15,9 @@ problem pushes back to a full solution of the original through the fixed
 field of the projection kernel.
 
 Everything is re-verified, each check on a certificate that suffices: a
-group table by its identity, its Latin square and Light's associativity
-test on one generating set; a homomorphism on the source generators;
-solutions and their restrictions on the full tables.
+group table by its identity, an inverse in every row and Light's
+associativity test on one generating set; a homomorphism on the source
+generators; solutions and their restrictions on the full tables.
 """
 
 from itertools import combinations
@@ -40,6 +40,13 @@ class NotWeakSolution(Exception):
 # finite groups as multiplication tables
 # ---------------------------------------------------------------------------
 
+def _check_order(order):
+    if order < 1:
+        raise ValueError("empty multiplication table")
+    if order > MAX_GROUP_ORDER:
+        raise ValueError("group order above %d" % MAX_GROUP_ORDER)
+
+
 def _indices(rows, order, what):
     """The non-empty rows as bytes, each value an int in range(order)."""
     try:  # 1.0 == 1 would pass every later check, then fail as an index
@@ -55,11 +62,12 @@ class FiniteGroup(Immutable):
     """Multiplication table with identity at index 0, order 1 to 64.
 
     The table is certified a group at construction: index 0 is a two-sided
-    identity, every row and column is a permutation of the elements, and
-    associativity holds by Light's test, (x*g)*y = x*(g*y) for all x, y and
-    each g of ``generators``, a generating set.  The elements g passing
-    that test are closed under products, so passing on generators proves
-    the whole table associative.
+    identity, every row holds 0, and associativity holds by Light's test,
+    (x*g)*y = x*(g*y) for all x, y and each g of ``generators``, a
+    generating set.  The elements g passing that test are closed under
+    products, so passing on generators proves the whole table associative.
+    An associative table with an identity and a right inverse for each
+    element is a group, so every row and column is a permutation.
 
     A member list is ``bytes``, one byte per element, since the order is at
     most 64.  ``_left`` is the rows of the table one after another, then
@@ -77,10 +85,7 @@ class FiniteGroup(Immutable):
 
     def __init__(self, table, labels=None):
         order = len(table)
-        if order == 0:
-            raise ValueError("empty multiplication table")
-        if order > MAX_GROUP_ORDER:
-            raise ValueError("group order above %d" % MAX_GROUP_ORDER)
+        _check_order(order)
         table = tuple(tuple(row) for row in table)
         if any(len(row) != order for row in table):
             raise ValueError("multiplication table is not square")
@@ -95,9 +100,6 @@ class FiniteGroup(Immutable):
             raise ValueError("index 0 is not an identity")
         if any(0 not in row for row in table):
             raise ValueError("some element has no inverse")
-        columns = tuple(map(bytes, zip(*table)))
-        if any(len(set(line)) != order for line in rows + columns):
-            raise ValueError("table is not a Latin square")
         pad = bytes(256 - order)
         left = b''.join(rows) + pad
         generators = tuple(_generating_subset(table))
@@ -109,7 +111,7 @@ class FiniteGroup(Immutable):
                     raise ValueError("table is not associative")
         super().__init__(table, tuple(labels), order, generators,
                          tuple(row.index(0) for row in table), left,
-                         b''.join(columns) + pad, None)
+                         b''.join(map(bytes, zip(*table))) + pad, None)
 
     def __repr__(self):
         return 'FiniteGroup(order %d)' % self.order
@@ -176,35 +178,33 @@ class FiniteGroup(Immutable):
         subgroup but the trivial one has exactly one parent, the subgroup of
         its sequence without the last element, and a depth-first walk from
         the trivial group down these parent links builds each subgroup once.
-        A subgroup H whose sequence ends at last is extended only by g >
-        last outside H, and <H, g> is kept exactly when g is its least
-        element outside H.  Both gH and Hg lie outside H in <H, g>, so g is
-        closed over only when it is the least element of both; walking g
-        upwards, each left coset is looked at once.  The list is sorted by
-        size, then by sorted members.
+        <H, g> is kept exactly when g is its least element outside H.  Both
+        gH and Hg lie outside H in <H, g>, so g is closed over only when it
+        is the least element of both.  That test only gets harder up the
+        walk, since K containing H gives gK containing gH and Kg containing
+        Hg, so each subgroup tests only the candidates its parent kept past
+        its own last generator; the trivial group tests 1 .. n-1.  The list
+        is sorted by size, then by sorted members.
         """
         if self._subgroups is None:
             n = self.order
             left, right = ([blob[x:x + 256] for x in range(0, n * n, n)]
                            for blob in (self._left, self._right))
             found = []
-            stack = [(b'\0', ())]
+            stack = [(b'\0', (), range(1, n))]
             while stack:
-                members, gens = stack.pop()
+                members, gens, candidates = stack.pop()
                 found.append(members)
                 size = len(members)
-                seen = set(members)
-                for g in range(gens[-1] + 1 if gens else 1, n):
-                    if g in seen:
-                        continue
-                    coset = members.translate(left[g])
-                    seen.update(coset)
-                    if min(coset) < g or min(members.translate(right[g])) < g:
-                        continue
+                kept = [g for g in candidates
+                        if min(members.translate(left[g])) == g
+                        and min(members.translate(right[g])) == g]
+                for k, g in enumerate(kept):
                     bigger = self.extend(members, gens, g)
                     if min(bigger[size:]) == g:
-                        stack.append((bigger, gens + (g,)))
-            found.sort(key=lambda members: (len(members), sorted(members)))
+                        stack.append((bigger, gens + (g,), kept[k + 1:]))
+            found.sort(key=lambda members: (len(members),
+                                            bytes(sorted(members))))
             object.__setattr__(self, '_subgroups',
                                [frozenset(members) for members in found])
         return list(self._subgroups)
@@ -215,6 +215,7 @@ class FiniteGroup(Immutable):
 
 
 def cyclic_group(n):
+    _check_order(n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(table, ['c%d' % k for k in range(n)])
 
@@ -262,17 +263,11 @@ def quaternion_group():
 
 
 def direct_product(a, b):
-    def pack(i, j):
-        return i * b.order + j
-
-    table = []
-    for i1 in range(a.order):
-        for j1 in range(b.order):
-            row = []
-            for i2 in range(a.order):
-                for j2 in range(b.order):
-                    row.append(pack(a.op(i1, i2), b.op(j1, j2)))
-            table.append(row)
+    """Pairs (i, j) at index i * b.order + j, multiplied componentwise."""
+    nb = b.order
+    _check_order(a.order * nb)
+    table = [[x * nb + y for x in row_a for y in row_b]
+             for row_a in a.table for row_b in b.table]
     labels = ['(%s,%s)' % (a.labels[i], b.labels[j])
               for i in range(a.order) for j in range(b.order)]
     return FiniteGroup(table, labels)

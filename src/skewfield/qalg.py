@@ -664,7 +664,11 @@ class AlgebraAutomorphism(Immutable):
 
     def inverse(self):
         """Inverse automorphism from the inverted integer matrix, so a twist
-        of infinite order has one too: column u * deg is the image of e_u."""
+        of infinite order has one too: column u * deg is the image of e_u.
+        A twist fixing i and j is inverted through its center action."""
+        if self._fixes_ij:
+            return AlgebraAutomorphism(self.owner, self.image_i, self.image_j,
+                                       self.center_action.inverse())
         rows, den = self.int_matrix()
         m, n = invert(rows), self.owner.base.degree
         image_i, image_j = [quat_from_q_vector(

@@ -11,6 +11,12 @@ A homomorphism is checked on the full n^2 table.
 built from one canonical parent: Dimino's coset extension on member lists
 and int bitmasks (``extend_by_mask``) from every subgroup and coset that
 reaches a subgroup, duplicates dropped by their mask.
+
+``subgroups_by_seen_cosets`` is the canonical-parent walk as it ran before
+each subgroup inherited its candidates from its parent: every g past the
+last generator is looked at, left cosets already met are skipped through a
+``seen`` set, and the list is sorted by member lists.  ``direct_product_table``
+is the product table as it was built entry by entry.
 """
 
 from skewfield.fep import GroupHom
@@ -162,3 +168,50 @@ def subgroups_by_cosets(G):
         frontier = nxt
     return sorted((frozenset(members) for members, _ in found.values()),
                   key=lambda s: (len(s), sorted(s)))
+
+
+def subgroups_by_seen_cosets(G):
+    """All subgroups, each built once by G.extend from its canonical parent.
+
+    A subgroup H whose greedy generating sequence ends at last is extended
+    by each g > last outside H that is the least element of both gH and
+    Hg, and <H, g> is kept when g is its least element outside H.
+    """
+    n = G.order
+    left, right = ([blob[x:x + 256] for x in range(0, n * n, n)]
+                   for blob in (G._left, G._right))
+    found = []
+    stack = [(b'\0', ())]
+    while stack:
+        members, gens = stack.pop()
+        found.append(members)
+        size = len(members)
+        seen = set(members)
+        for g in range(gens[-1] + 1 if gens else 1, n):
+            if g in seen:
+                continue
+            coset = members.translate(left[g])
+            seen.update(coset)
+            if min(coset) < g or min(members.translate(right[g])) < g:
+                continue
+            bigger = G.extend(members, gens, g)
+            if min(bigger[size:]) == g:
+                stack.append((bigger, gens + (g,)))
+    found.sort(key=lambda members: (len(members), sorted(members)))
+    return [frozenset(members) for members in found]
+
+
+def direct_product_table(a, b):
+    """The table of a x b, pair (i, j) at index i * b.order + j."""
+    def pack(i, j):
+        return i * b.order + j
+
+    table = []
+    for i1 in range(a.order):
+        for j1 in range(b.order):
+            row = []
+            for i2 in range(a.order):
+                for j2 in range(b.order):
+                    row.append(pack(a.op(i1, i2), b.op(j1, j2)))
+            table.append(row)
+    return table

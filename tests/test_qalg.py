@@ -480,6 +480,32 @@ def test_automorphisms_match_the_product_oracle():
             auto.owner, auto.image_i, auto.image_j, auto.center_action) is None
 
 
+def test_inverse_through_the_center_action_equals_the_matrix_inverse(
+        monkeypatch):
+    """A twist fixing i and j is inverted with no matrix inversion, to the
+    automorphism the inverted matrix gives; an inner twist still inverts
+    its matrix."""
+    inverted = []
+    real = qalg.invert
+    monkeypatch.setattr(qalg, 'invert', lambda rows: (
+        inverted.append(None) or real(rows)))
+    alg = QuaternionAlgebra(Q_SQRT2, -1, -1)
+    autos = [inner_automorphism(alg.element([1, 1, 0, 1]))]
+    for field in (Q_SQRT2, CYCLIC_QUARTIC, BIQUAD):
+        alg = QuaternionAlgebra(field, -1, -1)
+        autos += [AlgebraAutomorphism(alg, alg.i(), alg.j(), s)
+                  for s in field.automorphisms()]
+    for auto in autos:
+        inverse = auto.inverse()
+        by_matrix = AlgebraAutomorphism(
+            auto.owner, *product_oracle.inverse_images(auto),
+            auto.center_action.inverse())
+        assert inverse == by_matrix, auto
+        assert inverse.int_matrix() == by_matrix.int_matrix(), auto
+        assert inverse.compose(auto).is_identity(), auto
+    assert len(autos) == 11 and len(inverted) == 1
+
+
 def test_extend_quaternion_is_the_coordinatewise_embedding():
     rng = random.Random(10)
     sqrt2 = FieldMorphism(Q_SQRT2, CYCLIC_QUARTIC,

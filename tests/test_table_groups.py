@@ -3,10 +3,12 @@
 ``FiniteGroup`` tests associativity by Light's test on one generating set,
 ``GroupHom`` checks its images on the source generators, ``subgroups``
 builds each subgroup once from its canonical parent by Dimino's coset
-extension and ``is_split`` closes choices of preimages of the Galois
-generators.  Each must agree with the n^3 table check, the full n^2
-homomorphism check, the breadth-first lattice, the coset lattice with
-duplicates and the lattice walk of ``table_group_oracle``: on every bench
+extension, ``direct_product`` builds its table row by row and
+``is_split`` closes choices of preimages of the Galois generators.  Each
+must agree with the n^3 table check, the full n^2 homomorphism check, the
+breadth-first lattice, the coset lattice with duplicates, the walk that
+skips seen cosets, the entry-by-entry product table and the lattice walk
+of ``table_group_oracle``: on every bench
 and catalog group, direct products, fiber-reduction tables and seeded
 corruptions of them, on seeded relabellings of the bench and catalog
 groups and three non-abelian groups of order 64, and on every bench,
@@ -44,14 +46,15 @@ def _load_workloads():
 BENCH = _load_workloads()
 BENCH_GROUPS = {label: make() for label, make, _, _ in BENCH.GROUPS}
 CATALOG = {name: make() for name, (make, _) in cli.GROUP_CATALOG.items()}
-PRODUCTS = {
-    'D16xZ2': direct_product(dihedral_group(8), cyclic_group(2)),
-    'Q8xZ2^2': direct_product(quaternion_group(), CATALOG['z2xz2']),
-    'Z4^3': direct_product(cyclic_group(4), BENCH_GROUPS['Z4xZ4']),
-    'Q8xQ8': direct_product(quaternion_group(), quaternion_group()),
-    'D8xZ8': direct_product(dihedral_group(4), cyclic_group(8)),
-    'Z3xD8': direct_product(cyclic_group(3), dihedral_group(4)),
+FACTORS = {
+    'D16xZ2': (dihedral_group(8), cyclic_group(2)),
+    'Q8xZ2^2': (quaternion_group(), CATALOG['z2xz2']),
+    'Z4^3': (cyclic_group(4), BENCH_GROUPS['Z4xZ4']),
+    'Q8xQ8': (quaternion_group(), quaternion_group()),
+    'D8xZ8': (dihedral_group(4), cyclic_group(8)),
+    'Z3xD8': (cyclic_group(3), dihedral_group(4)),
 }
+PRODUCTS = {label: direct_product(a, b) for label, (a, b) in FACTORS.items()}
 TRIVIAL = FiniteGroup([[0]])
 
 
@@ -119,12 +122,13 @@ def _catalog_problems(exts):
 
 def _bundled_problems():
     """The problems of the q8 scenario, the fiber regression and the round
-    trips, with their fiber reductions."""
+    trips, with their fiber reductions, and the solutions met on the way."""
     report = q8_scenario()
     ext = hamilton_over(hamilton(), sqrt2_field())
     c4 = EmbeddingProblem(cyclic_group(4), ext, [0, 1, 0, 1])
+    c4_solution = quartic_solution(c4)
     problems = [report.problem, report.reduction.problem, c4,
-                fiber_reduction(c4, quartic_solution(c4)).problem,
+                fiber_reduction(c4, c4_solution).problem,
                 EmbeddingProblem(cyclic_group(2), ext, [0, 1])]
     with open(Path(__file__).resolve().parents[1] / 'scenarios'
               / 'q8.scn') as handle:
@@ -132,7 +136,9 @@ def _bundled_problems():
                            {'height_bound': 20, 'degree_bound': 4,
                             'precision': 30})
     problems += ws.named['problem'].values()
-    return problems
+    solutions = [report.weak, c4_solution,
+                 *(sol for _, sol in ws.named['solution'].values())]
+    return problems, solutions
 
 
 @pytest.fixture(scope='module')
@@ -140,8 +146,9 @@ def split_problems():
     with pytest.MonkeyPatch.context() as monkeypatch:
         bench, exts = _bench_split_problems(monkeypatch)
     catalog, refused = _catalog_problems(exts)
+    bundled, solutions = _bundled_problems()
     return SimpleNamespace(bench=bench, catalog=catalog, refused=refused,
-                           bundled=_bundled_problems(), exts=exts)
+                           bundled=bundled, solutions=solutions, exts=exts)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +231,74 @@ def test_table_check_rejects_what_the_oracle_rejects(split_problems):
     assert set(seen) == {'swap', 'inverse', 'identity', 'latin'}
     assert "table is not associative" in seen['latin']
     assert "table is not associative" in seen['swap']
+
+
+def _is_latin(table):
+    """Every row and every column a permutation of range(len(table))."""
+    elements = list(range(len(table)))
+    return all(sorted(line) == elements for line in [*table, *zip(*table)])
+
+
+def test_every_accepted_table_is_a_latin_square(split_problems):
+    """FiniteGroup checks no Latin square: an identity, an inverse in every
+    row and associativity make a group, whose rows and columns are
+    permutations.  So no table it accepts may break the Latin square, while
+    some tables it refuses do."""
+    rng = random.Random(7)
+    accepted, refused = {}, []
+    for G in _valid_groups(split_problems)[1:]:
+        for _ in range(3):
+            for kind, table in _corruptions(G, rng):
+                if _accepts(FiniteGroup, table):
+                    accepted.setdefault(kind, []).append(table)
+                else:
+                    refused.append(table)
+    assert 'latin' in accepted
+    assert any(not _is_latin(table) for table in refused)
+    groups = [*_valid_groups(split_problems),
+              *_relabelled_and_non_abelian(random.Random(17)).values()]
+    problems = (split_problems.bench + split_problems.catalog
+                + split_problems.bundled)
+    gals = [gal for _, gal in split_problems.exts.values()]
+    gals += [p.gal for p in problems]
+    gals += [sol.gal_big for sol in split_problems.solutions]
+    tables = [table for tables in accepted.values() for table in tables]
+    tables += [G.table for G in groups]
+    tables += [gal.group.table for gal in gals]
+    for table in tables:
+        assert _is_latin(table)
+
+
+def test_orders_past_the_cap_are_refused_before_a_table_is_built(
+        monkeypatch):
+    z16, z8 = cyclic_group(16), cyclic_group(8)
+    reached = []
+    real = fep.FiniteGroup
+    monkeypatch.setattr(fep, 'FiniteGroup', lambda *args, **kw: (
+        reached.append(None) or real(*args, **kw)))
+    for build in (lambda: cyclic_group(65), lambda: direct_product(z16, z8),
+                  lambda: direct_product(z8, z16)):
+        with pytest.raises(ValueError, match='group order above 64'):
+            build()
+    for n in (0, -1):
+        with pytest.raises(ValueError, match='empty multiplication table'):
+            cyclic_group(n)
+    assert reached == []
+    assert direct_product(z8, z8).order == 64 and len(reached) == 1
+
+
+def test_direct_product_agrees_with_the_entry_by_entry_table():
+    for label, (a, b) in FACTORS.items():
+        assert list(map(list, PRODUCTS[label].table)) == \
+            oracle.direct_product_table(a, b), label
+    c2 = cyclic_group(2)
+    group = c2
+    for _ in range(5):
+        product = direct_product(c2, group)
+        assert list(map(list, product.table)) == \
+            oracle.direct_product_table(c2, group), product
+        group = product
+    assert group.table == BENCH._z2_power(6).table
 
 
 def test_table_entries_that_are_no_element_indices_are_refused():
@@ -313,6 +388,24 @@ def test_subgroups_close_each_subgroup_once_under_xor_labels(monkeypatch):
     calls = _counting_extends(monkeypatch)
     assert len(G.subgroups()) == 2825
     assert len(calls) == 2824
+
+
+def test_subgroups_agree_with_the_seen_coset_walk(monkeypatch):
+    """The inherited candidates make the same closures as the walk that
+    looks at every g past the last generator: 2824 on Z2^6."""
+    calls = _counting_extends(monkeypatch)
+    groups = {**BENCH_GROUPS, **CATALOG, **PRODUCTS,
+              **_relabelled_and_non_abelian(random.Random(17))}
+    for label, G in groups.items():
+        fresh = FiniteGroup(G.table)
+        del calls[:]
+        lattice = fresh.subgroups()
+        closed = len(calls)
+        del calls[:]
+        assert lattice == oracle.subgroups_by_seen_cosets(fresh), label
+        assert closed == len(calls), label
+        if label == 'Z2^6':
+            assert closed == 2824
 
 
 def _relabelled_and_non_abelian(rng):
