@@ -15,9 +15,11 @@ run on their own), 1 when any check fails, hits an unexpected failed
 hypothesis or ends in an error (an internal certificate that did not hold,
 reported with its reason), 2 on usage or parse errors (a height bound or
 precision flag below 1 and a degree bound below 0 among them), on a
-declaration that cannot be built, and on a check parameter that is
+declaration that cannot be built, on a check parameter that is
 malformed, out of range, names nothing declared or does not fit (an emb=
-map off the algebra's center, ill-fitting twists), with the check's line.
+map off the algebra's center, ill-fitting twists), with the check's line,
+on a scenario that cannot be read or is not UTF-8 text, and on a --report
+path that cannot be written (after the report is printed).
 A guard that rejects a well-formed input is a failed check with its reason;
 _run_one alone reads what a check raised.
 """
@@ -26,6 +28,7 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from .fep import (EmbeddingProblem, GalData, NotWeakSolution, SolutionMap,
                   cyclic_group, direct_product, dihedral_group,
@@ -792,111 +795,18 @@ CHECKS = {
     'transport': check_transport,
 }
 
-# builtin name -> the declarations and checks of the shipped scenario file
-# of that name, comments aside.  builtin:all lists no check: it stays only
-# because bench/workloads.py reads it and splits it by check name.
+def _read_scenario(path):
+    """The text of a scenario file, which must be UTF-8."""
+    return Path(path).read_text(encoding='utf-8')
+
+
+# builtin:NAME is the shipped file scenarios/NAME.scn, which the package
+# reaches through its scenarios link.  builtin:all lists no check: it stays
+# only because bench/workloads.py reads it and splits it by check name.
 BUILTIN_SCENARIOS = {
-    'dl2_matrix': """
-        [fields]
-        q        0 1
-        gauss    1 0 1
-        sqrtm2   2 0 1
-        q2       -2 0 1
-        q3       -3 0 1
-        quartic  2 0 -4 0 1
-        [algebras]
-        H q a=-1 b=-1
-        [checks]
-        anisotropy algebra=H field=gauss expect=isotropic
-        anisotropy algebra=H field=sqrtm2 expect=isotropic
-        anisotropy algebra=H field=q2 expect=anisotropic
-        anisotropy algebra=H field=q3 expect=anisotropic
-        anisotropy algebra=H field=quartic expect=anisotropic
-        build_extension algebra=H field=gauss expect_error=not_anisotropic
-        build_extension algebra=H field=sqrtm2 expect_error=not_anisotropic
-        build_extension algebra=H field=q2 expect_order=2
-        build_extension algebra=H field=q3 expect_order=2
-        build_extension algebra=H field=quartic expect_order=4
-        """,
-    'bruno_counterexample': """
-        [fields]
-        q   0 1
-        q2  -2 0 1
-        [maps]
-        conj2  q2 q2 0 -1
-        [algebras]
-        H q a=-1 b=-1
-        [checks]
-        product_conditions algebra=H field=q2 sigma_inner=0;1;0;0 \
-            tau_inner=0;1;0;0 tau_center=conj2 expect_star=false expect_eq_produit=false
-        tensor_check algebra=H field=q2 sigma_inner=0;1;0;0 \
-            tau_inner=0;1;0;0 tau_center=conj2 expect=hypothesis_failed
-        converse_check algebra=H field=q2 sigma_inner=0;1;0;0 \
-            tau_inner=0;1;0;0 tau_center=conj2 expect=hypothesis_failed
-        """,
-    'ore_center': """
-        [fields]
-        q 0 1
-        q2 -2 0 1
-        biquad 1 0 -10 0 1
-        [maps]
-        conj2 q2 q2 0 -1
-        sq2_up q2 biquad 0 -9/2 0 1/2
-        neg2 biquad biquad 0 10 0 -1
-        [algebras]
-        H q a=-1 b=-1
-        H2 q2 a=-1 b=-1
-        [twists]
-        sigma algebra=H2 center=conj2
-        [checks]
-        center_bounded twist=sigma degree_bound=6 expect_dim=4 \
-            expect_closed_form=true
-        is_central twist=sigma element=0|0|1 expect=true
-        is_central twist=sigma element=0,1 expect=false
-        is_central twist=sigma element=0|0;1 expect=false
-        recurrence_geometric twist=sigma coefficient=0;1 expect_order=1
-        recurrence_squares twist=sigma precision=20 max_order=3
-        special_case_3 algebra=H field=biquad n=2
-        product_conditions algebra=H field=q2 sigma_inner=0;1;0;0 \
-            tau_inner=0;1;0;0 expect_star=true expect_eq_produit=true
-        tensor_check algebra=H2 field=biquad emb=sq2_up sigma_center=conj2 \
-            tau_center=neg2
-        """,
-    'q8': """
-        [fields]
-        q 0 1
-        q2 -2 0 1
-        quartic 2 0 -4 0 1
-        [maps]
-        conj2 q2 q2 0 -1
-        q2_up q2 quartic -2 0 1
-        rho quartic quartic 0 -3 0 1
-        [algebras]
-        H q a=-1 b=-1
-        [problems]
-        p_q8 group=q8 algebra=H field=q2 alpha=i:conj2,j:id
-        p_c4 group=z4 algebra=H field=q2 alpha=c:conj2
-        p_c2 group=z2 algebra=H field=q2 alpha=c:conj2
-        [solutions]
-        s_q8 problem=p_q8 field=quartic emb=q2_up beta=rho:i kind=weak
-        s_c4 problem=p_c4 field=quartic emb=q2_up beta=rho:c kind=full
-        [checks]
-        is_split problem=p_q8 expect=false
-        field_level field=quartic expect=infinite
-        anisotropy algebra=H field=quartic expect=anisotropic
-        build_extension algebra=H field=quartic expect_order=4
-        weak_solution solution=s_q8
-        fiber_reduction solution=s_q8
-        weak_solution solution=s_c4
-        fiber_reduction solution=s_c4
-        transport problem=p_c2
-        transport problem=p_c4
-        transport problem=p_q8
-        transport solution=s_c4
-        hypothesis_report problem=p_q8 expect_split=false expect_product=true
-        """,
-    'all': "[checks]\n",
-}
+    path.stem: _read_scenario(path)
+    for path in sorted((Path(__file__).parent / 'scenarios').glob('*.scn'))}
+BUILTIN_SCENARIOS['all'] = '[checks]\n'
 
 
 # ---------------------------------------------------------------------------
@@ -1018,17 +928,16 @@ def main(argv=None):
                 raise UnresolvedReference('no builtin scenario %r' % name)
             text = BUILTIN_SCENARIOS[name]
         else:
-            with open(args.scenario) as handle:
-                text = handle.read()
+            text = _read_scenario(args.scenario)
         results = run_scenario(parse_scenario(text), flags)
-    except (OSError, ScenarioParseError, UnresolvedReference) as exc:
+        report = format_report(args.scenario, flags, results)
+        sys.stdout.write(report)
+        if args.report:
+            Path(args.report).write_text(report, encoding='utf-8')
+    except (OSError, UnicodeDecodeError, ScenarioParseError,
+            UnresolvedReference) as exc:
         print('error: %s' % exc, file=sys.stderr)
         return 2
-    report = format_report(args.scenario, flags, results)
-    sys.stdout.write(report)
-    if args.report:
-        with open(args.report, 'w') as handle:
-            handle.write(report)
     return exit_code(results)
 
 

@@ -20,8 +20,6 @@ associativity test on one generating set; a homomorphism on the source
 generators; solutions and their restrictions on the full tables.
 """
 
-from itertools import combinations
-
 from .galois import (CommExtension, WitnessInvalid, _center_action,
                      _generating_subset, build_comm_extension,
                      build_galois_extension, build_twisted_extension,
@@ -129,11 +127,6 @@ class FiniteGroup(Immutable):
             n += 1
         return n
 
-    def is_abelian(self):
-        """Commuting generators make the whole group commute."""
-        return all(self.op(a, b) == self.op(b, a)
-                   for a, b in combinations(self.generators, 2))
-
     def extend(self, members, gens, g, limit=MAX_GROUP_ORDER):
         """<H, g> for the subgroup H generated by gens, g outside it.
 
@@ -208,10 +201,6 @@ class FiniteGroup(Immutable):
             object.__setattr__(self, '_subgroups',
                                [frozenset(members) for members in found])
         return list(self._subgroups)
-
-    def is_cyclic(self):
-        return any(self.element_order(a) == self.order
-                   for a in range(self.order))
 
 
 def cyclic_group(n):

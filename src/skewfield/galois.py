@@ -110,9 +110,6 @@ class Extension(Immutable):
             raise ValueError("not in the Galois group")
         return n
 
-    def from_center(self, fm):
-        return self.group[self.index_of(fm)]
-
 
 class CommExtension(Extension):
     """Finite Galois extension of number fields with its full group."""

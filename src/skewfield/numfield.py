@@ -33,7 +33,7 @@ from operator import mul
 
 from . import poly
 from .linalg import (coordinates_in_span, difference_rows, eliminate,
-                     identity, invert, kernel_basis, same_span)
+                     identity, invert, kernel_basis)
 from .zfactor import (MAX_DEGREE, PRIME_CAP, is_irreducible_over_q,
                       linear_part, lift_root, odd_primes, roots_mod)
 
@@ -870,13 +870,6 @@ def restrict_morphism(sigma, emb):
     if pre is None:
         raise ValueError("subfield is not stable under the automorphism")
     return FieldMorphism(emb.source, emb.source, pre)
-
-
-def same_subfield(emb1, emb2):
-    """Whether two embeddings into the same field have equal images."""
-    if emb1.target != emb2.target:
-        return False
-    return same_span(emb1.image_basis(), emb2.image_basis())
 
 
 def is_galois(ell, h_embedding=None):

