@@ -79,16 +79,10 @@ def kernel_basis(rows, ncols):
     return basis
 
 
-def solve(rows, rhs, ncols, unique=False):
-    """One solution of ``rows * x = rhs``, free variables 0, or None.
-
-    With ``unique`` the answer is None also when the solution is not unique,
-    that is when the rank is below ``ncols``.
-    """
+def solve(rows, rhs, ncols):
+    """One solution of ``rows * x = rhs``, free variables 0, or None."""
     work = [list(row) + [b] for row, b in zip(rows, rhs)]
     pivots = eliminate(work, ncols)
-    if unique and len(pivots) < ncols:
-        return None
     if any(row[ncols] for row in work[len(pivots):]):
         return None
     sol = [_Q0] * ncols

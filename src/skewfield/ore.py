@@ -7,10 +7,11 @@ minimal degree; fractions num*den^{-1} are compared through that relation
 rather than a normal form.  A division updates its remainder in place.
 Truncated Laurent series carry their precision explicitly, and a linear
 recurrence with twisted coefficients certifies that a series comes from a
-fraction.  Each recurrence order is solved on its leading square block of
-equations; the whole stacked system is eliminated only when that block is
-rank-deficient, and the certificate is verified on every stored
-coefficient either way.
+fraction.  Each recurrence order's k leading equations are solved as a
+k x k system over the algebra itself, by Gauss-Jordan elimination with left
+row operations; the whole stacked rational system is eliminated only when
+some column of that block has no invertible entry, and the certificate is
+verified on every stored coefficient either way.
 
 The bounded-degree center computation and the tensor-decomposition check
 reduce everything to exact rational linear algebra: twists and one-sided
@@ -29,8 +30,8 @@ from operator import add, mul, sub
 from .linalg import (difference_rows, identity, kernel_basis, rank,
                      same_span, solve)
 from .numfield import Immutable, RingElement, fixed_field
-from .qalg import (QuatElement, extend_quaternion, inner_order, mul_matrix,
-                   quat_from_q_vector)
+from .qalg import (QuatElement, ZeroNormError, extend_quaternion,
+                   inner_order, mul_matrix, quat_from_q_vector)
 
 
 class InsufficientPrecision(ValueError):
@@ -193,9 +194,9 @@ def _divide(a, b, right):
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     twist, bs, db = a.twist, b.coeffs, b.degree()
-    blead_inv = b.leading().inverse()
     r = list(a.coeffs)
     q = [twist.owner.zero()] * max(0, len(r) - db)
+    blead_inv = b.leading().inverse() if q else None
     for d in reversed(range(len(q))):
         c = r[d + db]
         if c.is_zero():
@@ -503,21 +504,58 @@ def _mat_mul(a, b):
     return [[sum(map(mul, row, col)) for col in cols] for row in a], da * db
 
 
+def _leading_block(series, k, start):
+    """y_1 .. y_k from the recurrence's k leading equations, or None.
+
+    Row n, for start <= n < start + k, reads sum a_{n-i} sigma^(n-i)(y_i)
+    = a_n.  Applying sigma^(-n) and putting w_i = sigma^(-i)(y_i) gives
+    the k x k system sum sigma^(-n)(a_{n-i}) w_i = sigma^(-n)(a_n) over the
+    algebra, with the same solutions since both maps are Q-linear
+    bijections.  It is solved by Gauss-Jordan with left row operations,
+    each pivot the first invertible entry at or below the diagonal.  None
+    when some column has no such entry: the block is then singular over
+    Q, or the algebra is split, and only the whole system decides.
+    """
+    twist = series.twist
+    rows = []
+    for n in range(start, start + k):
+        back = twist.power(-n)
+        rows.append([back(series.coefficient(n - i)) for i in range(1, k + 1)]
+                    + [back(series.coefficient(n))])
+    for c in range(k):
+        for p in range(c, k):
+            if not rows[p][c].is_zero():
+                try:
+                    inv = rows[p][c].inverse()
+                    break
+                except ZeroNormError:
+                    pass
+        else:
+            return None
+        pivot = [inv * x for x in rows[p]]
+        rows[p], rows[c] = rows[c], pivot
+        for r, row in enumerate(rows):
+            f = row[c]
+            if r != c and not f.is_zero():
+                rows[r] = [x - f * y for x, y in zip(row, pivot)]
+    return [twist.power(i)(row[k]) for i, row in enumerate(rows, 1)]
+
+
 def detect_recurrence(series, max_order):
     """Smallest-order recurrence certificate for the series, if any.
 
-    Written on a rational basis of the algebra, the recurrence of order k
-    is a linear system over Q: one block of dim equations for each stored
-    index n >= ord + k, in the unknowns y_1 .. y_k.  The coefficient of y_i
-    in block n is L(a_m) M(sigma^m) with m = n - i, built once per m and
-    shared by all orders.  Each order is solved first on its leading k
-    blocks, a square system of k*dim equations.  When that has full rank
-    its unique solution is the only candidate, and the certificate's
-    verification over every stored coefficient decides it.  Only a
-    rank-deficient leading block (zero leading coefficients, a split
-    algebra) sends the whole stacked system to elimination; its reduced
-    echelon form is unique, so either way the answer is the one the whole
-    system gives.
+    Each order k is solved first on its k leading equations, as a k x k
+    system over the algebra (``_leading_block``).  When that has an
+    invertible pivot in every column its unique solution is the only
+    candidate, and the certificate's verification over every stored
+    coefficient decides it.  Otherwise (zero leading coefficients, a split
+    algebra) the recurrence is written on a rational basis of the algebra,
+    one block of dim equations for each stored index n >= ord + k in the
+    unknowns y_1 .. y_k, and the whole stacked system goes to the echelon.
+    The coefficient of y_i in block n is L(a_m) M(sigma^m) with m = n - i,
+    built once per m and shared by all orders.  A leading block invertible
+    over Q leaves the whole system at most its own solution, so either way
+    the answer is the one the whole system gives.
     """
     if max_order < 1:
         raise ValueError("max_order must be positive")
@@ -539,9 +577,9 @@ def detect_recurrence(series, max_order):
                 _mul_matrix(a, 'L', cache), twist.power(m).int_matrix())
         return blocks[m]
 
-    def system(k, stop):
+    def system(k):
         rows, rhs = [], []
-        for n in range(series.ord + k, stop):
+        for n in range(series.ord + k, series.limit):
             row_blocks = [block(n - i) for i in range(1, k + 1)]
             target = series.coefficient(n)
             # one lcm per row block scales all its rows to integers
@@ -557,13 +595,13 @@ def detect_recurrence(series, max_order):
 
     for k in range(1, max_order + 1):
         start = series.ord + k
-        sol = solve(*system(k, start + k), k * dim, unique=True)
-        if sol is None:
-            sol = solve(*system(k, series.limit), k * dim)
+        ys = _leading_block(series, k, start)
+        if ys is None:
+            sol = solve(*system(k), k * dim)
             if sol is None:
                 continue
-        ys = [quat_from_q_vector(alg, sol[i * dim:(i + 1) * dim])
-              for i in range(k)]
+            ys = [quat_from_q_vector(alg, sol[i * dim:(i + 1) * dim])
+                  for i in range(k)]
         cert = RecurrenceCertificate(twist, k, ys, start)
         if cert.verify(series):
             return cert

@@ -1,10 +1,10 @@
 """Recurrence detection as one tall system per order: a slow oracle.
 
 ``detect_recurrence`` as it ran before each order was solved on its
-leading square block: for every order k it rebuilds every block
+leading block over the algebra: for every order k it rebuilds every block
 L(a_{n-i}) M(sigma^{n-i}) and eliminates the equations of every stored
 index n >= ord + k at once, then re-verifies the candidate.  The tests
-compare the library's leading-block solve against it.
+compare the library's leading-block solve over the algebra against it.
 """
 
 from math import lcm

@@ -16,7 +16,7 @@ import pytest
 from skewfield.numfield import NumberField
 from skewfield.ore import SkewPoly, left_divide, right_divide
 from skewfield.qalg import (AlgebraAutomorphism, QuaternionAlgebra,
-                            inner_automorphism)
+                            ZeroNormError, inner_automorphism)
 
 CENTERS = ([0, 1], [-2, 0, 1], [2, 0, -4, 0, 1])
 QUARTIC = NumberField(CENTERS[2])
@@ -116,3 +116,16 @@ def test_division_forms_only_the_products_it_needs(monkeypatch):
         assert q.degree() == 3 and all(not c.is_zero() for c in q.coeffs)
         assert len(calls) == 18, divide
         calls.clear()
+
+
+def test_lower_degree_dividend_needs_no_inverse():
+    # over the split (1,1/Q) the leading coefficient 1 + i of b has norm 0;
+    # a of lower degree is b*0 + a = 0*b + a all the same
+    H = QuaternionAlgebra(NumberField(CENTERS[0]), 1, 1)
+    twist = H.identity_automorphism()
+    a = SkewPoly(twist, [H.element([1, 2, 0, 3]), H.j()])
+    b = SkewPoly(twist, [H.one(), H.zero(), H.element([1, 1])])
+    for divide in (right_divide, left_divide):
+        assert divide(a, b) == (SkewPoly(twist, []), a)
+        with pytest.raises(ZeroNormError):
+            divide(b, b)
