@@ -10,17 +10,16 @@ Artin fixed-set property and outer-ness follow by theorem from hypotheses
 checked there.
 
 Restriction maps between such extensions are composed out of commutative
-restrictions through an auxiliary tower witness, checked on the two group
-tables and post-verified pointwise.  The direct-product condition on the
-central twists governs when the twisted function fields form a Galois
-extension with the same group; the lifts acting coefficientwise are built
-and checked to a degree bound.
+restrictions through an auxiliary tower witness and checked on the two
+group tables.  The direct-product condition on the central twists governs
+when the twisted function fields form a Galois extension with the same
+group; the lifts act coefficientwise, and each must commute with the twist.
 """
 
 from .numfield import (FieldMorphism, Immutable, automorphism_group,
                        cyclic_powers, fixed_field, is_galois,
                        restrict_morphism, subfield_preimage)
-from .ore import HypothesisFailed, SkewPoly
+from .ore import HypothesisFailed
 from .qalg import (AlgebraAutomorphism, QuaternionAlgebra, anisotropy,
                    extend_quaternion, inner_order, norm_form)
 
@@ -278,12 +277,14 @@ class RestrictionHom(Immutable):
         return self.small.group[self.images[self.big.index_of(g)]]
 
 
-def restriction_map(big, small, witness, small_to_big=None):
+def restriction_map(big, small, witness):
     """The composite restriction Gal(big) -> Gal(small) via the witness.
 
-    When small_to_big is given (an embedding of small's large object into
-    big's), the result is post-verified pointwise on every generator and
-    basis element; a failure raises WitnessInvalid.
+    Certified by the witness, the unique match of each restricted center
+    action and the homomorphism property on the two tables.  It agrees
+    pointwise on the embedded small object: matched center actions agree
+    on the small center, every element fixes i and j (GaloisExtension), and
+    the embedding acts through center coordinates.
     """
     witness.validate(big, small)
     small_res = [restrict_morphism(s, witness.emb_l0_small)
@@ -304,14 +305,6 @@ def restriction_map(big, small, witness, small_to_big=None):
         for b, ab in enumerate(row):
             if images[ab] != small.table[images[a]][images[b]]:
                 raise WitnessInvalid('homomorphism', "table not multiplicative")
-    if small_to_big is not None:
-        basis = (small.L.q_basis() if isinstance(small, GaloisExtension)
-                 else small.ell.basis())
-        for g, t in zip(big.group, images):
-            for x in basis:
-                if small_to_big(small.group[t](x)) != g(small_to_big(x)):
-                    raise WitnessInvalid('pointwise',
-                                         "restriction disagrees on an element")
     return RestrictionHom(big, small, tuple(images))
 
 
@@ -330,16 +323,7 @@ def restriction_between(big_ext, small_ext, center_emb):
         emb_k0_big=big_ext.center_emb.source.identity_morphism(),
         emb_k0_small=small_ext.center_emb.source.identity_morphism(),
     )
-    if isinstance(small_ext, GaloisExtension):
-        def small_to_big(x):
-            return extend_quaternion(x, big_ext.L, center_emb)
-    elif isinstance(big_ext, GaloisExtension):
-        def small_to_big(x):
-            return big_ext.L.scalar(center_emb(x))
-    else:
-        def small_to_big(x):
-            return center_emb(x)
-    return restriction_map(big_ext, small_ext, witness, small_to_big)
+    return restriction_map(big_ext, small_ext, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +447,7 @@ class PolyLift(Immutable):
 
 
 class TwistedFunctionExtension(Immutable):
-    """Verified group of lifts on L[t,tau] fixing H[t,sigma] pointwise."""
+    """Group of lifts on L[t,tau] fixing H[t,sigma] pointwise."""
 
     __slots__ = ('twisted', 'lifts', 'degree_bound')
 
@@ -482,44 +466,26 @@ class TwistedFunctionExtension(Immutable):
 
 
 def build_twisted_extension(X, degree_bound=4):
-    """Lift the Galois group coefficientwise and verify it to a degree bound.
+    """Lift the Galois group coefficientwise to L[t,tau].
 
-    Requires the direct-product condition; each group element must commute
-    with the twist, which makes its lift multiplicative on monomials x t^i
-    of every degree, and fix the base quaternions, which makes its lift fix
-    every base polynomial.  A sample of full products is checked literally.
+    Requires the direct-product condition, and each group element rho must
+    commute with the twist.  Then the lift is multiplicative:
+    lift((x t^i)(y t^j)) = rho(x) rho(tau^i(y)) t^(i+j) equals
+    lift(x t^i) lift(y t^j) = rho(x) tau^i(rho(y)) t^(i+j), since rho
+    tau = tau rho.  It fixes H[t,sigma] pointwise, since rho fixes the
+    embedded H (GaloisExtension), and it restricts to rho on constants.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
     if not eq_produit(X):
         raise ProductConditionFailed("central twists do not form a direct product")
     tau = X.tau
-    L = X.ext.L
-    basis = L.q_basis()
     lifts = []
     for rho in X.ext.group:
         if rho.compose(tau) != tau.compose(rho):
             raise ProductConditionFailed(
                 "group element does not commute with the twist")
-        lift = PolyLift(rho, tau)
-        # the lift acts coefficientwise: x t^j is fixed exactly when x is
-        for x in X.ext.H.q_basis():
-            mono = SkewPoly(tau, [X.ext.embed_base(x)])
-            if lift(mono) != mono:
-                raise AssertionError("lift moves a base polynomial")
-        # multiplicative literally on a sample of full products
-        for x in basis[:3]:
-            for y in basis[:3]:
-                for i in range(min(degree_bound, 2) + 1):
-                    px = SkewPoly(tau, [L.zero()] * i + [x])
-                    py = SkewPoly(tau, [y, y])
-                    if lift(px * py) != lift(px) * lift(py):
-                        raise AssertionError("lift is not multiplicative")
-        # restriction to constants is the group element itself
-        for x in basis:
-            if lift(SkewPoly(tau, [x])).coefficient(0) != rho(x):
-                raise AssertionError("lift does not restrict to the element")
-        lifts.append(lift)
+        lifts.append(PolyLift(rho, tau))
     return TwistedFunctionExtension(X, lifts, degree_bound)
 
 

@@ -454,7 +454,8 @@ class FieldMorphism(Immutable):
 
     Construction verifies the morphism certificate: the source minimal
     polynomial vanishes at gen_image.  ``_trusted`` skips it where it holds:
-    composites, the identity and the roots ``roots_in_field`` has verified.
+    composites, the identity, the roots ``roots_in_field`` has verified and
+    the restrictions ``restrict_morphism`` pulls back.
     """
 
     __slots__ = ('source', 'target', 'gen_image', '_trivial', '_matrix',
@@ -863,13 +864,19 @@ def subfield_preimage(emb, elem):
 def restrict_morphism(sigma, emb):
     """Restriction of an automorphism to an embedded subfield.
 
-    Raises ValueError when the subfield is not stable under sigma.
+    Raises ValueError when the subfield is not stable under sigma; along
+    the identity the restriction is sigma.  The preimage pre of
+    sigma(emb(gen)) needs no morphism check: sigma after emb is a morphism,
+    so emb(min_poly(pre)) = min_poly(sigma(emb(gen))) is 0, and emb is
+    injective.
     """
+    if emb.is_identity():
+        return sigma
     img = sigma(emb(emb.source.gen()))
     pre = subfield_preimage(emb, img)
     if pre is None:
         raise ValueError("subfield is not stable under the automorphism")
-    return FieldMorphism(emb.source, emb.source, pre)
+    return FieldMorphism._trusted(emb.source, emb.source, pre)
 
 
 def is_galois(ell, h_embedding=None):

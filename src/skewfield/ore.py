@@ -442,14 +442,15 @@ def series_expand(fraction, precision):
     shift_back = twist.power(-v)
     u = [shift_back(den.coefficient(v + i)) for i in range(den.degree() - v + 1)]
     u0_inv = u[0].inverse()
-    minus_inv = None if u0_inv == twist.owner.one() else -u0_inv
+    # w_n = -u0^-1 sum u_i sigma^i(w_(n-i)) = sum c_i sigma^i(w_(n-i))
+    c = [None] + [-(u0_inv * ui) for ui in u[1:]]
     n_terms = precision + num.valuation() + 1
     w = [u0_inv]
     for n in range(1, n_terms):
         acc = twist.owner.zero()
         for i in range(1, min(n, len(u) - 1) + 1):
-            acc = acc + u[i] * twist.power(i)(w[n - i])
-        w.append(-acc if minus_inv is None else minus_inv * acc)
+            acc = acc + c[i] * twist.power(i)(w[n - i])
+        w.append(acc)
     w_series = SkewLaurent(twist, 0, w)
     prod = _poly_times_series(num, w_series)
     result = prod.shifted(-v)

@@ -14,6 +14,10 @@ c^(order - 1), the central twist is compared with each group element as
 composed maps, and the lifts re-check every base polynomial up to the
 degree bound and rho against every twist power.
 
+The pointwise agreement of a restriction map on the embedded small
+object, as restriction_between post-verified it through ``small_to_big``,
+before the agreement became a consequence of the checks that stay.
+
 The Artin fixed set, outer-ness and the normality of Gal in <Gal, tau> as
 they ran before they were certified by theorem: the fixed set of a
 generating subset and the centralizer of the embedded base generators as
@@ -28,7 +32,7 @@ from skewfield.galois import (GaloisExtension, PolyLift,
 from skewfield.linalg import difference_rows, identity, kernel_basis, same_span
 from skewfield.numfield import cyclic_powers, is_galois, restrict_morphism
 from skewfield.ore import SkewPoly, _algebra_generators
-from skewfield.qalg import inner_order, mul_matrix
+from skewfield.qalg import extend_quaternion, inner_order, mul_matrix
 
 
 def group_table(ext):
@@ -73,6 +77,15 @@ def restriction_map(big, small, witness, small_to_big=None):
                     raise WitnessInvalid('pointwise',
                                          "restriction disagrees on an element")
     return table
+
+
+def small_to_big(big, small, center_emb):
+    """The embedding of small's object into big's along center_emb."""
+    if isinstance(small, GaloisExtension):
+        return lambda x: extend_quaternion(x, big.L, center_emb)
+    if isinstance(big, GaloisExtension):
+        return lambda x: big.L.scalar(center_emb(x))
+    return center_emb
 
 
 def generating_subset(group):

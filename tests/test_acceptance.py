@@ -11,6 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
+import galois_compose_oracle as oracle
 from regressions import (DL2_MATRIX, biquadratic, conjugation_twist,
                          counterexample, cyclic_quartic, hamilton,
                          matching_tower, q8_scenario, quartic_solution,
@@ -317,7 +318,10 @@ def test_criterion_8_restriction_and_product_suite():
             emb_l0_big=emb, emb_l0_small=Q_SQRT2.identity_morphism(),
             emb_k0_big=Q.identity_morphism(),
             emb_k0_small=Q.identity_morphism())
-        hom = restriction_map(big_c, small_c, witness, small_to_big=emb)
+        hom = restriction_map(big_c, small_c, witness)
+        pointwise = oracle.restriction_map(big_c, small_c, witness,
+                                           small_to_big=emb)
+        assert all(hom(g) == pointwise[g] for g in big_c.group)
         assert len({hom(g) for g in big_c.group}) == 2
 
         # restriction onto the center equals the central action
@@ -328,8 +332,10 @@ def test_criterion_8_restriction_and_product_suite():
             emb_l0_small=Q_SQRT2.identity_morphism(),
             emb_k0_big=Q.identity_morphism(),
             emb_k0_small=Q.identity_morphism())
-        hom2 = restriction_map(ext, small_c, witness2,
-                               small_to_big=lambda x: ext.L.scalar(x))
+        hom2 = restriction_map(ext, small_c, witness2)
+        pointwise2 = oracle.restriction_map(
+            ext, small_c, witness2, small_to_big=lambda x: ext.L.scalar(x))
+        assert all(hom2(g) == pointwise2[g] for g in ext.group)
         assert all(hom2(g) == g.center_action for g in ext.group)
 
         # nested division-ring tower

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import galois_compose_oracle as oracle
 from api_oracle import from_center
 from skewfield.galois import (
     CommExtension, GaloisExtension, NotAnisotropic, NotGalois,
@@ -17,7 +18,6 @@ from skewfield.qalg import (AlgebraAutomorphism, QuaternionAlgebra,
                             extend_quaternion, inner_automorphism,
                             inner_order)
 from skewfield.linalg import rank
-from galois_compose_oracle import is_outer
 
 Q = NumberField([0, 1], label='Q')
 Q_SQRT2 = NumberField([-2, 0, 1], label='Q(sqrt2)')
@@ -189,8 +189,8 @@ def test_outer_for_intermediate_extension():
     big = ext_over(C4_FIELD)
     f_alg = QuaternionAlgebra(Q_SQRT2, -1, -1)
     mid = build_galois_extension(f_alg, C4_FIELD, emb)
-    assert is_outer(big)
-    assert is_outer(mid)
+    assert oracle.is_outer(big)
+    assert oracle.is_outer(mid)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,10 @@ def test_restriction_commutative_case():
         ell0=Q_SQRT2, k0_emb=embed_q(Q_SQRT2),
         emb_l0_big=emb, emb_l0_small=Q_SQRT2.identity_morphism(),
         emb_k0_big=Q.identity_morphism(), emb_k0_small=Q.identity_morphism())
-    hom = restriction_map(big, small, witness, small_to_big=lambda x: emb(x))
+    hom = restriction_map(big, small, witness)
+    pointwise = oracle.restriction_map(big, small, witness,
+                                       small_to_big=lambda x: emb(x))
+    assert all(hom(g) == pointwise[g] for g in big.group)
     images = {hom(g) for g in big.group}
     assert len(images) == 2  # ordinary Galois restriction, onto
 
@@ -222,9 +225,11 @@ def test_restriction_application_two_equals_center_map():
         emb_l0_big=Q_SQRT2.identity_morphism(),
         emb_l0_small=Q_SQRT2.identity_morphism(),
         emb_k0_big=Q.identity_morphism(), emb_k0_small=Q.identity_morphism())
-    hom = restriction_map(big, small, witness,
-                          small_to_big=lambda x: big.L.scalar(x))
+    hom = restriction_map(big, small, witness)
+    pointwise = oracle.restriction_map(big, small, witness,
+                                       small_to_big=lambda x: big.L.scalar(x))
     for g in big.group:
+        assert hom(g) == pointwise[g]
         assert hom(g) == g.center_action
 
 

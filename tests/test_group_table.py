@@ -51,8 +51,9 @@ def _assert_table_agrees(ext):
 
 def _assert_restriction_agrees(big, small, center_emb):
     hom = restriction_between(big, small, center_emb)
-    composed = oracle.restriction_map(big, small,
-                                      _witness(big, small, center_emb))
+    composed = oracle.restriction_map(
+        big, small, _witness(big, small, center_emb),
+        oracle.small_to_big(big, small, center_emb))
     assert hom.images == tuple(small.group.index(composed[g])
                                for g in big.group), (big, small)
     assert all(hom(g) == composed[g] for g in big.group)
